@@ -6,22 +6,18 @@ after the deadline (the first pass always runs). A query that hits its
 time limit is not run again in later passes, and the time it took does not
 count against the run's clock.
 
-The box is shared, and it switches between two speed states every few
-tens of seconds, sometimes staying slow for minutes; in the slow state the
-probe (probe.py) takes 1.8 times as long. The probe is timed before the
-first query, after each PROBE_EVERY_S of query time and at the end of each
-pass; the queries between two probes form a segment. A segment ran in the
-fast state when both probes are below FAST_STATE times REFERENCE_PROBE_S,
-in the slow state when both are above. A query's time is the minimum of
-its fast-state times, as measured, since the remaining noise only ever
-slows a run down. A query never run in the fast state takes the minimum of
-its slow-state times divided by SLOW_STATE_FACTOR, the median ratio of a
-query's fastest slow-state time to its fastest fast-state time (1.38-1.55
-on the three workloads it was measured on); one with neither takes the
-minimum of its times in segments where the state changed. Slow-state
-times are not mixed with fast-state ones: over many passes the minimum
-would pick the slow-state runs the probe misjudged. The record keeps the
-figures that ignore the state, and the probe times.
+The box is shared, and its speed drifts with its neighbours' load: the
+probe (probe.py) takes from 7 to 15 ms, staying fast or slow for seconds to
+minutes. The probe is timed before the first query, after each
+PROBE_EVERY_S of query time and at the end of each pass; the queries
+between two probes form a segment. Each time is scaled to the box's
+reference speed: multiplied by REFERENCE_PROBE_S over the mean of the two
+probes around its segment. Over 1.5 s windows the workloads' own slowdown
+follows the probe's in proportion (1.1-1.2 times their fastest runs at a
+7.5 ms probe, 2.0-2.2 times at 14 ms), so the scaled time does not depend
+on how a run's time fell between fast and slow stretches. A query's time
+is the median of its scaled times over the run's passes. The record keeps
+the figures taken from raw times, and the probe times.
 """
 
 from __future__ import annotations
@@ -35,13 +31,12 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
+from statistics import median
 
 TAIL_BEYOND = 10
 TIMEOUT_ALLOWANCE_S = 60.0
-REFERENCE_PROBE_S = 0.0076  # the probe's time in the fast state of the 2-vCPU box
-FAST_STATE = 1.3  # slow-state probes take about 1.8 times REFERENCE_PROBE_S
-SLOW_STATE_FACTOR = 1.45
-PROBE_EVERY_S = 0.5
+REFERENCE_PROBE_S = 0.0076  # the probe's time when the 2-vCPU box runs fast
+PROBE_EVERY_S = 0.25
 
 
 class QueryTimeout(BaseException):
@@ -67,6 +62,11 @@ def time_limit(seconds: float):
         signal.signal(signal.SIGALRM, previous)
 
 
+def speed(probe_before: float, probe_after: float) -> float:
+    """Factor that scales a time between two probes to the reference speed."""
+    return 2 * REFERENCE_PROBE_S / (probe_before + probe_after)
+
+
 @dataclass
 class Check:
     """A verdict judged against the reference: `ok` false is a mismatch."""
@@ -90,24 +90,12 @@ class Measurement:
     notes: list = field(default_factory=list)
     wall: float = 0.0
 
-    def state(self, segment: int) -> str:
-        """'fast', 'slow' or 'mixed', from the probes around a segment."""
-        around = (self.probes[segment], self.probes[segment + 1])
-        limit = FAST_STATE * REFERENCE_PROBE_S
-        if max(around) < limit:
-            return "fast"
-        return "slow" if min(around) >= limit else "mixed"
-
-    def best(self, samples) -> float:
+    def scaled(self, samples) -> float:
         """A query's time from its (segment, seconds) samples; see above."""
-        by_state = {"fast": [], "slow": [], "mixed": []}
-        for segment, seconds in samples:
-            by_state[self.state(segment)].append(seconds)
-        if by_state["fast"]:
-            return min(by_state["fast"])
-        if by_state["slow"]:
-            return min(by_state["slow"]) / SLOW_STATE_FACTOR
-        return min(by_state["mixed"])
+        probes = self.probes
+        return median(
+            seconds * speed(probes[segment], probes[segment + 1]) for segment, seconds in samples
+        )
 
     @property
     def timeouts(self) -> int:
@@ -115,7 +103,12 @@ class Measurement:
 
     @property
     def failed(self) -> int:
-        return self.mismatches + self.raised + self.timeouts
+        """Verdicts that differ from the reference, and queries that raised.
+
+        A time-limit hit is an undecided verdict, not a failure: the query
+        did not answer, as an Undetermined one does not.
+        """
+        return self.mismatches + self.raised
 
     def note(self, text: str):
         if len(self.notes) < 8:
@@ -197,38 +190,34 @@ def tail_percentile(deck_size: int) -> float:
 def end_to_end(m: Measurement, setup_s: float, deck_size: int) -> tuple[dict, dict]:
     """End-to-end metrics of one untraced run, and the record's details.
 
-    `setup_s` takes the state of the first probe, right after the set-ups.
-    The second set of figures ignores the box's state.
+    `setup_s` comes scaled to the reference speed. The second set of
+    figures, for the record, takes raw times.
     """
     tail_pct = tail_percentile(deck_size)
     figures = {}
-    for state_aware in (True, False):
-        if state_aware:
-            best = {key: m.best(samples) for key, samples in m.times.items()}
-            hits = [m.best([sample]) for sample in m.timed_out.values()]
-            slow = m.probes[0] >= FAST_STATE * REFERENCE_PROBE_S
-            setup = setup_s / SLOW_STATE_FACTOR if slow else setup_s
+    for scale in (True, False):
+        if scale:
+            best = {key: m.scaled(samples) for key, samples in m.times.items()}
+            hits = [m.scaled([sample]) for sample in m.timed_out.values()]
         else:
-            best = {key: min(t for _, t in samples) for key, samples in m.times.items()}
+            best = {key: median(t for _, t in samples) for key, samples in m.times.items()}
             hits = [t for _, t in m.timed_out.values()]
-            setup = setup_s
         per_key = list(best.values()) + hits
         p50, beyond_p50 = percentile(per_key, 50)
         tail, beyond_tail = percentile(per_key, tail_pct)
-        figures[state_aware] = {
-            "setup_s": (setup, "s"),
+        figures[scale] = {
             "queries_per_s": (len(best) / sum(best.values()), "1/s"),
             "latency_p50_ms": (p50 * 1e3, "ms"),
             "latency_tail_ms": (tail * 1e3, "ms"),
-            "decided_share": (sum(m.decided.values()) / len(m.decided), "share"),
         }
+    metrics = {
+        "setup_s": (setup_s, "s"),
+        **figures[True],
+        "decided_share": (sum(m.decided.values()) / len(m.decided), "share"),
+    }
     details = {
         "unscaled": {k: v for k, (v, _) in figures[False].items()},
         "probe_s": m.probes,
-        "segment_states": {
-            state: sum(m.state(i) == state for i in range(len(m.probes) - 1))
-            for state in ("fast", "slow", "mixed")
-        },
         "deck_queries": len(per_key),
         "passes": m.passes,
         "executions": m.attempted,
@@ -236,7 +225,7 @@ def end_to_end(m: Measurement, setup_s: float, deck_size: int) -> tuple[dict, di
         "tail_percentile": tail_pct,
         "tail_beyond": beyond_tail,
     }
-    return {k: {"value": v, "unit": u} for k, (v, u) in figures[True].items()}, details
+    return {k: {"value": v, "unit": u} for k, (v, u) in metrics.items()}, details
 
 
 def peak_rss_mb() -> float:

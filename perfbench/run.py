@@ -26,7 +26,7 @@ from types import SimpleNamespace
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
-SETUPS = 7
+SETUPS = 11
 MODULES = ("formula", "parser", "poset", "realline", "hilbert", "search", "corpus", "cli")
 
 
@@ -42,18 +42,25 @@ def import_itlmc() -> SimpleNamespace:
     )
 
 
-def set_up(module, name: str, seed: int):
-    """Import, build the tables and inputs, warm up; repeated SETUPS times."""
+def set_up(module, name: str, seed: int, probe):
+    """Import, build the tables and inputs, warm up; repeated SETUPS times.
+
+    Each set-up's time is scaled to the reference speed by the probes taken
+    before and after it, as query times are (see harness.py).
+    """
+    from perfbench.harness import speed
     from perfbench.workloads import load_golden
 
-    golden = load_golden(name, seed, module.SEEDED_DECK)
-    durations = []
+    golden = load_golden(name)
+    durations, probes = [], [probe.measure()]
     for _ in range(SETUPS):
         start = time.perf_counter()
         itlmc = import_itlmc()
         workload = module.prepare(itlmc, seed, golden)
         durations.append(time.perf_counter() - start)
-    return itlmc, workload, durations, golden is not None
+        probes.append(probe.measure())
+    scaled = [t * speed(probes[i], probes[i + 1]) for i, t in enumerate(durations)]
+    return itlmc, workload, durations, statistics.median(scaled)
 
 
 def record_golden(itlmc_workload) -> Path:
@@ -99,8 +106,8 @@ def main(argv=None) -> int:
         print(f"wrote {record_golden(workload)}")
         return 0
 
-    itlmc, workload, setups, golden_used = set_up(module, args.workload, args.seed)
-    setup_s = statistics.median(setups)
+    probe = Probe()
+    itlmc, workload, setups, setup_s = set_up(module, args.workload, args.seed, probe)
     record = {
         "workload": args.workload,
         "trace": args.trace,
@@ -108,7 +115,6 @@ def main(argv=None) -> int:
         "setup_runs_s": setups,
         **harness.provenance(ROOT, args.seed),
     }
-    probe = Probe()
     if args.trace:
         # Untraced passes over half the time, then one more pass with spans
         # on; the overhead compares each query's time in the two.
@@ -120,8 +126,8 @@ def main(argv=None) -> int:
         finally:
             restore()
         keys = traced.times.keys()
-        overhead = sum(traced.best(traced.times[k]) for k in keys) / sum(
-            m.best(m.times[k]) for k in keys
+        overhead = sum(traced.scaled(traced.times[k]) for k in keys) / sum(
+            m.scaled(m.times[k]) for k in keys
         ) - 1
         metrics = tracing.layer_metrics(rec, overhead, m.timeouts)
         out = Path.cwd() / ".perfbench-out" / f"trace-{args.workload}-seed{args.seed}.json"
@@ -152,7 +158,6 @@ def main(argv=None) -> int:
         "measured_wall_s": m.wall,
         "pass_busy_s": m.pass_busy,
         "peak_rss_mb": harness.peak_rss_mb(),
-        "golden_checked": golden_used,
         "notes": m.notes[:8],
     })
     print("perfbench record: " + json.dumps(record))

@@ -186,25 +186,23 @@ def test_metric_names_match_benchmark_json(itlmc):
     measurement = harness.Measurement(
         times={0: [(0, 0.5), (1, 0.25)]},
         decided={0: True},
-        probes=[reference, reference, 2 * reference],
+        probes=[reference, reference, 3 * reference],
         passes=2,
     )
     e2e, details = harness.end_to_end(measurement, 0.1, 1)
     assert sorted(m["name"] for m in spec["end_to_end"]) == sorted(e2e)
     assert all(m["unit"] == e2e[m["name"]]["unit"] for m in spec["end_to_end"])
-    # Segment 1 straddles a change of state, so only segment 0 counts.
-    assert e2e["queries_per_s"]["value"] == 2.0
-    assert details["unscaled"]["queries_per_s"] == 4.0
+    # Segment 1 ran at half the reference speed: 0.25 s there is 0.125 s.
+    assert e2e["queries_per_s"]["value"] == pytest.approx(1 / 0.3125)
+    assert details["unscaled"]["queries_per_s"] == pytest.approx(1 / 0.375)
 
 
-def test_fast_state_times_come_first_then_divided_slow_ones():
+def test_times_are_scaled_by_the_probes_around_them():
     reference = harness.REFERENCE_PROBE_S
-    m = harness.Measurement(probes=[2 * reference, 2 * reference, reference, reference])
-    assert [m.state(i) for i in range(3)] == ["slow", "mixed", "fast"]
-    factor = harness.SLOW_STATE_FACTOR
-    assert m.best([(0, 0.1), (1, 0.1), (2, 0.4)]) == 0.4
-    assert m.best([(0, 0.5), (1, 0.1)]) == pytest.approx(0.5 / factor)
-    assert m.best([(1, 0.3)]) == 0.3
+    m = harness.Measurement(probes=[reference, 2 * reference, 3 * reference])
+    assert harness.speed(reference, 3 * reference) == 0.5
+    assert m.scaled([(0, 0.3)]) == pytest.approx(0.2)
+    assert m.scaled([(0, 0.3), (1, 0.5), (1, 0.1)]) == pytest.approx(0.2)
 
 
 class SteadyProbe:
@@ -228,5 +226,7 @@ def test_time_limit_hits_are_counted_once_and_not_rerun():
     assert m.passes >= 2
     assert list(m.timed_out) == [1]
     assert m.attempted == m.passes + 1
-    assert m.failed == 1
+    assert m.timeouts == 1
+    assert m.failed == 0  # a time-limit hit is undecided, not failed
+    assert m.decided == {0: True, 1: False}
     assert len(m.times[0]) == m.passes

@@ -6,9 +6,8 @@ the deck for pass n in that pass's seeded order. The harness times each
 `Query.run()` and then calls `Query.check()` outside the timed region.
 `fingerprint()` condenses a result for the golden files recorded at the
 default seed (`python3 perfbench/run.py --record-golden`); results are
-compared with them in pass 0. A workload whose deck depends on the seed
-sets SEEDED_DECK, and is compared with its golden file at the default seed
-only.
+compared with them in pass 0. Every deck is drawn at a fixed seed, so the
+golden files hold for every run's seed.
 """
 
 from __future__ import annotations
@@ -56,10 +55,8 @@ def digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def load_golden(name: str, seed: int, seeded_deck: bool) -> Optional[Any]:
-    """Golden fingerprints of the deck, if this seed's deck is the recorded one."""
-    if seeded_deck and seed != DEFAULT_SEED:
-        return None
+def load_golden(name: str) -> Any:
+    """Golden fingerprints of the workload's deck."""
     return json.loads((GOLDEN_DIR / f"{name}.json").read_text())
 
 

@@ -5,8 +5,8 @@ with 0-2 breakpoints and slopes from {-2, -1, -1/2, 0, 1/2, 1, 2, 3}, with
 open random valuations of p and q. Folding expanding maps stay in: on some
 of them a fixpoint chain doubles its component count on every iteration
 and never returns (see NOTES.md); such a query hits the time limit, well
-above the slowest query that returns (under 0.9 s), and counts as failed
-and undecided. A query is one system with one formula of the battery
+above the slowest query that returns (under 0.9 s), and counts as
+undecided and in `realline.timeouts`. A query is one system with one formula of the battery
 below. The deck is drawn once, from DECK_SEED: query times spread over
 four orders of magnitude, and decks of the size one pass holds, drawn from
 different seeds, differ in total cost by 25-50%. The run's seed orders
@@ -23,7 +23,6 @@ from .. import formulas, oracles
 from ..harness import Check
 from . import Query, Workload, digest, golden_check, pass_atoms
 
-SEEDED_DECK = False
 BATTERY = (
     "[]p",
     "[*]p",

@@ -19,7 +19,6 @@ from .. import formulas, oracles
 from ..harness import Check
 from . import Query, Workload, golden_check, pass_atoms
 
-SEEDED_DECK = False
 SWEEPS = (("ITL.db", "e"), ("CDTL+.db", "p"), ("RTL.db", "e"))
 BOUND = 3
 MAX_METAVARS = 2

@@ -22,7 +22,6 @@ from .. import formulas, oracles
 from ..harness import Check
 from . import Query, Workload, digest, golden_check, pass_atoms
 
-SEEDED_DECK = False
 BOUND = 3
 DEPTH = 4
 DECK_SEED = 1
