@@ -2,7 +2,7 @@
 
 Exit codes: 0 for a positive verdict, 1 when a formula is falsified or
 a derivation rejected, 2 when the evaluator cannot determine an answer
-within its caps, 3 for malformed input.
+within its caps, 3 for malformed input, 4 for an internal error.
 """
 
 from __future__ import annotations
@@ -101,6 +101,8 @@ def _parse_caps(spec: str, base: EvalCaps) -> EvalCaps:
             fields[key] = int(value)
         except ValueError:
             raise ParseError(f"bad caps value {value!r}", span) from None
+        if fields[key] < 0:
+            raise ParseError(f"cap {key!r} must not be negative", span)
     return replace(base, **fields)
 
 
@@ -305,6 +307,11 @@ def main(argv=None) -> int:
     except INPUT_ERRORS as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
+    except Exception as err:
+        # A crash must not exit 1, which reads as "falsified".
+        detail = " ".join(str(err).split())
+        print(f"internal error: {type(err).__name__}: {detail}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

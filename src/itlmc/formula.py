@@ -129,6 +129,39 @@ def atoms(phi: Formula) -> list[str]:
     return sorted({f.name for f in subformulas(phi) if isinstance(f, Atom)})
 
 
+Program = list[tuple[type, int, int]]
+
+
+def compile_formula(phi: Formula) -> tuple[Program, list[str]]:
+    """Postorder op program of phi and its atom names, as `atoms(phi)`.
+
+    The program has one (op, a, b) entry per entry of `subformulas(phi)`, in
+    the same order, so the last one is phi itself. The op is the node class.
+    For an atom, a is the index of its name; for other nodes a and b are the
+    program indices of the children (0 where a node has fewer). Entries are
+    keyed by (op, a, b), so no formula object is hashed.
+    """
+    program: Program = []
+    position: dict[tuple, int] = {}
+
+    def walk(f: Formula) -> int:
+        if isinstance(f, Atom):
+            key = (Atom, f.name, 0)
+        else:
+            kids = [walk(c) for c in children(f)] + [0, 0]
+            key = (type(f), kids[0], kids[1])
+        if key not in position:
+            position[key] = len(program)
+            program.append(key)
+        return position[key]
+
+    walk(phi)
+    names = sorted(name for op, name, _ in program if op is Atom)
+    slot = {name: i for i, name in enumerate(names)}
+    program = [(op, slot[a], 0) if op is Atom else (op, a, b) for op, a, b in program]
+    return program, names
+
+
 @dataclass(frozen=True, slots=True)
 class LanguageFragment:
     """Which henceforth/eventually operators a formula may use.

@@ -358,8 +358,9 @@ def print_poset_model(model: DynamicPoset, valuation: Valuation) -> str:
     lines = ["worlds: " + " ".join(model.worlds)]
     pairs = [
         f"{a}<={b}"
-        for a, b in model.order_pairs
-        if a != b
+        for a in model.worlds
+        for b in model.worlds
+        if a != b and model.leq(a, b)
     ]
     lines.append("order:" + (" " + " ".join(pairs) if pairs else ""))
     lines.append(

@@ -12,6 +12,8 @@ tuple, which keeps exhaustive search cheap.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
+from functools import reduce
+from operator import and_, or_
 
 from .formula import (
     And,
@@ -22,6 +24,7 @@ from .formula import (
     Implies,
     Next,
     Or,
+    Program,
     StrongBox,
     WeakBox,
     subformulas,
@@ -288,6 +291,56 @@ def eval_masks(model: DynamicPoset, val_masks: Mapping[str, int], phi: Formula) 
             raise TypeError(f"unknown formula node {f!r}")
         table[f] = v
     return table
+
+
+def eval_sliced(
+    model: DynamicPoset, program: Program, atom_rows: list[list[int]], full: int
+) -> list[int]:
+    """Evaluate a compiled formula under a whole family of valuations at once.
+
+    Each world holds a row: bit v is set when the subformula holds there
+    under valuation v. ``atom_rows[t][i]`` is the row of atom t at world i
+    and ``full`` has one bit per valuation. Returns the rows of the formula
+    itself, one per world. Requires a continuous step.
+    """
+    if not model.is_continuous:
+        raise ContinuityRequired("evaluation requires a continuous (monotone) step")
+    step = model.step_arr
+    ups = [[j for j in range(model.n) if (up >> j) & 1] for up in model.up_masks]
+    orbits = []
+    for i in range(model.n):
+        orbit: list[int] = []
+        while i not in orbit:
+            orbit.append(i)
+            i = step[i]
+        orbits.append(orbit)
+    table: list[list[int]] = []
+    for op, a, b in program:
+        if op is Atom:
+            rows = atom_rows[a]
+        elif op is Bottom:
+            rows = [0] * model.n
+        elif op is And:
+            rows = [x & y for x, y in zip(table[a], table[b])]
+        elif op is Or:
+            rows = [x | y for x, y in zip(table[a], table[b])]
+        elif op is Implies:
+            holds = [(full ^ x) | y for x, y in zip(table[a], table[b])]
+            rows = [reduce(and_, [holds[j] for j in up]) for up in ups]
+        elif op is Next:
+            rows = [table[a][j] for j in step]
+        elif op is Eventually:
+            rows = [reduce(or_, [table[a][j] for j in orbit]) for orbit in orbits]
+        elif op is StrongBox or op is WeakBox:
+            # The greatest fixpoint keeps exactly the worlds whose whole
+            # forward orbit stays in the child set.
+            rows = [reduce(and_, [table[a][j] for j in orbit]) for orbit in orbits]
+            if op is WeakBox:
+                rows = [reduce(and_, [rows[j] for j in up]) for up in ups]
+        else:
+            raise TypeError(f"unknown formula op {op!r}")
+        table.append(rows)
+    return table[-1]
 
 
 def eval_table(

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import islice, product
 from typing import Iterator, Optional, Union
 
-from .formula import Atom, Formula, atoms as formula_atoms, translate_weak
+from .formula import Atom, Formula, compile_formula, translate_weak
 from .hilbert import LogicSpec, check, get_logic, instantiate
-from .poset import DynamicPoset, Valuation, eval_formula, eval_masks
+from .poset import DynamicPoset, Valuation, eval_formula, eval_masks, eval_sliced
 from .realline import Status, eval_real
 
 MAX_BOUND = 5
@@ -115,33 +115,12 @@ def count_posets(n: int) -> int:
     return sum(1 for _ in _orders(n))
 
 
-def _canonical_key(n, order_mask_rows, step, val_masks_tuple):
-    best = None
-    for perm in permutations(range(n)):
-        rows = [0] * n
-        for i in range(n):
-            src = order_mask_rows[i]
-            row = 0
-            for j in range(n):
-                if (src >> j) & 1:
-                    row |= 1 << perm[j]
-            rows[perm[i]] = row
-        step_img = [0] * n
-        for i in range(n):
-            step_img[perm[i]] = perm[step[i]]
-        vals = tuple(
-            sum(((m >> j) & 1) << perm[j] for j in range(n)) for m in val_masks_tuple
-        )
-        key = (tuple(rows), tuple(step_img), vals)
-        if best is None or key < best:
-            best = key
-    return best
+def _models(semclass: SemanticClass) -> Iterator[tuple[DynamicPoset, list[int]]]:
+    """Every model of the class in enumeration order, with its up-set masks.
 
-
-def _enumerate_masked(
-    semclass: SemanticClass, atom_names: tuple[str, ...], dedup: bool = False
-) -> Iterator[tuple[DynamicPoset, dict[str, int]]]:
-    seen: set = set()
+    Carriers come by size, then in `_orders` order; steps in product order.
+    Models on one carrier share a single up-set list object.
+    """
     for n in range(1, semclass.bound + 1):
         worlds = tuple(f"w{i}" for i in range(n))
         identity = {w: w for w in worlds}
@@ -160,44 +139,85 @@ def _enumerate_masked(
                     continue
                 if semclass.kind == "p" and not model.is_open:
                     continue
-                for assignment in product(upsets, repeat=len(atom_names)):
-                    if dedup:
-                        key = _canonical_key(n, model.up_masks, step, assignment)
-                        if key in seen:
-                            continue
-                        seen.add(key)
-                    yield model, dict(zip(atom_names, assignment))
+                yield model, upsets
 
 
 def enumerate_models(
-    semclass: SemanticClass,
-    atom_names: tuple[str, ...] = (),
-    dedup: bool = False,
+    semclass: SemanticClass, atom_names: tuple[str, ...] = ()
 ) -> Iterator[tuple[DynamicPoset, Valuation]]:
-    """All (model, valuation) pairs of the class, up to the bound."""
-    for model, masks in _enumerate_masked(semclass, tuple(atom_names), dedup):
-        yield model, {a: model.worlds_of(m) for a, m in masks.items()}
+    """All (model, valuation) pairs of the class, up to the bound.
+
+    Valuations of a model come in `itertools.product` order over its
+    up-sets, the first atom varying slowest.
+    """
+    for model, upsets in _models(semclass):
+        for assignment in product(upsets, repeat=len(atom_names)):
+            yield model, {
+                a: model.worlds_of(m) for a, m in zip(atom_names, assignment)
+            }
 
 
 # --------------------------------------------------------------------------
 # validity search
 
-def validity(phi: Formula, semclass: SemanticClass) -> Verdict:
-    """First falsifying model in enumeration order, or validity up to bound."""
-    names = tuple(formula_atoms(phi))
-    for model, masks in _enumerate_masked(semclass, names):
-        ext = eval_masks(model, masks, phi)[phi]
-        if ext != model.full_mask:
-            world = next(
-                w for i, w in enumerate(model.worlds) if not (ext >> i) & 1
+def _atom_rows(n: int, upsets: list[int], k: int) -> tuple[list[list[int]], int]:
+    """Rows of k atoms over all valuations of a carrier, and the full row.
+
+    Valuation v gives atom t the up-set ``upsets[d]``, d being digit t of v
+    in base len(upsets), most significant first: the index of the valuation
+    in `enumerate_models` order. Bit v of ``rows[t][i]`` says whether world
+    i is in that up-set. Within one period of the digit the row is a block
+    of ``stride`` ones per matching up-set; the repunit repeats the period.
+    """
+    m = len(upsets)
+    total = m**k
+    full = (1 << total) - 1
+    rows = []
+    for t in range(k):
+        stride = m ** (k - 1 - t)
+        period = stride * m
+        block = (1 << stride) - 1
+        repunit = full // ((1 << period) - 1)
+        rows.append([
+            repunit * sum(
+                block << (d * stride) for d, up in enumerate(upsets) if (up >> i) & 1
             )
-            valuation = {a: model.worlds_of(m) for a, m in masks.items()}
-            confirmed = eval_formula(model, valuation, phi)
-            if world in confirmed:
-                raise AssertionError(
-                    "mask evaluator and public evaluator disagree"
-                )
-            return Countermodel(model, valuation, world, phi)
+            for i in range(n)
+        ])
+    return rows, full
+
+
+def validity(phi: Formula, semclass: SemanticClass) -> Verdict:
+    """First falsifying model in enumeration order, or validity up to bound.
+
+    Each model is evaluated under all its valuations at once; the first
+    countermodel is the lowest failing valuation index, then the lowest
+    failing world. It is re-checked by `eval_masks` and `eval_formula`.
+    """
+    program, names = compile_formula(phi)
+    carrier_upsets = None
+    for model, upsets in _models(semclass):
+        if upsets is not carrier_upsets:
+            carrier_upsets = upsets
+            atom_rows, full = _atom_rows(model.n, upsets, len(names))
+        top = eval_sliced(model, program, atom_rows, full)
+        failing = 0
+        for row in top:
+            failing |= full ^ row
+        if not failing:
+            continue
+        v = (failing & -failing).bit_length() - 1
+        assignment = next(islice(product(upsets, repeat=len(names)), v, None))
+        masks = dict(zip(names, assignment))
+        ext = eval_masks(model, masks, phi)[phi]
+        if ext != sum(((row >> v) & 1) << i for i, row in enumerate(top)):
+            raise AssertionError("sliced evaluator and mask evaluator disagree")
+        world = next(w for i, w in enumerate(model.worlds) if not (ext >> i) & 1)
+        valuation = {a: model.worlds_of(m) for a, m in masks.items()}
+        confirmed = eval_formula(model, valuation, phi)
+        if world in confirmed:
+            raise AssertionError("mask evaluator and public evaluator disagree")
+        return Countermodel(model, valuation, world, phi)
     return ValidUpTo(semclass.bound)
 
 

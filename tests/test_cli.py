@@ -1,10 +1,14 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from itlmc.cli import main
 
-CORPUS = Path(__file__).resolve().parents[1] / "src" / "itlmc" / "corpus"
+ROOT = Path(__file__).resolve().parents[1]
+CORPUS = ROOT / "src" / "itlmc" / "corpus"
 
 
 def run(capsys, *argv):
@@ -80,6 +84,15 @@ def test_real_check_bad_caps_exits_3(capsys):
     assert code == 3
 
 
+def test_real_check_negative_caps_exits_3(capsys):
+    code, out, err = run(
+        capsys, "real-check", "--system", "corpus/real/r-kinked.rds",
+        "--caps", "iter=-1", "[]p",
+    )
+    assert code == 3
+    assert out == "" and "negative" in err
+
+
 def test_validate(capsys):
     code, out, _ = run(capsys, "validate", "--class", "p", "--bound", "2", "p | ~p")
     assert code == 1
@@ -91,6 +104,45 @@ def test_validate(capsys):
     )
     assert code == 0
     assert "valid in class p up to 3 worlds" in out
+
+
+def test_validate_output_matches_readme(capsys):
+    command = '$ itlmc validate --class e --bound 3 "(O p -> O q) -> O (p -> q)"\n'
+    text = (ROOT / "README.md").read_text()
+    start = text.index(command) + len(command)
+    expected = text[start:text.index("\n\n$ ", start) + 1]
+    code, out, _ = run(
+        capsys, "validate", "--class", "e", "--bound", "3", "(O p -> O q) -> O (p -> q)"
+    )
+    assert code == 1
+    assert out == expected
+
+
+def test_countermodel_output_is_independent_of_hash_seed():
+    outputs = []
+    for seed in ("1", "4"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+        )
+        done = subprocess.run(
+            [sys.executable, "-m", "itlmc.cli", "validate", "--class", "e",
+             "--bound", "3", "(p -> q) | (q -> p)"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 1
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+    assert "order: w2<=w0 w2<=w1\n" in outputs[0]
+
+
+def test_internal_error_is_not_a_verdict(capsys):
+    deep = "O " * 990 + "p"
+    code, out, err = run(capsys, "validate", "--class", "e", "--bound", "1", deep)
+    assert code == 4
+    assert out == ""
+    assert err.startswith("internal error: RecursionError: ")
+    assert err.count("\n") == 1
 
 
 def test_validate_bound_too_large_exits_3(capsys):

@@ -21,6 +21,7 @@ from itlmc import (
     translate_strong,
     translate_weak,
 )
+from itlmc.formula import compile_formula
 from conftest import formulas
 
 P, Q = Atom("p"), Atom("q")
@@ -47,6 +48,21 @@ def test_subformulas_is_postorder_and_deduplicated():
     subs = subformulas(phi)
     assert subs.count(P) == 1
     assert subs.index(P) < subs.index(Implies(P, Q)) < subs.index(phi)
+
+
+@given(formulas(allow_weak=True))
+def test_compiled_program_follows_subformulas(phi):
+    subs = subformulas(phi)
+    program, names = compile_formula(phi)
+    assert names == atoms(phi)
+    assert len(program) == len(subs)
+    for (op, a, b), f in zip(program, subs):
+        assert op is type(f)
+        if op is Atom:
+            assert names[a] == f.name
+        else:
+            kids = [subs[i] for i in (a, b)][: len(children(f))]
+            assert tuple(kids) == children(f)
 
 
 def test_atoms_sorted():

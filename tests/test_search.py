@@ -1,6 +1,9 @@
+import random
 from itertools import product
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from itlmc import (
     BoundTooLarge,
@@ -20,6 +23,11 @@ from itlmc import (
     validity,
     Atom,
 )
+from itlmc.formula import atoms, compile_formula
+from itlmc.poset import eval_masks, eval_sliced
+from itlmc.search import _atom_rows
+
+from conftest import formulas, random_model
 
 
 def test_semantic_class_validation():
@@ -170,3 +178,58 @@ def test_sound_structures_table_shape():
     assert "poset-e" not in SOUND_STRUCTURES["RTL"]
     assert SOUND_STRUCTURES["CDTL+"] == frozenset({"poset-p"})
     assert "real" in SOUND_STRUCTURES["ITL"]
+
+
+def _reference_countermodel(phi, semclass):
+    """One valuation at a time through the public evaluator; first failing world."""
+    for model, valuation in enumerate_models(semclass, tuple(atoms(phi))):
+        ext = eval_formula(model, valuation, phi)
+        for world in model.worlds:
+            if world not in ext:
+                return model, valuation, world
+    return None
+
+
+@st.composite
+def _queries(draw):
+    # Full bound-3 scans with three atoms (42k reference evaluations each)
+    # are left to the benchmark; bound 3 draws formulas over two atoms.
+    bound = draw(st.integers(1, 3))
+    names = ("p", "q") if bound == 3 else ("p", "q", "r")
+    phi = draw(formulas(names, max_leaves=8, allow_weak=True))
+    return phi, SemanticClass(draw(st.sampled_from("ep")), bound)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_queries())
+def test_validity_matches_reference_search(query):
+    phi, semclass = query
+    verdict = validity(phi, semclass)
+    expected = _reference_countermodel(phi, semclass)
+    if expected is None:
+        assert verdict == ValidUpTo(semclass.bound)
+        return
+    model, valuation, world = expected
+    assert isinstance(verdict, Countermodel)
+    assert verdict.model.worlds == model.worlds
+    assert verdict.model.order_pairs == model.order_pairs
+    assert verdict.model.step == model.step
+    assert verdict.valuation == valuation
+    assert verdict.world == world
+
+
+@settings(max_examples=60, deadline=None)
+@given(formulas(max_leaves=8, allow_weak=True), st.integers(0, 2**32))
+def test_sliced_rows_match_mask_evaluator(phi, seed):
+    model, _ = random_model(random.Random(seed), max_worlds=4)
+    program, names = compile_formula(phi)
+    upsets = [m for m in range(1 << model.n) if model.is_up_set_mask(m)]
+    rows, full = _atom_rows(model.n, upsets, len(names))
+    top = eval_sliced(model, program, rows, full)
+    assert full == (1 << len(upsets) ** len(names)) - 1
+    assert all(row <= full for row in top)
+    for v, assignment in enumerate(product(upsets, repeat=len(names))):
+        ext = eval_masks(model, dict(zip(names, assignment)), phi)[phi]
+        assert [(row >> v) & 1 for row in top] == [
+            (ext >> i) & 1 for i in range(model.n)
+        ]
