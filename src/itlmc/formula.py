@@ -91,16 +91,65 @@ def Iff(phi: Formula, psi: Formula) -> Formula:
     return And(Implies(phi, psi), Implies(psi, phi))
 
 
-BINARY_TYPES = (And, Or, Implies)
-UNARY_TYPES = (Next, Eventually, StrongBox, WeakBox)
+_ARITY = {
+    Bottom: 0, Atom: 0, And: 2, Or: 2, Implies: 2,
+    Next: 1, Eventually: 1, StrongBox: 1, WeakBox: 1,
+}
 
 
 def children(phi: Formula) -> tuple[Formula, ...]:
-    if isinstance(phi, BINARY_TYPES):
+    arity = _ARITY[type(phi)]
+    if arity == 2:
         return (phi.left, phi.right)
-    if isinstance(phi, UNARY_TYPES):
-        return (phi.child,)
-    return ()
+    return (phi.child,) if arity else ()
+
+
+Program = list[tuple[type, int, int]]
+
+
+def walk(phi: Formula) -> tuple[list[Formula], Program]:
+    """Distinct subformulas of phi in postorder, each with its (op, a, b) entry.
+
+    Children precede their parents; phi comes last. The op is the node
+    class. For an atom, a is its name; for other nodes a and b are the
+    positions of the children (0 where a node has fewer). Entries are keyed
+    by (op, a, b), so no formula object is hashed, and the walk keeps its
+    own stack, so formula depth is not bounded by the recursion limit.
+    """
+    # Preorder taking right children first, reversed, is postorder taking
+    # left children first.
+    order = []
+    todo = [phi]
+    while todo:
+        f = todo.pop()
+        order.append(f)
+        arity = _ARITY[type(f)]
+        if arity == 2:
+            todo.append(f.left)
+            todo.append(f.right)
+        elif arity:
+            todo.append(f.child)
+    nodes: list[Formula] = []
+    program: Program = []
+    position: dict[tuple, int] = {}
+    done: list[int] = []
+    for f in reversed(order):
+        op = type(f)
+        arity = _ARITY[op]
+        if arity == 2:
+            b = done.pop()
+            key = (op, done.pop(), b)
+        elif arity:
+            key = (op, done.pop(), 0)
+        else:
+            key = (op, f.name if op is Atom else 0, 0)
+        i = position.get(key)
+        if i is None:
+            i = position[key] = len(program)
+            program.append(key)
+            nodes.append(f)
+        done.append(i)
+    return nodes, program
 
 
 def subformulas(phi: Formula) -> list[Formula]:
@@ -108,58 +157,46 @@ def subformulas(phi: Formula) -> list[Formula]:
 
     Children always precede their parents; the whole formula comes last.
     """
-    out: list[Formula] = []
-    seen: set[Formula] = set()
+    return walk(phi)[0]
 
-    def walk(f: Formula) -> None:
-        if f in seen:
-            return
-        for c in children(f):
-            walk(c)
-        if f not in seen:
-            seen.add(f)
-            out.append(f)
 
-    walk(phi)
-    return out
+def operators(phi: Formula) -> set[type]:
+    """Node classes occurring in phi."""
+    return {op for op, _, _ in walk(phi)[1]}
 
 
 def atoms(phi: Formula) -> list[str]:
     """Atom names occurring in phi, sorted."""
-    return sorted({f.name for f in subformulas(phi) if isinstance(f, Atom)})
-
-
-Program = list[tuple[type, int, int]]
+    return sorted(a for op, a, _ in walk(phi)[1] if op is Atom)
 
 
 def compile_formula(phi: Formula) -> tuple[Program, list[str]]:
     """Postorder op program of phi and its atom names, as `atoms(phi)`.
 
-    The program has one (op, a, b) entry per entry of `subformulas(phi)`, in
-    the same order, so the last one is phi itself. The op is the node class.
-    For an atom, a is the index of its name; for other nodes a and b are the
-    program indices of the children (0 where a node has fewer). Entries are
-    keyed by (op, a, b), so no formula object is hashed.
+    The program is the one `walk(phi)` builds, one entry per entry of
+    `subformulas(phi)`, with each atom's name replaced by its index in the
+    names.
     """
-    program: Program = []
-    position: dict[tuple, int] = {}
-
-    def walk(f: Formula) -> int:
-        if isinstance(f, Atom):
-            key = (Atom, f.name, 0)
-        else:
-            kids = [walk(c) for c in children(f)] + [0, 0]
-            key = (type(f), kids[0], kids[1])
-        if key not in position:
-            position[key] = len(program)
-            program.append(key)
-        return position[key]
-
-    walk(phi)
-    names = sorted(name for op, name, _ in program if op is Atom)
+    program = walk(phi)[1]
+    names = sorted(a for op, a, _ in program if op is Atom)
     slot = {name: i for i, name in enumerate(names)}
     program = [(op, slot[a], 0) if op is Atom else (op, a, b) for op, a, b in program]
     return program, names
+
+
+def fold(phi: Formula, fn):
+    """Value of phi under fn, computed once per distinct subformula, bottom-up.
+
+    ``fn(f, args)`` gets a subformula and the values of its children, in
+    order; leaves get an empty tuple.
+    """
+    nodes, program = walk(phi)
+    values: list = []
+    for f, (op, a, b) in zip(nodes, program):
+        arity = _ARITY[op]
+        args = (values[a], values[b]) if arity == 2 else (values[a],) if arity else ()
+        values.append(fn(f, args))
+    return values[-1]
 
 
 @dataclass(frozen=True, slots=True)
@@ -175,14 +212,12 @@ class LanguageFragment:
     weak_box: bool
 
     def allows(self, phi: Formula) -> bool:
-        for f in subformulas(phi):
-            if isinstance(f, Eventually) and not self.eventually:
-                return False
-            if isinstance(f, StrongBox) and not self.strong_box:
-                return False
-            if isinstance(f, WeakBox) and not self.weak_box:
-                return False
-        return True
+        ops = operators(phi)
+        return (
+            (self.eventually or Eventually not in ops)
+            and (self.strong_box or StrongBox not in ops)
+            and (self.weak_box or WeakBox not in ops)
+        )
 
 
 FRAGMENTS: dict[str, LanguageFragment] = {
@@ -195,18 +230,13 @@ FRAGMENTS: dict[str, LanguageFragment] = {
 
 
 def _swap_boxes(phi: Formula, src: type, dst: type, forbidden: type) -> Formula:
-    if isinstance(phi, forbidden):
-        raise ValueError("formula mixes both henceforth flavors")
-    if isinstance(phi, src):
-        return dst(_swap_boxes(phi.child, src, dst, forbidden))
-    if isinstance(phi, BINARY_TYPES):
-        return type(phi)(
-            _swap_boxes(phi.left, src, dst, forbidden),
-            _swap_boxes(phi.right, src, dst, forbidden),
-        )
-    if isinstance(phi, UNARY_TYPES):
-        return type(phi)(_swap_boxes(phi.child, src, dst, forbidden))
-    return phi
+    def swap(f: Formula, args: tuple) -> Formula:
+        op = type(f)
+        if op is forbidden:
+            raise ValueError("formula mixes both henceforth flavors")
+        return (dst if op is src else op)(*args) if args else f
+
+    return fold(phi, swap)
 
 
 def translate_weak(phi: Formula) -> Formula:

@@ -62,8 +62,9 @@ from .formula import (
     cd,
     cd_minus,
     cem,
+    fold,
     fs_next,
-    subformulas,
+    operators,
     translate_strong,
     wh,
 )
@@ -207,18 +208,12 @@ def match_template(template: Formula, target: Formula) -> Optional[dict]:
 
 
 def _substitute(template: Formula, binding: dict[str, Formula]) -> Formula:
-    if isinstance(template, Atom):
-        return binding[template.name]
-    if isinstance(template, Bottom):
-        return template
-    if isinstance(template, (And, Or, Implies)):
-        kind = type(template)
-        return kind(
-            _substitute(template.left, binding),
-            _substitute(template.right, binding),
-        )
-    kind = type(template)
-    return kind(_substitute(template.child, binding))
+    def put(f: Formula, args: tuple) -> Formula:
+        if type(f) is Atom:
+            return binding[f.name]
+        return type(f)(*args) if args else f
+
+    return fold(template, put)
 
 
 def instantiate(schema: Schema, subst: dict[str, Formula]) -> Formula:
@@ -414,10 +409,6 @@ _DIA_RULES = {
 }
 
 
-def _mentions(name: str, kinds: tuple) -> bool:
-    return any(isinstance(s, kinds) for s in subformulas(ALL_SCHEMAS[name].template))
-
-
 def _weak_base(names: tuple[str, ...]) -> tuple[str, ...]:
     # Henceforth in its weak reading loses the next-step axiom; the
     # weak-henceforth axiom takes its place.  Sets already built that way
@@ -429,14 +420,14 @@ def _weak_base(names: tuple[str, ...]) -> tuple[str, ...]:
 
 
 def _drop_eventually(names: tuple[str, ...]) -> tuple[str, ...]:
-    kept = tuple(n for n in names if not _mentions(n, (Eventually,)))
+    kept = tuple(n for n in names if Eventually not in operators(ALL_SCHEMAS[n].template))
     if "cd" in names:
         kept += ("bi",)
     return kept
 
 
 def _drop_henceforth(names: tuple[str, ...]) -> tuple[str, ...]:
-    return tuple(n for n in names if not _mentions(n, (StrongBox,)))
+    return tuple(n for n in names if StrongBox not in operators(ALL_SCHEMAS[n].template))
 
 
 def _spec(name: str, code: str, axiom_names: tuple[str, ...], rules, weak=False):
@@ -561,14 +552,8 @@ def check_weak(derivation: Derivation, logic: LogicSpec) -> CheckResult:
     """Check a weak-box derivation against a weak-rendered logic."""
     if not logic.weak_rendered:
         raise ValueError(f"{logic.name} is not weak-rendered")
-    has_strong = has_weak = False
-    for line in derivation.lines:
-        for sub in subformulas(line.formula):
-            if isinstance(sub, StrongBox):
-                has_strong = True
-            elif isinstance(sub, WeakBox):
-                has_weak = True
-    if has_strong and has_weak:
+    ops = set().union(*(operators(line.formula) for line in derivation.lines))
+    if StrongBox in ops and WeakBox in ops:
         raise MixedBoxes("derivation mixes both henceforth flavors")
 
     total = len(derivation.lines)

@@ -32,6 +32,7 @@ from .formula import (
     Or,
     StrongBox,
     WeakBox,
+    fold,
 )
 from .hilbert import AxiomJust, Derivation, DerivationLine, IpcTaut, RuleJust
 from .poset import DynamicPoset, Valuation
@@ -217,45 +218,30 @@ def parse_formula(text: str) -> Formula:
 
 # Precedence levels: Implies 0, Or 1, And 2, unary 3, atoms 4.  A child is
 # parenthesized when its level is below the minimum its position requires.
+# Binary nodes: (level, symbol, left minimum, right minimum).
 
-_PREC = {Implies: 0, Or: 1, And: 2}
-
-
-def _prec(phi: Formula) -> int:
-    p = _PREC.get(type(phi))
-    if p is not None:
-        return p
-    if isinstance(phi, (Next, Eventually, StrongBox, WeakBox)):
-        return 3
-    return 4
+_INFIX = {Implies: (0, " -> ", 1, 0), Or: (1, " | ", 1, 2), And: (2, " & ", 2, 3)}
+_PREFIX = {Next: "O ", Eventually: "<>", StrongBox: "[]", WeakBox: "[*]"}
 
 
-def _render(phi: Formula, minimum: int) -> str:
-    if _prec(phi) < minimum:
-        return "(" + _render(phi, 0) + ")"
-    if isinstance(phi, Bottom):
-        return "false"
-    if isinstance(phi, Atom):
-        return phi.name
-    if isinstance(phi, Implies):
-        return _render(phi.left, 1) + " -> " + _render(phi.right, 0)
-    if isinstance(phi, Or):
-        return _render(phi.left, 1) + " | " + _render(phi.right, 2)
-    if isinstance(phi, And):
-        return _render(phi.left, 2) + " & " + _render(phi.right, 3)
-    if isinstance(phi, Next):
-        return "O " + _render(phi.child, 3)
-    if isinstance(phi, Eventually):
-        return "<>" + _render(phi.child, 3)
-    if isinstance(phi, StrongBox):
-        return "[]" + _render(phi.child, 3)
-    if isinstance(phi, WeakBox):
-        return "[*]" + _render(phi.child, 3)
-    raise TypeError(f"not a formula node: {phi!r}")
+def _at_least(part: tuple[int, str], minimum: int) -> str:
+    level, text = part
+    return text if level >= minimum else "(" + text + ")"
+
+
+def _render(phi: Formula, args: tuple) -> tuple[int, str]:
+    """Level and text of phi, given those of its children."""
+    op = type(phi)
+    if op in _INFIX:
+        level, symbol, left, right = _INFIX[op]
+        return level, _at_least(args[0], left) + symbol + _at_least(args[1], right)
+    if op in _PREFIX:
+        return 3, _PREFIX[op] + _at_least(args[0], 3)
+    return 4, phi.name if op is Atom else "false"
 
 
 def print_formula(phi: Formula) -> str:
-    return _render(phi, 0)
+    return fold(phi, _render)[1]
 
 
 # --------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from .formula import (
     Program,
     StrongBox,
     WeakBox,
-    subformulas,
+    walk,
 )
 
 
@@ -120,13 +120,18 @@ class DynamicPoset:
         for a, b in pairs:
             self.up_masks[self.index[a]] |= 1 << self.index[b]
 
+        self._set_step(step)
+
+    def _set_step(self, step: Mapping[str, str]) -> None:
+        """Install a step map after checking it is total on the worlds."""
         self.step = dict(step)
-        missing = [w for w in self.worlds if w not in self.step]
-        unknown = sorted(set(self.step) - set(self.worlds))
-        bad_targets = sorted(
-            w for w, v in self.step.items() if v not in self.index
-        )
-        if missing or unknown or bad_targets:
+        self.step_arr = [self.index.get(self.step.get(w)) for w in self.worlds]
+        if None in self.step_arr or len(self.step) != self.n:
+            missing = [w for w in self.worlds if w not in self.step]
+            unknown = sorted(set(self.step) - set(self.worlds))
+            bad_targets = sorted(
+                w for w, v in self.step.items() if v not in self.index
+            )
             parts = []
             if missing:
                 parts.append(f"step undefined on {', '.join(missing)}")
@@ -135,8 +140,6 @@ class DynamicPoset:
             if bad_targets:
                 parts.append(f"step maps into unknown worlds at {', '.join(bad_targets)}")
             raise MalformedStep("; ".join(parts))
-        self.step_arr = [self.index[self.step[w]] for w in self.worlds]
-
         self.is_continuous = self._check_continuous()
         self.is_open = self._check_open()
 
@@ -169,14 +172,7 @@ class DynamicPoset:
         other.full_mask = self.full_mask
         other.order_pairs = self.order_pairs
         other.up_masks = self.up_masks
-        other.step = dict(step)
-        if sorted(other.step) != sorted(self.worlds):
-            raise MalformedStep("step must be a total map on the worlds")
-        if any(v not in self.index for v in other.step.values()):
-            raise MalformedStep("step maps into unknown worlds")
-        other.step_arr = [other.index[other.step[w]] for w in other.worlds]
-        other.is_continuous = other._check_continuous()
-        other.is_open = other._check_open()
+        other._set_step(step)
         return other
 
     def leq(self, a: str, b: str) -> bool:
@@ -252,45 +248,42 @@ def eval_masks(model: DynamicPoset, val_masks: Mapping[str, int], phi: Formula) 
     """
     if not model.is_continuous:
         raise ContinuityRequired("evaluation requires a continuous (monotone) step")
-    table: dict[Formula, int] = {}
-    for f in subformulas(phi):
-        if isinstance(f, Bottom):
+    nodes, program = walk(phi)
+    table: list[int] = []
+    for op, a, b in program:
+        if op is Atom:
+            v = val_masks.get(a, 0)
+        elif op is Bottom:
             v = 0
-        elif isinstance(f, Atom):
-            v = val_masks.get(f.name, 0)
-        elif isinstance(f, And):
-            v = table[f.left] & table[f.right]
-        elif isinstance(f, Or):
-            v = table[f.left] | table[f.right]
-        elif isinstance(f, Implies):
-            v = model.interior_mask(
-                (model.full_mask & ~table[f.left]) | table[f.right]
-            )
-        elif isinstance(f, Next):
-            v = model.preimage_mask(table[f.child])
-        elif isinstance(f, Eventually):
-            v = table[f.child]
+        elif op is And:
+            v = table[a] & table[b]
+        elif op is Or:
+            v = table[a] | table[b]
+        elif op is Implies:
+            v = model.interior_mask((model.full_mask & ~table[a]) | table[b])
+        elif op is Next:
+            v = model.preimage_mask(table[a])
+        elif op is Eventually:
+            v = table[a]
             while True:
                 nv = v | model.preimage_mask(v)
                 if nv == v:
                     break
                 v = nv
-        elif isinstance(f, (StrongBox, WeakBox)):
+        else:
             # Decreasing chain to the greatest fixpoint below the child set.
             # Continuity keeps every iterate open, so the strong box is the
             # limit itself and the weak box is its (identical) interior.
-            v = table[f.child]
+            v = table[a]
             while True:
-                nv = table[f.child] & model.preimage_mask(v)
+                nv = table[a] & model.preimage_mask(v)
                 if nv == v:
                     break
                 v = nv
-            if isinstance(f, WeakBox):
+            if op is WeakBox:
                 v = model.interior_mask(v)
-        else:
-            raise TypeError(f"unknown formula node {f!r}")
-        table[f] = v
-    return table
+        table.append(v)
+    return dict(zip(nodes, table))
 
 
 def eval_sliced(
@@ -333,10 +326,9 @@ def eval_sliced(
             rows = [reduce(or_, [table[a][j] for j in orbit]) for orbit in orbits]
         elif op is StrongBox or op is WeakBox:
             # The greatest fixpoint keeps exactly the worlds whose whole
-            # forward orbit stays in the child set.
+            # forward orbit stays in the child set. On a continuous step the
+            # box of an up-set is an up-set, so the weak box needs no interior.
             rows = [reduce(and_, [table[a][j] for j in orbit]) for orbit in orbits]
-            if op is WeakBox:
-                rows = [reduce(and_, [rows[j] for j in up]) for up in ups]
         else:
             raise TypeError(f"unknown formula op {op!r}")
         table.append(rows)

@@ -29,7 +29,7 @@ from .formula import (
     Or,
     StrongBox,
     WeakBox,
-    subformulas,
+    walk,
 )
 
 Rational = Fraction
@@ -540,6 +540,9 @@ def _eventually(pwmap: PiecewiseAffineMap, child: IntervalSet, caps: EvalCaps) -
     return _UNDET
 
 
+_FIXPOINTS = {Eventually: _eventually, StrongBox: _strong_box, WeakBox: _weak_box}
+
+
 def eval_real(system: RealSystem, phi: Formula, caps: EvalCaps | None = None) -> RealOutcome:
     """Evaluate phi over the system; per-subformula values in the table.
 
@@ -548,57 +551,42 @@ def eval_real(system: RealSystem, phi: Formula, caps: EvalCaps | None = None) ->
     """
     caps = caps or system.caps
     pwmap = system.map
-    table: dict[Formula, RealValue] = {}
-    for f in subformulas(phi):
-        if isinstance(f, Bottom):
+    nodes, program = walk(phi)
+    table: list[RealValue] = []
+    for op, a, b in program:
+        if op is Atom:
+            rv = RealValue(system.valuation.get(a, EMPTY), Status.EXACT)
+        elif op is Bottom:
             rv = RealValue(EMPTY, Status.EXACT)
-        elif isinstance(f, Atom):
-            rv = RealValue(system.valuation.get(f.name, EMPTY), Status.EXACT)
-        elif isinstance(f, (And, Or, Implies)):
-            lv, rvv = table[f.left], table[f.right]
+        elif op is And or op is Or or op is Implies:
+            lv, rvv = table[a], table[b]
             st = worst_status(lv.status, rvv.status)
             if st is Status.UNDETERMINED:
                 rv = _UNDET
-            elif isinstance(f, And):
+            elif op is And:
                 rv = RealValue(lv.value.intersection(rvv.value), st)
-            elif isinstance(f, Or):
+            elif op is Or:
                 rv = RealValue(lv.value.union(rvv.value), st)
             else:
                 rv = RealValue(
                     lv.value.complement().union(rvv.value).interior(), st
                 )
         else:
-            cv = table[f.child]
+            cv = table[a]
             if cv.status is Status.UNDETERMINED:
                 rv = _UNDET
-            elif isinstance(f, Next):
+            elif op is Next:
                 rv = RealValue(pwmap.preimage(cv.value), cv.status)
-            elif isinstance(f, Eventually):
-                inner = _eventually(pwmap, cv.value, caps)
-                rv = (
-                    _UNDET
-                    if inner.status is Status.UNDETERMINED
-                    else RealValue(inner.value, worst_status(inner.status, cv.status))
-                )
-            elif isinstance(f, StrongBox):
-                inner = _strong_box(pwmap, cv.value, caps)
-                rv = (
-                    _UNDET
-                    if inner.status is Status.UNDETERMINED
-                    else RealValue(inner.value, worst_status(inner.status, cv.status))
-                )
-            elif isinstance(f, WeakBox):
-                inner = _weak_box(pwmap, cv.value, caps)
-                rv = (
-                    _UNDET
-                    if inner.status is Status.UNDETERMINED
-                    else RealValue(inner.value, worst_status(inner.status, cv.status))
-                )
             else:
-                raise TypeError(f"unknown formula node {f!r}")
-        table[f] = rv
-    top = table[phi]
-    return RealOutcome(top.value, top.status, table)
+                inner = _FIXPOINTS[op](pwmap, cv.value, caps)
+                rv = (
+                    _UNDET
+                    if inner.status is Status.UNDETERMINED
+                    else RealValue(inner.value, worst_status(inner.status, cv.status))
+                )
+        table.append(rv)
+    top = table[-1]
+    return RealOutcome(top.value, top.status, dict(zip(nodes, table)))
 
 
 def check_pointwise(

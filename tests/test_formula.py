@@ -21,7 +21,8 @@ from itlmc import (
     translate_strong,
     translate_weak,
 )
-from itlmc.formula import compile_formula
+from itlmc.formula import compile_formula, walk
+from itlmc.parser import print_formula
 from conftest import formulas
 
 P, Q = Atom("p"), Atom("q")
@@ -50,9 +51,37 @@ def test_subformulas_is_postorder_and_deduplicated():
     assert subs.index(P) < subs.index(Implies(P, Q)) < subs.index(phi)
 
 
+def _reference_subformulas(phi):
+    """Distinct subformulas by a recursive walk that dedups on formula hashes."""
+    out = []
+    seen = set()
+
+    def visit(f):
+        if f in seen:
+            return
+        for c in children(f):
+            visit(c)
+        if f not in seen:
+            seen.add(f)
+            out.append(f)
+
+    visit(phi)
+    return out
+
+
 @given(formulas(allow_weak=True))
 def test_compiled_program_follows_subformulas(phi):
     subs = subformulas(phi)
+    assert subs == _reference_subformulas(phi)
+    nodes, walked = walk(phi)
+    assert nodes == subs
+    for (op, a, b), f in zip(walked, subs):
+        assert op is type(f)
+        if op is Atom:
+            assert a == f.name
+        else:
+            kids = [subs[i] for i in (a, b)][: len(children(f))]
+            assert tuple(kids) == children(f)
     program, names = compile_formula(phi)
     assert names == atoms(phi)
     assert len(program) == len(subs)
@@ -63,6 +92,18 @@ def test_compiled_program_follows_subformulas(phi):
         else:
             kids = [subs[i] for i in (a, b)][: len(children(f))]
             assert tuple(kids) == children(f)
+
+
+def test_deep_formulas_do_not_recurse():
+    depth = 3000
+    phi = StrongBox(P)
+    for _ in range(depth):
+        phi = Next(phi)
+    assert len(subformulas(phi)) == depth + 2
+    program, names = compile_formula(phi)
+    assert len(program) == depth + 2 and names == ["p"]
+    assert print_formula(phi) == "O " * depth + "[]p"
+    assert print_formula(translate_weak(phi)) == "O " * depth + "[*]p"
 
 
 def test_atoms_sorted():

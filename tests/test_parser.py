@@ -87,6 +87,51 @@ def test_print_parse_roundtrip_bulk():
         assert parse_formula(print_formula(phi)) == phi
 
 
+_UNARY_SYMBOLS = ((Next, "O "), (Eventually, "<>"), (StrongBox, "[]"), (WeakBox, "[*]"))
+_PINNED_CHILDREN = (
+    P, Bottom(), Implies(P, Q), Or(P, Q), And(P, Q),
+    Next(P), Eventually(P), StrongBox(P), WeakBox(P),
+)
+# Every child kind at each position of each binary operator, then under
+# each unary operator, in the order `_pinned_formulas` builds them.
+_PINNED_TEXT = [
+    'p -> r', 'r -> p', 'false -> r', 'r -> false', '(p -> q) -> r', 'r -> p -> q',
+    'p | q -> r', 'r -> p | q', 'p & q -> r', 'r -> p & q', 'O p -> r', 'r -> O p',
+    '<>p -> r', 'r -> <>p', '[]p -> r', 'r -> []p', '[*]p -> r', 'r -> [*]p',
+    'p | r', 'r | p', 'false | r', 'r | false', '(p -> q) | r', 'r | (p -> q)',
+    'p | q | r', 'r | (p | q)', 'p & q | r', 'r | p & q', 'O p | r', 'r | O p',
+    '<>p | r', 'r | <>p', '[]p | r', 'r | []p', '[*]p | r', 'r | [*]p',
+    'p & r', 'r & p', 'false & r', 'r & false', '(p -> q) & r', 'r & (p -> q)',
+    '(p | q) & r', 'r & (p | q)', 'p & q & r', 'r & (p & q)', 'O p & r', 'r & O p',
+    '<>p & r', 'r & <>p', '[]p & r', 'r & []p', '[*]p & r', 'r & [*]p',
+    'O p', 'O false', 'O (p -> q)', 'O (p | q)', 'O (p & q)', 'O O p',
+    'O <>p', 'O []p', 'O [*]p', '<>p', '<>false', '<>(p -> q)',
+    '<>(p | q)', '<>(p & q)', '<>O p', '<><>p', '<>[]p', '<>[*]p',
+    '[]p', '[]false', '[](p -> q)', '[](p | q)', '[](p & q)', '[]O p',
+    '[]<>p', '[][]p', '[][*]p', '[*]p', '[*]false', '[*](p -> q)',
+    '[*](p | q)', '[*](p & q)', '[*]O p', '[*]<>p', '[*][]p', '[*][*]p',
+]
+
+
+def _pinned_formulas():
+    for op in (Implies, Or, And):
+        for child in _PINNED_CHILDREN:
+            yield op(child, R)
+            yield op(R, child)
+    for op, _ in _UNARY_SYMBOLS:
+        for child in _PINNED_CHILDREN:
+            yield op(child)
+
+
+def test_printer_output_is_pinned():
+    formulas = list(_pinned_formulas())
+    assert [print_formula(f) for f in formulas] == _PINNED_TEXT
+    binary = zip(formulas[:54], _PINNED_TEXT[:54])
+    for f, text in binary:
+        for op, symbol in _UNARY_SYMBOLS:
+            assert print_formula(op(f)) == f"{symbol}({text})"
+
+
 # -- poset model files ------------------------------------------------------
 
 FIG4 = """

@@ -56,6 +56,12 @@ def test_malformed_structures():
         DynamicPoset(("a", "b"), (), {"a": "a"})
     with pytest.raises(MalformedStep):
         DynamicPoset(("a",), (), {"a": "z"})
+    with pytest.raises(MalformedStep, match="unknown z"):
+        DynamicPoset(("a",), (), {"a": "a", "z": "a"})
+    with pytest.raises(MalformedStep, match="undefined on u"):
+        FIG4.replace_step({"w": "w", "v": "v"})
+    with pytest.raises(MalformedStep, match="unknown worlds at w"):
+        FIG4.replace_step({"w": "x", "v": "v", "u": "u"})
 
 
 def test_validate_valuation():
