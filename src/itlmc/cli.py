@@ -18,6 +18,7 @@ from .hilbert import UnknownLogic, check, get_logic
 from .parser import (
     ParseError,
     SourceSpan,
+    parse_caps,
     parse_derivation,
     parse_formula,
     parse_poset_model,
@@ -34,7 +35,6 @@ from .poset import (
     eval_formula,
 )
 from .realline import (
-    EvalCaps,
     MalformedMap,
     MalformedSystem,
     Status,
@@ -86,26 +86,6 @@ def _emit(args, plain: str, records: list[tuple[str, str]]):
         print(plain)
 
 
-def _parse_caps(spec: str, base: EvalCaps) -> EvalCaps:
-    fields = {}
-    span = SourceSpan(0, len(spec))
-    for item in spec.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        key, sep, value = item.partition("=")
-        key = key.strip()
-        if not sep or key not in ("iter", "restart", "orbit", "window"):
-            raise ParseError(f"bad caps item {item!r}", span)
-        try:
-            fields[key] = int(value)
-        except ValueError:
-            raise ParseError(f"bad caps value {value!r}", span) from None
-        if fields[key] < 0:
-            raise ParseError(f"cap {key!r} must not be negative", span)
-    return replace(base, **fields)
-
-
 def _cmd_parse(args) -> int:
     phi = parse_formula(args.formula)
     member = [code for code, frag in FRAGMENTS.items() if frag.allows(phi)]
@@ -137,7 +117,9 @@ def _cmd_check(args) -> int:
 def _cmd_real_check(args) -> int:
     system = parse_real_system(_resolve(args.system).read_text())
     if args.caps:
-        system = replace(system, caps=_parse_caps(args.caps, system.caps))
+        items = [item.strip() for item in args.caps.split(",") if item.strip()]
+        caps = parse_caps(items, SourceSpan(0, len(args.caps)), system.caps)
+        system = replace(system, caps=caps)
     phi = parse_formula(args.formula)
     outcome = eval_real(system, phi, system.caps)
     status = outcome.status.name.lower()

@@ -13,11 +13,10 @@ import json
 import os
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Optional
 
-from .formula import Atom, Formula, cem, cd, bi, fs_dia, fs_next
+from .formula import Atom, cem, fs_dia, fs_next
 from .hilbert import LOGICS, check, get_logic, instantiate
 from .parser import (
     parse_derivation,
@@ -149,16 +148,6 @@ class Fact:
     run: Callable[[Corpus], FactResult]
 
 
-def _worlds(model, valuation, text: str) -> frozenset[str]:
-    return eval_formula(model, valuation, parse_formula(text))
-
-
-def _expect(got, want, label: str) -> FactResult:
-    if got == want:
-        return FactResult(True, f"{label} = {want}")
-    return FactResult(False, f"{label}: expected {want}, got {got}")
-
-
 def _expect_real(outcome, want_value, want_status, label: str) -> FactResult:
     if outcome.value != want_value:
         return FactResult(False, f"{label}: expected {want_value}, got {outcome.value}")
@@ -209,73 +198,17 @@ def _fact_fsgap(corpus: Corpus) -> FactResult:
     return FactResult(True, "unboxed shift implication fails at x; boxed repair is valid")
 
 
-def _fact_r_double(corpus: Corpus) -> FactResult:
-    system = corpus.load("r-double")
-    punctured = interval(None, 0).union(interval(0, None))
-    checks = [
-        ("[]p", interval(None, 0), Status.EXTRAPOLATED),
-        ("[*]p", interval(None, 0), Status.EXTRAPOLATED),
-        ("<>q", interval(0, None), Status.EXACT),
-        ("[](p | q) -> []p | <>q", punctured, None),
-        ("[](p | q) & [](O q -> q) -> []p | q", punctured, None),
-        ("~O p & O~~p -> O q | ~O q", REALS, None),
-    ]
-    for text, want, status in checks:
-        res = _expect_real(eval_real(system, parse_formula(text)), want, status, text)
-        if not res.ok:
-            return res
-    return FactResult(True, "distribution fails only at 0; henceforth extrapolates to (-inf, 0)")
+def _real_fact(entry_id: str, checks, summary: str) -> Callable[[Corpus], FactResult]:
+    # Each check is (formula, extension, status or None for any status).
+    def run(corpus: Corpus) -> FactResult:
+        system = corpus.load(entry_id)
+        for text, want, status in checks:
+            res = _expect_real(eval_real(system, parse_formula(text)), want, status, text)
+            if not res.ok:
+                return res
+        return FactResult(True, summary)
 
-
-def _fact_r_kinked(corpus: Corpus) -> FactResult:
-    system = corpus.load("r-kinked")
-    neg = interval(None, 0)
-    pos = interval(0, None)
-    checks = [
-        ("[*]p", neg, Status.EXTRAPOLATED),
-        ("[]p", EMPTY, None),
-        ("O [*]p", EMPTY, None),
-        ("[*]O p", neg, None),
-        ("[*][*]p", EMPTY, Status.EXTRAPOLATED),
-        ("[*]p -> O [*]p", pos, None),
-        ("[*]O p -> O [*]p", pos, None),
-        ("[*]p -> [*][*]p", pos, None),
-        ("~O p & O~~p -> O q | ~O q", REALS, Status.EXACT),
-        ("[](p -> O p) -> (p -> []p)", REALS, None),
-    ]
-    for text, want, status in checks:
-        res = _expect_real(eval_real(system, parse_formula(text)), want, status, text)
-        if not res.ok:
-            return res
-    return FactResult(True, "weak and strong henceforth split; the weak flavor is not forward-stable")
-
-
-def _fact_r_const(corpus: Corpus) -> FactResult:
-    system = corpus.load("r-const")
-    checks = [
-        ("(<>p -> []q) -> [](p -> q)", interval(0, None), Status.EXACT),
-        ("(O p -> O q) -> O(p -> q)", EMPTY, Status.EXACT),
-    ]
-    for text, want, status in checks:
-        res = _expect_real(eval_real(system, parse_formula(text)), want, status, text)
-        if not res.ok:
-            return res
-    return FactResult(True, "next-shift fails everywhere, eventually-shift only on the closed left ray")
-
-
-def _fact_r_shift(corpus: Corpus) -> FactResult:
-    system = corpus.load("r-shift")
-    checks = [
-        ("<>p", interval(None, 0), Status.EXACT),
-        ("[]p", EMPTY, Status.EXTRAPOLATED),
-        ("[*]p", EMPTY, Status.EXTRAPOLATED),
-        ("[](p -> O p) -> (p -> []p)", REALS, None),
-    ]
-    for text, want, status in checks:
-        res = _expect_real(eval_real(system, parse_formula(text)), want, status, text)
-        if not res.ok:
-            return res
-    return FactResult(True, "translation drains the left ray: henceforth is empty by endpoint drift")
+    return run
 
 
 def _derivation_fact(entry_id: str) -> Callable[[Corpus], FactResult]:
@@ -332,6 +265,9 @@ def _axiom_spot_fact(entry_id: str) -> Callable[[Corpus], FactResult]:
     return run
 
 
+_NEG, _POS = interval(None, 0), interval(0, None)
+
+
 def _build_facts() -> list[Fact]:
     facts = [
         Fact(
@@ -356,25 +292,67 @@ def _build_facts() -> list[Fact]:
             "r-double/distribution-gap",
             "r-double",
             "constant-domain distribution and backward induction fail only at 0",
-            _fact_r_double,
+            _real_fact(
+                "r-double",
+                [
+                    ("[]p", _NEG, Status.EXTRAPOLATED),
+                    ("[*]p", _NEG, Status.EXTRAPOLATED),
+                    ("<>q", _POS, Status.EXACT),
+                    ("[](p | q) -> []p | <>q", _NEG.union(_POS), None),
+                    ("[](p | q) & [](O q -> q) -> []p | q", _NEG.union(_POS), None),
+                    ("~O p & O~~p -> O q | ~O q", REALS, None),
+                ],
+                "distribution fails only at 0; henceforth extrapolates to (-inf, 0)",
+            ),
         ),
         Fact(
             "r-kinked/weak-box-split",
             "r-kinked",
             "weak henceforth is nonempty while strong henceforth collapses",
-            _fact_r_kinked,
+            _real_fact(
+                "r-kinked",
+                [
+                    ("[*]p", _NEG, Status.EXTRAPOLATED),
+                    ("[]p", EMPTY, None),
+                    ("O [*]p", EMPTY, None),
+                    ("[*]O p", _NEG, None),
+                    ("[*][*]p", EMPTY, Status.EXTRAPOLATED),
+                    ("[*]p -> O [*]p", _POS, None),
+                    ("[*]O p -> O [*]p", _POS, None),
+                    ("[*]p -> [*][*]p", _POS, None),
+                    ("~O p & O~~p -> O q | ~O q", REALS, Status.EXACT),
+                    ("[](p -> O p) -> (p -> []p)", REALS, None),
+                ],
+                "weak and strong henceforth split; the weak flavor is not forward-stable",
+            ),
         ),
         Fact(
             "r-const/shift-failure",
             "r-const",
             "the next-shift schema has empty extension",
-            _fact_r_const,
+            _real_fact(
+                "r-const",
+                [
+                    ("(<>p -> []q) -> [](p -> q)", _POS, Status.EXACT),
+                    ("(O p -> O q) -> O(p -> q)", EMPTY, Status.EXACT),
+                ],
+                "next-shift fails everywhere, eventually-shift only on the closed left ray",
+            ),
         ),
         Fact(
             "r-shift/endpoint-drift",
             "r-shift",
             "henceforth of the left ray is empty, flagged as extrapolated",
-            _fact_r_shift,
+            _real_fact(
+                "r-shift",
+                [
+                    ("<>p", _NEG, Status.EXACT),
+                    ("[]p", EMPTY, Status.EXTRAPOLATED),
+                    ("[*]p", EMPTY, Status.EXTRAPOLATED),
+                    ("[](p -> O p) -> (p -> []p)", REALS, None),
+                ],
+                "translation drains the left ray: henceforth is empty by endpoint drift",
+            ),
         ),
         Fact(
             "fig6-edges/all-verified",

@@ -66,6 +66,7 @@ from .formula import (
     fs_next,
     operators,
     translate_strong,
+    walk,
     wh,
 )
 
@@ -242,22 +243,23 @@ _FALSE = Bottom()
 
 
 def _abstract_tenses(phi: Formula) -> Formula:
-    """Replace maximal tensed subformulas by fresh placeholder atoms."""
-    table: dict[Formula, Atom] = {}
+    """Replace maximal tensed subformulas by placeholder atoms.
 
-    def walk(f: Formula) -> Formula:
-        if isinstance(f, (Next, Eventually, StrongBox, WeakBox)):
-            atom = table.get(f)
-            if atom is None:
-                atom = Atom(f"#{len(table)}")
-                table[f] = atom
-            return atom
-        if isinstance(f, (And, Or, Implies)):
-            kind = type(f)
-            return kind(walk(f.left), walk(f.right))
-        return f
-
-    return walk(phi)
+    Equal tensed subformulas share one walk position and so one placeholder.
+    Placeholder names are longer than every atom name of phi, so none of
+    them equals an atom of phi.
+    """
+    nodes, program = walk(phi)
+    mark = "#" * (1 + max((len(a) for op, a, _ in program if op is Atom), default=0))
+    out: list[Formula] = []
+    for i, (f, (op, a, b)) in enumerate(zip(nodes, program)):
+        if op in (Next, Eventually, StrongBox, WeakBox):
+            out.append(Atom(f"{mark}{i}"))
+        elif op in (And, Or, Implies):
+            out.append(op(out[a], out[b]))
+        else:
+            out.append(f)
+    return out[-1]
 
 
 @lru_cache(maxsize=None)

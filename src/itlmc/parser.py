@@ -16,7 +16,7 @@ round-trips through `parse_formula`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
 from .formula import (
@@ -62,7 +62,21 @@ class ParseError(ValueError):
 
 
 # --------------------------------------------------------------------------
-# formula tokenizer
+# formula syntax: one operator table for the parser and the printer
+
+# Precedence levels: '->' and '<->' 0, '|' 1, '&' 2, prefix operators 3,
+# atoms 4.  A child whose level is below the minimum its position requires
+# is parenthesized by the printer and cannot be formed there by the parser.
+# Binary tokens: (builder, level, left minimum, right minimum).
+_BINARY = {
+    "->": (Implies, 0, 1, 0),
+    "<->": (Iff, 0, 1, 1),
+    "|": (Or, 1, 1, 2),
+    "&": (And, 2, 2, 3),
+}
+_PREFIX = {"~": Not, "O": Next, "<>": Eventually, "[]": StrongBox, "[*]": WeakBox}
+_PREFIX_LEVEL = 3
+_ATOM_LEVEL = 4
 
 _ALIASES = {
     "○": "O",      # next
@@ -79,149 +93,94 @@ _ALIASES = {
 
 _IDENT_RE = re.compile(r"[A-Za-z_#][A-Za-z0-9_'#]*")
 
+# Identifiers come first, so 'O' and 'false' scan as words ('Op' is an
+# atom); longer symbols precede their prefixes.  Any other non-space
+# character lands in the second group and is an error.
+_SYMBOLS = sorted([*_BINARY, *_PREFIX, "(", ")"], key=len, reverse=True)
 _TOKEN_RE = re.compile(
-    r"(<->|->|\[\*\]|\[\]|<>|[~&|()]|[A-Za-z_#][A-Za-z0-9_'#]*)"
+    r"({}|{}|[{}])|(\S)".format(
+        _IDENT_RE.pattern,
+        "|".join(map(re.escape, _SYMBOLS)),
+        re.escape("".join(_ALIASES)),
+    )
 )
 
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    span: SourceSpan
+# A pending '(' sits below every level, so no operator folds it.
+_OPEN = (None, -1, 0)
 
 
-def _tokenize_formula(text: str) -> list[_Token]:
-    # Unicode aliases are rewritten to their ASCII token before matching;
-    # alias characters are all one code point so spans keep their offsets.
-    tokens: list[_Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        alias = _ALIASES.get(ch)
-        if alias is not None:
-            tokens.append(_Token(alias, SourceSpan(i, i + 1)))
-            i += 1
-            continue
-        m = _TOKEN_RE.match(text, i)
-        if m is None:
-            raise ParseError(f"unexpected character {ch!r}", SourceSpan(i, i + 1))
-        tokens.append(_Token(m.group(0), SourceSpan(i, m.end())))
-        i = m.end()
-    tokens.append(_Token("<end>", SourceSpan(n, n)))
+def _tokenize_formula(text: str) -> list[tuple[str, int, int]]:
+    tokens = []
+    for m in _TOKEN_RE.finditer(text):
+        token, bad = m.groups()
+        if bad is not None:
+            raise ParseError(f"unexpected character {bad!r}", SourceSpan(*m.span()))
+        tokens.append((_ALIASES.get(token, token), *m.span()))
+    tokens.append(("<end>", len(text), len(text)))
     return tokens
 
 
-_UNARY_TOKENS = {"~", "O", "<>", "[]", "[*]"}
-
-
-class _FormulaParser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize_formula(text)
-        self.pos = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {tok.kind!r}", tok.span)
-        return self.advance()
-
-    def parse(self) -> Formula:
-        phi = self.impl()
-        tok = self.peek()
-        if tok.kind != "<end>":
-            raise ParseError(f"unexpected {tok.kind!r} after formula", tok.span)
-        return phi
-
-    def impl(self) -> Formula:
-        left = self.disj()
-        tok = self.peek()
-        if tok.kind == "->":
-            self.advance()
-            return Implies(left, self.impl())
-        if tok.kind == "<->":
-            self.advance()
-            right = self.disj()
-            nxt = self.peek()
-            if nxt.kind in ("->", "<->"):
-                raise ParseError(
-                    "'<->' is non-associative; parenthesize to chain", nxt.span
-                )
-            return Iff(left, right)
-        return left
-
-    def disj(self) -> Formula:
-        phi = self.conj()
-        while self.peek().kind == "|":
-            self.advance()
-            phi = Or(phi, self.conj())
-        return phi
-
-    def conj(self) -> Formula:
-        phi = self.unary()
-        while self.peek().kind == "&":
-            self.advance()
-            phi = And(phi, self.unary())
-        return phi
-
-    def unary(self) -> Formula:
-        tok = self.peek()
-        if tok.kind in _UNARY_TOKENS:
-            self.advance()
-            child = self.unary()
-            if tok.kind == "~":
-                return Not(child)
-            if tok.kind == "O":
-                return Next(child)
-            if tok.kind == "<>":
-                return Eventually(child)
-            if tok.kind == "[]":
-                return StrongBox(child)
-            return WeakBox(child)
-        return self.atom()
-
-    def atom(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "(":
-            self.advance()
-            phi = self.impl()
-            self.expect(")")
-            return phi
-        if tok.kind == "false":
-            self.advance()
-            return Bottom()
-        if _IDENT_RE.fullmatch(tok.kind):
-            self.advance()
-            return Atom(tok.kind)
-        raise ParseError(
-            f"expected an atom, 'false' or '(', found {tok.kind!r}", tok.span
-        )
-
-
 def parse_formula(text: str) -> Formula:
-    return _FormulaParser(text).parse()
+    """Parse with an explicit operator stack, so depth is not limited."""
+    operands: list[Formula] = []
+    pending: list[tuple] = []  # (builder, level, right minimum) and _OPEN
+    after_operand = False
+    for kind, start, end in _tokenize_formula(text):
+        if not after_operand:
+            if kind in _PREFIX:
+                pending.append((_PREFIX[kind], _PREFIX_LEVEL, _PREFIX_LEVEL))
+            elif kind == "(":
+                pending.append(_OPEN)
+            elif kind == "false" or _IDENT_RE.fullmatch(kind):
+                operands.append(Bottom() if kind == "false" else Atom(kind))
+                after_operand = True
+            else:
+                raise ParseError(
+                    f"expected an atom, 'false' or '(', found {kind!r}",
+                    SourceSpan(start, end),
+                )
+            continue
+        # Fold every pending operator whose level reaches the incoming
+        # operator's left minimum: its result can be that left operand.
+        # Any other token has minimum 0 and folds down to the nearest '('.
+        build, level, left, right = _BINARY.get(kind, (None, 0, 0, 0))
+        while pending and pending[-1][1] >= left:
+            fn, fn_level, _ = pending.pop()
+            arg = operands.pop()
+            operands.append(
+                fn(arg) if fn_level == _PREFIX_LEVEL else fn(operands.pop(), arg)
+            )
+        if build is not None:
+            # What stays pending takes this operator's result as its right
+            # operand, which must reach its right minimum.
+            if pending and pending[-1][2] > level:
+                raise ParseError(
+                    "'<->' is non-associative; parenthesize to chain",
+                    SourceSpan(start, end),
+                )
+            pending.append((build, level, right))
+            after_operand = False
+        elif pending:
+            if kind != ")":
+                raise ParseError(f"expected ')', found {kind!r}", SourceSpan(start, end))
+            pending.pop()
+        elif kind != "<end>":
+            raise ParseError(f"unexpected {kind!r} after formula", SourceSpan(start, end))
+    return operands[0]
 
 
-# --------------------------------------------------------------------------
-# formula printer
-
-# Precedence levels: Implies 0, Or 1, And 2, unary 3, atoms 4.  A child is
-# parenthesized when its level is below the minimum its position requires.
-# Binary nodes: (level, symbol, left minimum, right minimum).
-
-_INFIX = {Implies: (0, " -> ", 1, 0), Or: (1, " | ", 1, 2), And: (2, " & ", 2, 3)}
-_PREFIX = {Next: "O ", Eventually: "<>", StrongBox: "[]", WeakBox: "[*]"}
+# The printer reads the same tables; Iff and Not build other nodes, so
+# neither reaches a tree.  A word operator needs a space before its operand.
+_INFIX = {
+    build: (level, f" {token} ", left, right)
+    for token, (build, level, left, right) in _BINARY.items()
+    if build is not Iff
+}
+_PRINT_PREFIX = {
+    build: token + " " if token.isalpha() else token
+    for token, build in _PREFIX.items()
+    if build is not Not
+}
 
 
 def _at_least(part: tuple[int, str], minimum: int) -> str:
@@ -235,9 +194,9 @@ def _render(phi: Formula, args: tuple) -> tuple[int, str]:
     if op in _INFIX:
         level, symbol, left, right = _INFIX[op]
         return level, _at_least(args[0], left) + symbol + _at_least(args[1], right)
-    if op in _PREFIX:
-        return 3, _PREFIX[op] + _at_least(args[0], 3)
-    return 4, phi.name if op is Atom else "false"
+    if op in _PRINT_PREFIX:
+        return _PREFIX_LEVEL, _PRINT_PREFIX[op] + _at_least(args[0], _PREFIX_LEVEL)
+    return _ATOM_LEVEL, phi.name if op is Atom else "false"
 
 
 def print_formula(phi: Formula) -> str:
@@ -583,6 +542,30 @@ def _parse_map_line(rest: str, base: int, span: SourceSpan) -> PiecewiseAffineMa
     return PiecewiseAffineMap.affine(slope, icpt)
 
 
+_CAP_NAMES = tuple(f.name for f in fields(EvalCaps))
+
+
+def parse_caps(
+    items: list[str], span: SourceSpan, base: EvalCaps = EvalCaps()
+) -> EvalCaps:
+    """base with each 'name=value' item set; a value is ASCII digits, 0 allowed."""
+    values = {}
+    for item in items:
+        key, sep, num = item.partition("=")
+        if not sep:
+            raise ParseError(f"expected 'name=value', found {item!r}", span)
+        if key not in _CAP_NAMES:
+            raise ParseError(f"unknown cap {key!r}", span)
+        if not (num.isascii() and num.isdigit()):
+            raise ParseError(
+                f"cap {key!r} needs a non-negative integer (digits only, 0 allowed),"
+                f" found {num!r}",
+                span,
+            )
+        values[key] = int(num)
+    return replace(base, **values)
+
+
 def parse_real_system(text: str) -> RealSystem:
     pwmap: PiecewiseAffineMap | None = None
     valuation: dict[str, IntervalSet] = {}
@@ -611,17 +594,7 @@ def parse_real_system(text: str) -> RealSystem:
             except ParseError as err:
                 raise _shift(err, rest_base) from None
         elif head == "caps":
-            values = {}
-            for token in rest.split():
-                if "=" not in token:
-                    raise ParseError(f"expected 'name=value', found {token!r}", span)
-                key, _, num = token.partition("=")
-                if key not in ("iter", "restart", "orbit", "window"):
-                    raise ParseError(f"unknown cap {key!r}", span)
-                if not num.isdigit():
-                    raise ParseError(f"cap {key!r} needs a positive integer", span)
-                values[key] = int(num)
-            caps = EvalCaps(**values)
+            caps = parse_caps(rest.split(), span)
         else:
             raise ParseError(f"unknown section {head!r}", span)
 

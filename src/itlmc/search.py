@@ -15,7 +15,7 @@ from itertools import islice, product
 from typing import Iterator, Optional, Union
 
 from .formula import Atom, Formula, compile_formula, translate_weak
-from .hilbert import LogicSpec, check, get_logic, instantiate
+from .hilbert import LogicSpec, Schema, check, get_logic, instantiate
 from .poset import DynamicPoset, Valuation, eval_formula, eval_masks, eval_sliced
 from .realline import Status, eval_real
 
@@ -221,6 +221,13 @@ def validity(phi: Formula, semclass: SemanticClass) -> Verdict:
     return ValidUpTo(semclass.bound)
 
 
+def _fresh_instance(schema: Schema) -> Formula:
+    """The schema with its metavariables replaced by distinct fresh atoms."""
+    return instantiate(
+        schema, {mv: Atom(_FRESH[i]) for i, mv in enumerate(schema.metavars)}
+    )
+
+
 def soundness_sweep(
     logic: LogicSpec, semclass: SemanticClass
 ) -> dict[str, Verdict]:
@@ -231,9 +238,7 @@ def soundness_sweep(
     """
     results: dict[str, Verdict] = {}
     for name in sorted(logic.axioms):
-        schema = logic.axioms[name]
-        subst = {mv: Atom(_FRESH[i]) for i, mv in enumerate(schema.metavars)}
-        inst = instantiate(schema, subst)
+        inst = _fresh_instance(logic.axioms[name])
         if logic.weak_rendered:
             inst = translate_weak(inst)
         results[name] = validity(inst, semclass)
@@ -346,12 +351,9 @@ def _verify_inclusion(edge: EdgeSpec, corpus) -> tuple[Optional[bool], str]:
             return False, f"no evidence that {edge.target} derives axiom {name}"
         derivation = corpus.load(deriv_id)
         result = check(derivation, dst)
-        schema = src.axioms[name]
-        subst = {mv: Atom(_FRESH[i]) for i, mv in enumerate(schema.metavars)}
-        wanted = instantiate(schema, subst)
         if not result.ok:
             return False, f"evidence {deriv_id} rejected: {result.reason}"
-        if derivation.theorem != wanted:
+        if derivation.theorem != _fresh_instance(src.axioms[name]):
             return False, f"evidence {deriv_id} proves the wrong formula"
         notes.append(f"{name} via {deriv_id}")
     return True, "; ".join(notes) if notes else "axioms included"

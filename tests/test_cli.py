@@ -30,6 +30,12 @@ def test_parse_error_exit_3(capsys):
     assert "non-associative" in err
 
 
+def test_parse_deeply_nested_parentheses(capsys):
+    code, out, _ = run(capsys, "parse", "(" * 400 + "p" + ")" * 400)
+    assert code == 0
+    assert out.startswith("p\n")
+
+
 def test_check_bundled_model_by_relative_path(capsys):
     code, out, _ = run(
         capsys, "check", "--model", "corpus/poset/fig4-fs.dpm",
@@ -77,11 +83,12 @@ def test_real_check_undetermined_exits_2(capsys):
 
 
 def test_real_check_bad_caps_exits_3(capsys):
-    code, _, err = run(
-        capsys, "real-check", "--system", "corpus/real/r-double.rds",
-        "--caps", "iter=soon", "[]p",
-    )
-    assert code == 3
+    for caps in ("iter=soon", "iter=+3", "iter=\u0663", "steps=3"):
+        code, _, err = run(
+            capsys, "real-check", "--system", "corpus/real/r-double.rds",
+            "--caps", caps, "[]p",
+        )
+        assert code == 3, caps
 
 
 def test_real_check_negative_caps_exits_3(capsys):

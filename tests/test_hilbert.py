@@ -5,6 +5,8 @@ import pytest
 from itlmc import (
     ALL_SCHEMAS,
     Atom,
+    Derivation,
+    DerivationLine,
     Eventually,
     Implies,
     LOGICS,
@@ -18,6 +20,7 @@ from itlmc import (
     parse_derivation,
     parse_formula,
 )
+from itlmc.hilbert import IpcTaut
 
 P, Q = Atom("p"), Atom("q")
 
@@ -73,6 +76,16 @@ def test_tense_subformulas_are_abstracted_not_unfolded():
     )
     # identical tensed subformulas must be identified, though
     assert is_ipc_tautology(Implies(StrongBox(P), StrongBox(P)))
+
+
+def test_placeholders_never_equal_an_atom_of_the_formula():
+    # identifiers may contain '#', so a placeholder must avoid them all
+    for text in ("#0 -> O p", "O p -> #1", "## -> ##0 -> O p", "O p -> O q"):
+        assert not is_ipc_tautology(parse_formula(text)), text
+    assert is_ipc_tautology(parse_formula("#0 & O p -> O p & #0"))
+    # '#' starts a comment in derivation files, so build the line directly
+    line = DerivationLine(1, parse_formula("#0 -> O p"), IpcTaut())
+    assert not check(Derivation((line,)), get_logic("ITL.db")).ok
 
 
 # -- registry ----------------------------------------------------------------

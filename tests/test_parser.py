@@ -69,6 +69,71 @@ def test_unbalanced_and_trailing():
             parse_formula(bad)
 
 
+# Every ParseError the formula parser raises, ASCII and unicode aliases:
+# (input, message, span start, span end).
+_MALFORMED = [
+    ("", "expected an atom, 'false' or '(', found '<end>'", 0, 0),
+    ("   ", "expected an atom, 'false' or '(', found '<end>'", 3, 3),
+    ("p $ q", "unexpected character '$'", 2, 3),
+    ("p < q", "unexpected character '<'", 2, 3),
+    ("p - q", "unexpected character '-'", 2, 3),
+    ("p [ q", "unexpected character '['", 2, 3),
+    ("[*p", "unexpected character '['", 0, 1),
+    ("p λ q", "unexpected character 'λ'", 2, 3),
+    ("p\tq ∀", "unexpected character '∀'", 4, 5),
+    ("p q $", "unexpected character '$'", 4, 5),
+    ("(p", "expected ')', found '<end>'", 2, 2),
+    ("(p q", "expected ')', found 'q'", 3, 4),
+    ("((p -> q)", "expected ')', found '<end>'", 9, 9),
+    ("(p & q]", "unexpected character ']'", 6, 7),
+    ("(p ¬q)", "expected ')', found '~'", 3, 4),
+    ("p <-> (q", "expected ')', found '<end>'", 8, 8),
+    ("p)", "unexpected ')' after formula", 1, 2),
+    ("p q", "unexpected 'q' after formula", 2, 3),
+    ("p -> q )", "unexpected ')' after formula", 7, 8),
+    ("false false", "unexpected 'false' after formula", 6, 11),
+    ("p ⊥", "unexpected 'false' after formula", 2, 3),
+    ("p ¬q", "unexpected '~' after formula", 2, 3),
+    ("p O q", "unexpected 'O' after formula", 2, 3),
+    ("p <-> q <-> r", "'<->' is non-associative; parenthesize to chain", 8, 11),
+    ("p <-> q -> r", "'<->' is non-associative; parenthesize to chain", 8, 10),
+    ("p -> q <-> r <-> s", "'<->' is non-associative; parenthesize to chain", 13, 16),
+    ("(p ↔ q → r)", "'<->' is non-associative; parenthesize to chain", 7, 8),
+    ("p <-> q | r <-> s", "'<->' is non-associative; parenthesize to chain", 12, 15),
+    ("&", "expected an atom, 'false' or '(', found '&'", 0, 1),
+    ("p ->", "expected an atom, 'false' or '(', found '<end>'", 4, 4),
+    ("p -> ∧ q", "expected an atom, 'false' or '(', found '&'", 5, 6),
+    (")", "expected an atom, 'false' or '(', found ')'", 0, 1),
+    ("O", "expected an atom, 'false' or '(', found '<end>'", 1, 1),
+    ("~ ->", "expected an atom, 'false' or '(', found '->'", 2, 4),
+    ("(", "expected an atom, 'false' or '(', found '<end>'", 1, 1),
+    ("p | | q", "expected an atom, 'false' or '(', found '|'", 4, 5),
+    ("[] )", "expected an atom, 'false' or '(', found ')'", 3, 4),
+    ("p -> (q & )", "expected an atom, 'false' or '(', found ')'", 10, 11),
+    ("O ∨", "expected an atom, 'false' or '(', found '|'", 2, 3),
+]
+
+
+@pytest.mark.parametrize("text, message, start, end", _MALFORMED)
+def test_parse_error_messages_and_spans_are_pinned(text, message, start, end):
+    with pytest.raises(ParseError) as err:
+        parse_formula(text)
+    assert (err.value.message, err.value.span.start, err.value.span.end) == (
+        message, start, end
+    )
+
+
+def test_deep_formulas_parse():
+    # Checked through the printer: == and hash on Formula still recurse.
+    assert print_formula(parse_formula("(" * 400 + "p" + ")" * 400)) == "p"
+    nexts = "O " * 2000 + "p"
+    assert print_formula(parse_formula(nexts)) == nexts
+    chain = " -> ".join(f"p{i}" for i in range(1000))
+    assert print_formula(parse_formula(chain)) == chain
+    nested = "p & (" * 999 + "p & q" + ")" * 999
+    assert print_formula(parse_formula(nested)) == nested
+
+
 def _rand_formula(rng: random.Random, depth: int):
     if depth == 0 or rng.random() < 0.25:
         return rng.choice([Bottom(), P, Q, R])
@@ -211,6 +276,14 @@ def test_parse_real_system_piecewise():
     assert system.map.apply(Fraction(2)) == 4
     assert system.caps.iter == 32 and system.caps.restart == 4
     assert system.caps.orbit == 128  # unset fields keep defaults
+
+
+def test_caps_are_ascii_digits_zero_allowed():
+    system = parse_real_system("map: x\ncaps: iter=0 window=12\n")
+    assert system.caps.iter == 0 and system.caps.window == 12
+    for bad in ("iter=-1", "iter=+3", "iter=\u00b2", "iter=3.0", "iter=", "iters=3", "iter"):
+        with pytest.raises(ParseError):
+            parse_real_system(f"map: x\ncaps: {bad}\n")
 
 
 def test_parse_real_system_affine_forms():
