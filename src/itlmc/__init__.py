@@ -43,6 +43,7 @@ from .parser import (
     ParseError,
     SourceSpan,
     parse_derivation,
+    parse_edges,
     parse_formula,
     parse_interval_set,
     parse_poset_model,
@@ -61,7 +62,6 @@ from .poset import (
     check_morphism,
     eval_box_by_orbit,
     eval_formula,
-    eval_table,
     interior,
     is_up_set,
     pull_back_valuation,

@@ -20,6 +20,7 @@ from .formula import Atom, cem, fs_dia, fs_next
 from .hilbert import LOGICS, check, get_logic, instantiate
 from .parser import (
     parse_derivation,
+    parse_edges,
     parse_formula,
     parse_poset_model,
     parse_real_system,
@@ -40,42 +41,6 @@ class CorpusEntry:
     path: str
     anchor: str
     logic: Optional[str] = None
-
-
-_EDGE_KEYS = (
-    "from", "to", "style", "label", "formula",
-    "witness", "point", "derivation", "logic", "inclusion",
-)
-
-
-def _parse_edge_line(body: str) -> EdgeSpec:
-    fields = {}
-    for part in body.split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        key, _, value = part.partition("=")
-        fields[key.strip()] = value.strip()
-    missing = [k for k in _EDGE_KEYS if k not in fields]
-    if missing:
-        raise ValueError(f"edge line is missing fields: {', '.join(missing)}")
-    inclusion = []
-    if fields["inclusion"]:
-        for item in fields["inclusion"].split(","):
-            axiom, _, deriv = item.strip().partition(":")
-            inclusion.append((axiom, deriv))
-    return EdgeSpec(
-        source=fields["from"],
-        target=fields["to"],
-        style=fields["style"],
-        label=fields["label"],
-        formula=parse_formula(fields["formula"]),
-        witness=fields["witness"],
-        point=fields["point"],
-        derivation=fields["derivation"],
-        logic=fields["logic"],
-        inclusion=tuple(inclusion),
-    )
 
 
 class Corpus:
@@ -113,21 +78,17 @@ class Corpus:
             return self._cache[entry_id]
         entry = self.get(entry_id)
         text = self.text_of(entry_id)
-        if entry.kind == "poset-model":
-            value = parse_poset_model(text)
-        elif entry.kind == "real-system":
-            value = parse_real_system(text)
-        elif entry.kind == "derivation":
-            value = parse_derivation(text)
-        elif entry.kind == "edge":
-            value = [
-                _parse_edge_line(body)
-                for body in text.splitlines()
-                if body.strip() and not body.lstrip().startswith("#")
-            ]
-        else:
+        # Built per call from the module's names, so that a rebinding of
+        # those names (by instrumentation, say) reaches these calls too.
+        parse = {
+            "poset-model": parse_poset_model,
+            "real-system": parse_real_system,
+            "derivation": parse_derivation,
+            "edge": parse_edges,
+        }.get(entry.kind)
+        if parse is None:
             raise UnknownEntry(f"entry {entry_id!r} has unknown kind {entry.kind!r}")
-        self._cache[entry_id] = value
+        value = self._cache[entry_id] = parse(text)
         return value
 
     def edges(self) -> list[EdgeSpec]:

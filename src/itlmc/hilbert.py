@@ -62,6 +62,7 @@ from .formula import (
     cd,
     cd_minus,
     cem,
+    children,
     fold,
     fs_next,
     operators,
@@ -184,21 +185,18 @@ class CheckResult:
 # matching and instantiation
 
 def _match_into(template: Formula, target: Formula, binding: dict) -> bool:
-    if isinstance(template, Atom):
-        bound = binding.get(template.name)
-        if bound is None:
-            binding[template.name] = target
-            return True
-        return bound == target
-    if type(template) is not type(target):
-        return False
-    if isinstance(template, Bottom):
-        return True
-    if isinstance(template, (And, Or, Implies)):
-        return _match_into(template.left, target.left, binding) and _match_into(
-            template.right, target.right, binding
-        )
-    return _match_into(template.child, target.child, binding)
+    """Extend binding so that template, its atoms bound, equals target."""
+    todo = [(template, target)]
+    while todo:
+        t, f = todo.pop()
+        if type(t) is Atom:
+            if binding.setdefault(t.name, f) != f:
+                return False
+        elif type(t) is not type(f):
+            return False
+        else:
+            todo.extend(zip(children(t), children(f)))
+    return True
 
 
 def match_template(template: Formula, target: Formula) -> Optional[dict]:

@@ -1,4 +1,4 @@
-"""Concrete syntax: formulas, poset models, real systems, derivations.
+"""Concrete syntax: formulas and the four corpus file formats.
 
 The formula grammar (ASCII first, unicode aliases accepted on input only):
 
@@ -7,6 +7,8 @@ The formula grammar (ASCII first, unicode aliases accepted on input only):
     conj  := unary ('&' unary)*
     unary := ('~' | 'O' | '<>' | '[]' | '[*]') unary | atom
     atom  := 'false' | identifier | '(' impl ')'
+
+An identifier is [A-Za-z_][A-Za-z0-9_']*, the same rule as names in files.
 
 '<->' is non-associative; implication is right-associative; '&' and '|'
 are left-associative.  `print_formula` emits minimal parentheses and
@@ -44,6 +46,7 @@ from .realline import (
     RealSystem,
     make_interval,
 )
+from .search import EdgeSpec
 
 
 @dataclass(frozen=True)
@@ -91,7 +94,9 @@ _ALIASES = {
     "⊥": "false",
 }
 
-_IDENT_RE = re.compile(r"[A-Za-z_#][A-Za-z0-9_'#]*")
+# The one name rule: formula atoms, and world, atom and metavariable names
+# in files.  '#' is not a name character; it starts a comment in files.
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
 
 # Identifiers come first, so 'O' and 'false' scan as words ('Op' is an
 # atom); longer symbols precede their prefixes.  Any other non-space
@@ -99,7 +104,7 @@ _IDENT_RE = re.compile(r"[A-Za-z_#][A-Za-z0-9_'#]*")
 _SYMBOLS = sorted([*_BINARY, *_PREFIX, "(", ")"], key=len, reverse=True)
 _TOKEN_RE = re.compile(
     r"({}|{}|[{}])|(\S)".format(
-        _IDENT_RE.pattern,
+        _NAME_RE.pattern,
         "|".join(map(re.escape, _SYMBOLS)),
         re.escape("".join(_ALIASES)),
     )
@@ -131,7 +136,7 @@ def parse_formula(text: str) -> Formula:
                 pending.append((_PREFIX[kind], _PREFIX_LEVEL, _PREFIX_LEVEL))
             elif kind == "(":
                 pending.append(_OPEN)
-            elif kind == "false" or _IDENT_RE.fullmatch(kind):
+            elif kind == "false" or _NAME_RE.fullmatch(kind):
                 operands.append(Bottom() if kind == "false" else Atom(kind))
                 after_operand = True
             else:
@@ -204,14 +209,17 @@ def print_formula(phi: Formula) -> str:
 
 
 # --------------------------------------------------------------------------
-# shared line scanning for the three file formats
+# corpus files: one rule each for lines and comments, names and numbers
+#
+# In all four formats '#' starts a comment that runs to the end of its
+# line, and blank lines are skipped.  Error spans are offsets into the file.
 
 def _logical_lines(text: str) -> list[tuple[int, str]]:
-    """Comment-stripped non-blank lines as (byte offset of line start, body)."""
+    """Non-blank lines without their comments, as (line offset, text)."""
     out = []
     offset = 0
     for raw in text.split("\n"):
-        body = raw.split("#", 1)[0]
+        body = raw.partition("#")[0]
         if body.strip():
             out.append((offset, body))
         offset += len(raw) + 1
@@ -223,79 +231,107 @@ def _line_span(offset: int, body: str) -> SourceSpan:
     return SourceSpan(offset + lead, offset + len(body.rstrip()))
 
 
-def _shift(err: ParseError, base: int) -> ParseError:
-    return ParseError(
-        err.message, SourceSpan(err.span.start + base, err.span.end + base)
-    )
+def _at(parse, text: str, base: int):
+    """parse(text), with the span of any ParseError moved on by base."""
+    try:
+        return parse(text)
+    except ParseError as err:
+        span = SourceSpan(err.span.start + base, err.span.end + base)
+        raise ParseError(err.message, span) from None
 
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*\Z")
+# A rational literal: 3, 0.25, 1/3 or 1.5/2.
+_RATIONAL = r"\d+(?:\.\d+)?(?:/\d+)?"
+_SIGNED = rf"-?{_RATIONAL}"
+
+
+def _group_span(m: re.Match, group: int, base: int) -> SourceSpan:
+    return SourceSpan(base + m.start(group), base + m.end(group))
+
+
+def _divide(a: Fraction, b: Fraction, span: SourceSpan) -> Fraction:
+    if not b:
+        raise ParseError("division by zero", span)
+    return a / b
+
+
+def _rational(m: re.Match, group: int, base: int = 0) -> Fraction:
+    """Value of the rational literal that group of m matched."""
+    num, _, den = m.group(group).partition("/")
+    return _divide(Fraction(num), Fraction(den or 1), _group_span(m, group, base))
+
+
+def _sections(text: str):
+    """(head, atom, entries, entries offset, line span) per 'head: entries' line.
+
+    atom is the checked name of a 'val <atom>' line and None on other lines.
+    """
+    atoms: set[str] = set()
+    for offset, body in _logical_lines(text):
+        span = _line_span(offset, body)
+        head, colon, rest = body.partition(":")
+        if not colon:
+            raise ParseError("expected 'section: entries'", span)
+        base = offset + len(head) + 1
+        head = head.strip()
+        atom = None
+        if head.startswith("val"):
+            atom = head[3:].strip()
+            if not _NAME_RE.fullmatch(atom):
+                raise ParseError(f"bad atom name {atom!r}", span)
+            if atom in atoms:
+                raise ParseError(f"duplicate valuation for atom {atom!r}", span)
+            atoms.add(atom)
+        yield head, atom, rest.rstrip(), base, span
 
 
 # --------------------------------------------------------------------------
 # poset model files
 
+def _pair(token: str, sep: str, span: SourceSpan) -> tuple[str, str]:
+    a, found, b = token.partition(sep)
+    if not (a and found and b):
+        raise ParseError(f"expected 'a{sep}b', found {token!r}", span)
+    return a, b
+
+
 def parse_poset_model(text: str) -> tuple[DynamicPoset, Valuation]:
-    worlds: list[str] = []
+    worlds: list[str] | None = None
     order: list[tuple[str, str]] = []
     step: dict[str, str] = {}
     valuation: dict[str, frozenset[str]] = {}
-    saw_worlds = False
-
-    for offset, body in _logical_lines(text):
-        span = _line_span(offset, body)
-        stripped = body.strip()
-        if ":" not in stripped:
-            raise ParseError("expected 'section: entries'", span)
-        head, _, rest = stripped.partition(":")
-        head = head.strip()
+    for head, atom, rest, _, span in _sections(text):
         tokens = rest.split()
-        if head == "worlds":
-            if saw_worlds:
+        if atom is not None:
+            valuation[atom] = frozenset(tokens)
+        elif head == "worlds":
+            if worlds is not None:
                 raise ParseError("duplicate worlds section", span)
-            saw_worlds = True
             for name in tokens:
-                if not _NAME_RE.match(name):
+                if not _NAME_RE.fullmatch(name):
                     raise ParseError(f"bad world name {name!r}", span)
-            worlds.extend(tokens)
+            worlds = tokens
         elif head == "order":
-            for token in tokens:
-                if "<=" not in token:
-                    raise ParseError(f"expected 'a<=b', found {token!r}", span)
-                a, _, b = token.partition("<=")
-                if not a or not b:
-                    raise ParseError(f"expected 'a<=b', found {token!r}", span)
-                order.append((a, b))
+            order.extend(_pair(token, "<=", span) for token in tokens)
         elif head == "step":
             for token in tokens:
-                if "->" not in token:
-                    raise ParseError(f"expected 'a->b', found {token!r}", span)
-                a, _, b = token.partition("->")
-                if not a or not b:
-                    raise ParseError(f"expected 'a->b', found {token!r}", span)
+                a, b = _pair(token, "->", span)
                 if a in step:
                     raise ParseError(f"duplicate step for world {a!r}", span)
                 step[a] = b
-        elif head.startswith("val"):
-            atom = head[3:].strip()
-            if not _NAME_RE.match(atom):
-                raise ParseError(f"bad atom name {atom!r}", span)
-            if atom in valuation:
-                raise ParseError(f"duplicate valuation for atom {atom!r}", span)
-            valuation[atom] = frozenset(tokens)
         else:
             raise ParseError(f"unknown section {head!r}", span)
 
     if not worlds:
         raise ParseError("at least one world required", SourceSpan(0, len(text)))
-    model = DynamicPoset(tuple(worlds), tuple(order), dict(step))
+    model = DynamicPoset(tuple(worlds), tuple(order), step)
     for atom, names in valuation.items():
-        for name in names:
-            if name not in model.index:
-                raise ParseError(
-                    f"valuation of {atom!r} mentions unknown world {name!r}",
-                    SourceSpan(0, len(text)),
-                )
+        unknown = sorted(names.difference(model.index))
+        if unknown:
+            raise ParseError(
+                f"valuation of {atom!r} mentions unknown world {unknown[0]!r}",
+                SourceSpan(0, len(text)),
+            )
     return model, valuation
 
 
@@ -318,27 +354,16 @@ def print_poset_model(model: DynamicPoset, valuation: Valuation) -> str:
 
 
 # --------------------------------------------------------------------------
-# rationals, intervals, interval sets
-
-_NUM_RE = re.compile(r"-?\d+(?:\.\d+)?(?:/\d+)?")
-
-
-def _parse_rational(token: str, span: SourceSpan) -> Fraction:
-    if not _NUM_RE.fullmatch(token):
-        raise ParseError(f"bad number {token!r}", span)
-    return Fraction(token)
-
+# intervals, interval sets
 
 _INTERVAL_RE = re.compile(
-    r"\s*([\[\(])\s*(-inf|-?\d+(?:\.\d+)?(?:/\d+)?)\s*,"
-    r"\s*(inf|-?\d+(?:\.\d+)?(?:/\d+)?)\s*([\]\)])"
+    rf"\s*([\[(])\s*(-inf|{_SIGNED})\s*,\s*(inf|{_SIGNED})\s*([\])])"
 )
 
 
 def parse_interval_set(text: str) -> IntervalSet:
     """Parse e.g. ``(-inf, 0) u [1, 2]`` or ``{}`` (the empty set)."""
-    stripped = text.strip()
-    if stripped in ("{}", ""):
+    if text.strip() in ("{}", ""):
         return IntervalSet.of(())
     parts: list[Interval] = []
     pos = 0
@@ -348,12 +373,10 @@ def parse_interval_set(text: str) -> IntervalSet:
             raise ParseError(
                 "expected an interval like '(a, b)'", SourceSpan(pos, len(text))
             )
-        lo_txt, hi_txt = m.group(2), m.group(3)
-        lo_closed = m.group(1) == "["
-        hi_closed = m.group(4) == "]"
         span = SourceSpan(m.start(1), m.end(4))
-        lo = None if lo_txt == "-inf" else _parse_rational(lo_txt, span)
-        hi = None if hi_txt == "inf" else _parse_rational(hi_txt, span)
+        lo_closed, hi_closed = m.group(1) == "[", m.group(4) == "]"
+        lo = None if m.group(2) == "-inf" else _rational(m, 2)
+        hi = None if m.group(3) == "inf" else _rational(m, 3)
         if lo is None and lo_closed:
             raise ParseError("'-inf' endpoint cannot be closed", span)
         if hi is None and hi_closed:
@@ -365,130 +388,94 @@ def parse_interval_set(text: str) -> IntervalSet:
         pos = m.end()
         rest = text[pos:].lstrip()
         if not rest:
-            break
+            return IntervalSet.of(parts)
         if not rest.startswith("u"):
             raise ParseError(
                 "expected 'u' between intervals", SourceSpan(pos, len(text))
             )
-        pos = pos + text[pos:].index("u") + 1
-    return IntervalSet.of(parts)
+        pos = len(text) - len(rest) + 1
 
 
 # --------------------------------------------------------------------------
-# affine expressions over x
+# affine expressions over x, guards, maps
 
-_AFFINE_TOKEN_RE = re.compile(r"(\d+(?:\.\d+)?(?:/\d+)?|[x*/+-])")
+_AFFINE_TOKEN_RE = re.compile(rf"\s*(?:({_RATIONAL}|[x*/+-])|(\S))")
 
 
 def _parse_affine(text: str, base: int) -> tuple[Fraction, Fraction]:
-    """Parse a one-variable affine expression like '2*x - 1' or 'x/3'."""
-    tokens: list[tuple[str, int]] = []
-    i = 0
-    while i < len(text):
-        if text[i].isspace():
-            i += 1
-            continue
-        m = _AFFINE_TOKEN_RE.match(text, i)
-        if m is None:
+    """Slope and intercept of an expression like '2*x - 1' or 'x/3 + 1/2'.
+
+    A term is 'x' or 'c*x', either optionally divided by '/c', or a
+    constant 'c'; every term but the first needs its '+' or '-'.
+    """
+    tokens = []
+    for m in _AFFINE_TOKEN_RE.finditer(text):
+        if m.group(2):
             raise ParseError(
-                f"unexpected character {text[i]!r} in expression",
-                SourceSpan(base + i, base + i + 1),
+                f"unexpected character {m.group(2)!r} in expression",
+                _group_span(m, 2, base),
             )
-        tokens.append((m.group(0), i))
-        i = m.end()
+        tokens.append(m)
 
-    slope = Fraction(0)
-    intercept = Fraction(0)
-    pos = 0
+    def kind(i: int) -> str:
+        return tokens[i].group(1) if i < len(tokens) else ""
 
-    def error(msg: str, at: int) -> ParseError:
-        return ParseError(msg, SourceSpan(base + at, base + at + 1))
+    def fail(message: str, i: int):
+        at = base + (tokens[i].start(1) if i < len(tokens) else len(text))
+        raise ParseError(message, SourceSpan(at, at + 1))
 
-    def take_number() -> Fraction:
-        nonlocal pos
-        if pos >= len(tokens) or tokens[pos][0] in "x*/+-":
-            at = tokens[pos][1] if pos < len(tokens) else len(text)
-            raise error("expected a number", at)
-        value = Fraction(tokens[pos][0])
-        pos += 1
-        return value
+    def number(i: int) -> Fraction:
+        if not kind(i)[:1].isdigit():
+            fail("expected a number", i)
+        return _rational(tokens[i], 1, base)
 
-    def take_term(sign: int) -> None:
-        nonlocal slope, intercept, pos
-        if pos >= len(tokens):
-            raise error("expected a term", len(text))
-        tok, at = tokens[pos]
-        if tok == "x":
-            pos += 1
+    slope = intercept = Fraction(0)
+    sign, i = (-1 if kind(0) == "-" else 1), int(kind(0) in ("+", "-"))
+    while True:
+        if i == len(tokens):
+            fail("expected a term", i)
+        if kind(i) != "x" and kind(i + 1) != "*":
+            intercept += sign * number(i)
+            i += 1
+        else:
             coeff = Fraction(1)
-        else:
-            coeff = take_number()
-            if pos < len(tokens) and tokens[pos][0] == "*":
-                pos += 1
-                if pos >= len(tokens) or tokens[pos][0] != "x":
-                    raise error("expected 'x' after '*'", at)
-                pos += 1
-            else:
-                intercept += sign * coeff
-                return
-        # optional divisor after x
-        if pos < len(tokens) and tokens[pos][0] == "/":
-            pos += 1
-            coeff /= take_number()
-        slope += sign * coeff
-
-    sign = 1
-    if tokens and tokens[0][0] in "+-":
-        sign = -1 if tokens[0][0] == "-" else 1
-        pos = 1
-    take_term(sign)
-    while pos < len(tokens):
-        tok, at = tokens[pos]
-        if tok == "+":
-            pos += 1
-            take_term(1)
-        elif tok == "-":
-            pos += 1
-            take_term(-1)
-        else:
-            raise error(f"unexpected {tok!r} in expression", at)
-    return slope, intercept
+            if kind(i) != "x":
+                coeff = number(i)
+                if kind(i + 2) != "x":
+                    fail("expected 'x' after '*'", i)
+                i += 2
+            i += 1
+            if kind(i) == "/":
+                divisor = number(i + 1)
+                coeff = _divide(coeff, divisor, _group_span(tokens[i + 1], 1, base))
+                i += 2
+            slope += sign * coeff
+        if i == len(tokens):
+            return slope, intercept
+        if kind(i) not in ("+", "-"):
+            fail(f"unexpected {kind(i)!r} in expression", i)
+        sign, i = (-1 if kind(i) == "-" else 1), i + 1
 
 
-# --------------------------------------------------------------------------
-# real system files
-
-_GUARD_SIMPLE_RE = re.compile(
-    r"\s*x\s*(<=|<|>=|>)\s*(-?\d+(?:\.\d+)?(?:/\d+)?)\s*\Z"
-)
-_GUARD_RANGE_RE = re.compile(
-    r"\s*(-?\d+(?:\.\d+)?(?:/\d+)?)\s*(<=|<)\s*x\s*(<=|<)\s*"
-    r"(-?\d+(?:\.\d+)?(?:/\d+)?)\s*\Z"
+_GUARD_RE = re.compile(
+    rf"\s*(?:x\s*(>=?)\s*({_SIGNED})"
+    rf"|(?:({_SIGNED})\s*(<=?)\s*)?x\s*(<=?)\s*({_SIGNED}))\s*\Z"
 )
 
 
 def _parse_guard(text: str, base: int) -> Interval:
     span = SourceSpan(base, base + len(text))
-    m = _GUARD_SIMPLE_RE.match(text)
-    if m is not None:
-        bound = Fraction(m.group(2))
-        op = m.group(1)
-        if op == "<=":
-            return make_interval(None, False, bound, True)
-        if op == "<":
-            return make_interval(None, False, bound, False)
-        if op == ">=":
-            return make_interval(bound, True, None, False)
-        return make_interval(bound, False, None, False)
-    m = _GUARD_RANGE_RE.match(text)
-    if m is not None:
-        lo = Fraction(m.group(1))
-        hi = Fraction(m.group(4))
-        made = make_interval(lo, m.group(2) == "<=", hi, m.group(3) == "<=")
-        if made is None:
-            raise ParseError("guard describes an empty set", span)
-        return made
-    raise ParseError("expected a guard like 'x<=0' or '0<x<=1'", span)
+    m = _GUARD_RE.match(text)
+    if m is None:
+        raise ParseError("expected a guard like 'x<=0' or '0<x<=1'", span)
+    above, lo, lo_op, hi_op = m.group(1, 3, 4, 5)
+    if above:
+        return make_interval(_rational(m, 2, base), above == ">=", None, False)
+    lo = None if lo is None else _rational(m, 3, base)
+    made = make_interval(lo, lo_op == "<=", _rational(m, 6, base), hi_op == "<=")
+    if made is None:
+        raise ParseError("guard describes an empty set", span)
+    return made
 
 
 def _build_map(
@@ -516,31 +503,28 @@ def _build_map(
     )
 
 
-def _parse_map_line(rest: str, base: int, span: SourceSpan) -> PiecewiseAffineMap:
-    body = rest.strip()
-    shift = base + rest.index(body) if body else base
-    if body.startswith("piecewise"):
-        body = body[len("piecewise"):]
-        shift += len("piecewise")
-        pieces = []
-        offset = 0
-        for chunk in body.split(";"):
-            if ":" not in chunk:
-                raise ParseError(
-                    "expected 'guard : expression'",
-                    SourceSpan(shift + offset, shift + offset + len(chunk)),
-                )
-            guard_txt, _, expr_txt = chunk.partition(":")
-            guard = _parse_guard(guard_txt, shift + offset)
-            slope, icpt = _parse_affine(
-                expr_txt, shift + offset + len(guard_txt) + 1
+def _parse_map(rest: str, base: int, span: SourceSpan) -> PiecewiseAffineMap:
+    body = rest.lstrip()
+    start = base + len(rest) - len(body)
+    if not body.startswith("piecewise"):
+        return PiecewiseAffineMap.affine(*_parse_affine(body, start))
+    start += len("piecewise")
+    pieces = []
+    for chunk in body[len("piecewise"):].split(";"):
+        guard, colon, expr = chunk.partition(":")
+        if not colon:
+            raise ParseError(
+                "expected 'guard : expression'", SourceSpan(start, start + len(chunk))
             )
-            pieces.append((guard, slope, icpt))
-            offset += len(chunk) + 1
-        return _build_map(pieces, span)
-    slope, icpt = _parse_affine(body, shift)
-    return PiecewiseAffineMap.affine(slope, icpt)
+        pieces.append(
+            (_parse_guard(guard, start), *_parse_affine(expr, start + len(guard) + 1))
+        )
+        start += len(chunk) + 1
+    return _build_map(pieces, span)
 
+
+# --------------------------------------------------------------------------
+# real system files
 
 _CAP_NAMES = tuple(f.name for f in fields(EvalCaps))
 
@@ -570,29 +554,13 @@ def parse_real_system(text: str) -> RealSystem:
     pwmap: PiecewiseAffineMap | None = None
     valuation: dict[str, IntervalSet] = {}
     caps = EvalCaps()
-
-    for offset, body in _logical_lines(text):
-        span = _line_span(offset, body)
-        stripped = body.strip()
-        if ":" not in stripped:
-            raise ParseError("expected 'section: entries'", span)
-        head, _, rest = stripped.partition(":")
-        head = head.strip()
-        rest_base = offset + body.index(":") + 1
-        if head == "map":
+    for head, atom, rest, base, span in _sections(text):
+        if atom is not None:
+            valuation[atom] = _at(parse_interval_set, rest, base)
+        elif head == "map":
             if pwmap is not None:
                 raise ParseError("duplicate map section", span)
-            pwmap = _parse_map_line(rest, rest_base, span)
-        elif head.startswith("val"):
-            atom = head[3:].strip()
-            if not _NAME_RE.match(atom):
-                raise ParseError(f"bad atom name {atom!r}", span)
-            if atom in valuation:
-                raise ParseError(f"duplicate valuation for atom {atom!r}", span)
-            try:
-                valuation[atom] = parse_interval_set(rest)
-            except ParseError as err:
-                raise _shift(err, rest_base) from None
+            pwmap = _parse_map(rest, base, span)
         elif head == "caps":
             caps = parse_caps(rest.split(), span)
         else:
@@ -610,9 +578,31 @@ _DERIV_LINE_RE = re.compile(r"\s*(\d+)\.\s*(.*)\Z")
 _SUBST_RE = re.compile(r"\{(.*)\}\s*\Z", re.DOTALL)
 
 
+def _parse_subst(text: str, base: int, span: SourceSpan) -> dict[str, Formula]:
+    """The 'name := formula, ...' list inside braces; text starts at base."""
+    body = text.strip()
+    base += len(text) - len(text.lstrip())
+    subst: dict[str, Formula] = {}
+    if not body:
+        return subst
+    for part in body.split(","):
+        meta, bind, phi_txt = part.partition(":=")
+        if not bind:
+            raise ParseError(f"expected 'name := formula', found {part!r}", span)
+        phi_base = base + len(meta) + len(bind)
+        meta = meta.strip()
+        if not _NAME_RE.fullmatch(meta):
+            raise ParseError(f"bad metavariable {meta!r}", span)
+        if meta in subst:
+            raise ParseError(f"metavariable {meta!r} bound twice", span)
+        subst[meta] = _at(parse_formula, phi_txt, phi_base)
+        base += len(part) + 1
+    return subst
+
+
 def _parse_justification(text: str, base: int, line_no: int):
     stripped = text.strip()
-    shift = base + text.index(stripped) if stripped else base
+    shift = base + text.index(stripped)
     span = SourceSpan(shift, shift + len(stripped))
     if not stripped:
         raise ParseError("missing justification", span)
@@ -624,37 +614,18 @@ def _parse_justification(text: str, base: int, line_no: int):
         if not rest:
             raise ParseError("axiom justification needs a schema name", span)
         m = _SUBST_RE.search(rest)
-        subst = None
-        name = rest
+        name, subst = rest, None
         if m is not None:
             name = rest[: m.start()].strip()
-            subst = {}
-            body = m.group(1).strip()
-            if body:
-                for part in body.split(","):
-                    if ":=" not in part:
-                        raise ParseError(
-                            f"expected 'name := formula', found {part!r}", span
-                        )
-                    meta, _, phi_txt = part.partition(":=")
-                    meta = meta.strip()
-                    if not _NAME_RE.match(meta):
-                        raise ParseError(f"bad metavariable {meta!r}", span)
-                    if meta in subst:
-                        raise ParseError(
-                            f"metavariable {meta!r} bound twice", span
-                        )
-                    try:
-                        subst[meta] = parse_formula(phi_txt)
-                    except ParseError as err:
-                        raise _shift(err, shift + rest.index(phi_txt)) from None
+            rest_base = span.end - len(rest)
+            subst = _parse_subst(m.group(1), rest_base + m.start(1), span)
         if not name or " " in name:
             raise ParseError(f"bad schema name {name!r}", span)
         return AxiomJust(name, subst)
     # anything else is a rule name followed by premise line numbers
     premises = []
     for token in rest.split():
-        if not token.isdigit():
+        if not token.isdecimal():
             raise ParseError(
                 f"premise reference must be a line number, found {token!r}", span
             )
@@ -678,17 +649,52 @@ def parse_derivation(text: str) -> Derivation:
         number = int(m.group(1))
         if number != len(lines) + 1:
             raise ParseError(f"expected line number {len(lines) + 1}", span)
-        rest = m.group(2)
-        if ";" not in rest:
+        phi_txt, semi, just_txt = m.group(2).partition(";")
+        if not semi:
             raise ParseError("missing ';' before justification", span)
-        phi_txt, _, just_txt = rest.partition(";")
-        phi_base = offset + body.index(rest)
-        try:
-            phi = parse_formula(phi_txt)
-        except ParseError as err:
-            raise _shift(err, phi_base) from None
+        phi_base = offset + m.start(2)
+        phi = _at(parse_formula, phi_txt, phi_base)
         just = _parse_justification(just_txt, phi_base + len(phi_txt) + 1, number)
         lines.append(DerivationLine(number, phi, just, span))
     if not lines:
         raise ParseError("derivation has no lines", SourceSpan(0, len(text)))
     return Derivation(tuple(lines))
+
+
+# --------------------------------------------------------------------------
+# edge files
+
+# The fields of an edge line, in EdgeSpec's field order.
+_EDGE_KEYS = (
+    "from", "to", "style", "label", "formula",
+    "witness", "point", "derivation", "logic", "inclusion",
+)
+
+
+def parse_edges(text: str) -> list[EdgeSpec]:
+    """One edge per line, as ';'-separated 'key=value' fields.
+
+    'inclusion' holds comma-separated 'axiom:derivation' pairs, or nothing.
+    """
+    edges = []
+    for offset, body in _logical_lines(text):
+        entries: dict[str, tuple[str, int]] = {}  # key: (value, its offset)
+        start = offset
+        for part in body.split(";"):
+            key, sep, value = part.partition("=")
+            if part.strip():
+                lead = len(value) - len(value.lstrip())
+                entries[key.strip()] = (value.strip(), start + len(key) + len(sep) + lead)
+            start += len(part) + 1
+        missing = [key for key in _EDGE_KEYS if key not in entries]
+        if missing:
+            raise ParseError(
+                f"edge line is missing fields: {', '.join(missing)}",
+                _line_span(offset, body),
+            )
+        values = {key: entries[key][0] for key in _EDGE_KEYS}
+        values["formula"] = _at(parse_formula, *entries["formula"])
+        pairs = (item.strip().partition(":") for item in values["inclusion"].split(","))
+        values["inclusion"] = tuple((a, d) for a, _, d in pairs) if values["inclusion"] else ()
+        edges.append(EdgeSpec(*values.values()))
+    return edges

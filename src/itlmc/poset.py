@@ -240,15 +240,15 @@ def _valuation_masks(model: DynamicPoset, valuation: Mapping[str, Iterable[str]]
     return {atom: model.mask_of(ws) for atom, ws in valuation.items()}
 
 
-def eval_masks(model: DynamicPoset, val_masks: Mapping[str, int], phi: Formula) -> dict[Formula, int]:
-    """Low-level evaluator over bitmasks; returns the full subformula table.
+def eval_masks(model: DynamicPoset, val_masks: Mapping[str, int], phi: Formula) -> int:
+    """Low-level evaluator over bitmasks; returns the mask of phi.
 
     Atoms missing from the valuation denote the empty set. Requires a
     continuous step.
     """
     if not model.is_continuous:
         raise ContinuityRequired("evaluation requires a continuous (monotone) step")
-    nodes, program = walk(phi)
+    _, program = walk(phi)
     table: list[int] = []
     for op, a, b in program:
         if op is Atom:
@@ -283,7 +283,7 @@ def eval_masks(model: DynamicPoset, val_masks: Mapping[str, int], phi: Formula) 
             if op is WeakBox:
                 v = model.interior_mask(v)
         table.append(v)
-    return dict(zip(nodes, table))
+    return table[-1]
 
 
 def eval_sliced(
@@ -335,22 +335,13 @@ def eval_sliced(
     return table[-1]
 
 
-def eval_table(
-    model: DynamicPoset,
-    valuation: Mapping[str, Iterable[str]],
-    phi: Formula,
-) -> dict[Formula, frozenset[str]]:
-    masks = eval_masks(model, _valuation_masks(model, valuation), phi)
-    return {f: model.worlds_of(m) for f, m in masks.items()}
-
-
 def eval_formula(
     model: DynamicPoset,
     valuation: Mapping[str, Iterable[str]],
     phi: Formula,
 ) -> frozenset[str]:
     """Extension of phi: the set of worlds where phi holds."""
-    return eval_table(model, valuation, phi)[phi]
+    return model.worlds_of(eval_masks(model, _valuation_masks(model, valuation), phi))
 
 
 def eval_box_by_orbit(
@@ -363,7 +354,7 @@ def eval_box_by_orbit(
     Independent oracle: a world satisfies the box iff its entire forward
     orbit (finite, detected by revisit) stays inside the extension of phi.
     """
-    child = eval_masks(model, _valuation_masks(model, valuation), phi)[phi]
+    child = eval_masks(model, _valuation_masks(model, valuation), phi)
     out = 0
     for i in range(model.n):
         j = i

@@ -209,7 +209,7 @@ def validity(phi: Formula, semclass: SemanticClass) -> Verdict:
         v = (failing & -failing).bit_length() - 1
         assignment = next(islice(product(upsets, repeat=len(names)), v, None))
         masks = dict(zip(names, assignment))
-        ext = eval_masks(model, masks, phi)[phi]
+        ext = eval_masks(model, masks, phi)
         if ext != sum(((row >> v) & 1) << i for i, row in enumerate(top)):
             raise AssertionError("sliced evaluator and mask evaluator disagree")
         world = next(w for i, w in enumerate(model.worlds) if not (ext >> i) & 1)
@@ -315,6 +315,8 @@ def _verify_witness(edge: EdgeSpec, corpus) -> tuple[str, str]:
         tag = "poset-p" if model.is_open else "poset-e"
         if tag not in sound_for:
             return "failed", f"witness structure {tag} is not sound for {edge.source}"
+        if edge.point not in model.index:
+            return "failed", f"point {edge.point!r} is not a world of {edge.witness}"
         ext = eval_formula(model, valuation, edge.formula)
         if edge.point in ext:
             return "failed", f"formula holds at {edge.point}"
@@ -327,7 +329,10 @@ def _verify_witness(edge: EdgeSpec, corpus) -> tuple[str, str]:
         outcome = eval_real(system, edge.formula)
         if outcome.status is Status.UNDETERMINED or outcome.value is None:
             return "failed", "witness evaluation is undetermined"
-        point = Fraction(edge.point)
+        try:
+            point = Fraction(edge.point)
+        except (ValueError, ZeroDivisionError):
+            return "failed", f"point {edge.point!r} is not a rational number"
         if outcome.value.contains(point):
             return "failed", f"formula holds at {edge.point}"
         return "verified", f"falsified at {edge.point} on {edge.witness} ({tag})"

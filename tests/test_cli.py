@@ -1,4 +1,5 @@
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -144,12 +145,23 @@ def test_countermodel_output_is_independent_of_hash_seed():
 
 
 def test_internal_error_is_not_a_verdict(capsys):
+    # RealOutcome.table is keyed by Formula, whose hash recurses (ROADMAP item 3)
     deep = "O " * 990 + "p"
-    code, out, err = run(capsys, "validate", "--class", "e", "--bound", "1", deep)
+    code, out, err = run(
+        capsys, "real-check", "--system", "corpus/real/r-const.rds", deep
+    )
     assert code == 4
     assert out == ""
     assert err.startswith("internal error: RecursionError: ")
     assert err.count("\n") == 1
+
+
+def test_deep_formulas_get_a_verdict(capsys):
+    deep = "O " * 2000 + "p"
+    code, out, _ = run(capsys, "check", "--model", "corpus/poset/fig4-fs.dpm", deep)
+    assert code == 1 and "falsified at: w\n" in out
+    code, out, _ = run(capsys, "validate", "--class", "e", "--bound", "2", deep)
+    assert code == 1 and out.startswith("countermodel:\n")
 
 
 def test_validate_bound_too_large_exits_3(capsys):
@@ -204,3 +216,62 @@ def test_separate_runs_clean(capsys):
     code, out, _ = run(capsys, "separate")
     assert code == 0
     assert "18/18 edges verified" in out
+
+
+@pytest.mark.parametrize("text, start, end", [
+    ("map: x/0\n", 7, 8),
+    ("map: 1/0*x\n", 5, 8),
+    ("map: piecewise x<=1/0 : 0 ; x>1/0 : x\n", 18, 21),
+    ("map: x\nval p: (0, 1/0)\n", 18, 21),
+])
+def test_real_check_zero_denominator_exits_3(capsys, tmp_path, text, start, end):
+    system = tmp_path / "zero.rds"
+    system.write_text(text)
+    code, out, err = run(capsys, "real-check", "--system", str(system), "p")
+    assert code == 3 and out == ""
+    assert err == f"error: division by zero (at {start}..{end})\n"
+
+
+def _corpus_with_edges(tmp_path, edit):
+    root = tmp_path / "corpus"
+    shutil.copytree(CORPUS, root)
+    edges = root / "edge" / "fig6-edges.edg"
+    edges.write_text(edit(edges.read_text()))
+    return root
+
+
+def test_separate_malformed_edge_file_exits_3(capsys, tmp_path):
+    # the first edge line loses its 'point' field
+    root = _corpus_with_edges(tmp_path, lambda t: t.replace(" point=w;", "", 1))
+    text = (root / "edge" / "fig6-edges.edg").read_text()
+    start = text.index("from=")
+    end = text.index("\n", start)
+    code, out, err = run(capsys, "separate", "--corpus", str(root))
+    assert code == 3 and out == ""
+    assert err == f"error: edge line is missing fields: point (at {start}..{end})\n"
+
+
+def test_separate_bad_edge_formula_reports_a_file_offset(capsys, tmp_path):
+    root = _corpus_with_edges(
+        tmp_path, lambda t: t.replace("formula=(O p -> O q)", "formula=(O p -> & q)", 1)
+    )
+    text = (root / "edge" / "fig6-edges.edg").read_text()
+    at = text.index("& q)")
+    code, _, err = run(capsys, "separate", "--corpus", str(root))
+    assert code == 3
+    assert err == (
+        "error: expected an atom, 'false' or '(', found '&'"
+        f" (at {at}..{at + 1})\n"
+    )
+
+
+def test_separate_fails_edges_whose_point_is_not_in_the_witness(capsys, tmp_path):
+    root = _corpus_with_edges(
+        tmp_path,
+        lambda t: t.replace("point=w;", "point=zzz;", 1).replace("point=-1;", "point=abc;", 1),
+    )
+    code, out, _ = run(capsys, "separate", "--corpus", str(root))
+    assert code == 1
+    assert "point 'zzz' is not a world of fig4-fs" in out
+    assert "point 'abc' is not a rational number" in out
+    assert out.endswith("16/18 edges verified\n")

@@ -1,6 +1,8 @@
 import shutil
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
 
 from itlmc import (
     Corpus,
@@ -11,6 +13,7 @@ from itlmc import (
     UnknownEntry,
     paper_suite,
 )
+from itlmc.cli import INPUT_ERRORS
 
 
 @pytest.fixture(scope="module")
@@ -77,3 +80,35 @@ def test_paper_suite_filter(corpus):
     everything = paper_suite(corpus)
     assert len(everything) == 25
     assert all(result.ok for _, result in everything)
+
+
+# One-character edits of a bundled file: (operation, position, character).
+_EDIT = st.tuples(
+    st.sampled_from(("insert", "delete", "replace")),
+    st.integers(0, 4000),
+    st.sampled_from("0123456789/#:;=,x*-< \n"),
+)
+_ENTRIES = sorted(entry.id for entry in Corpus().entries())
+_SHIFT_MAP = Corpus().text_of("r-shift").index("x + 1")
+_FIRST_EDGE_FIELD = Corpus().text_of("fig6-edges").index("; to=")
+
+
+def _edited(text: str, edits) -> str:
+    for op, at, char in edits:
+        at %= len(text) + 1
+        text = text[:at] + ("" if op == "delete" else char) + text[at + (op != "insert"):]
+    return text
+
+
+@settings(max_examples=400, deadline=None)
+@example("r-shift", [("replace", _SHIFT_MAP + 2, "/"), ("replace", _SHIFT_MAP + 4, "0")])
+@example("fig6-edges", [("delete", _FIRST_EDGE_FIELD, " ")])
+@given(st.sampled_from(_ENTRIES), st.lists(_EDIT, min_size=1, max_size=3))
+def test_edited_corpus_files_raise_only_input_errors(entry_id, edits):
+    corpus = Corpus()
+    text = _edited(corpus.text_of(entry_id), edits)
+    corpus.text_of = lambda _: text
+    try:
+        corpus.load(entry_id)
+    except INPUT_ERRORS:
+        pass

@@ -4,6 +4,7 @@ import pytest
 
 from itlmc import (
     ALL_SCHEMAS,
+    And,
     Atom,
     Derivation,
     DerivationLine,
@@ -11,6 +12,7 @@ from itlmc import (
     Implies,
     LOGICS,
     MixedBoxes,
+    Next,
     StrongBox,
     UnknownLogic,
     check,
@@ -79,12 +81,16 @@ def test_tense_subformulas_are_abstracted_not_unfolded():
 
 
 def test_placeholders_never_equal_an_atom_of_the_formula():
-    # identifiers may contain '#', so a placeholder must avoid them all
-    for text in ("#0 -> O p", "O p -> #1", "## -> ##0 -> O p", "O p -> O q"):
-        assert not is_ipc_tautology(parse_formula(text)), text
-    assert is_ipc_tautology(parse_formula("#0 & O p -> O p & #0"))
-    # '#' starts a comment in derivation files, so build the line directly
-    line = DerivationLine(1, parse_formula("#0 -> O p"), IpcTaut())
+    # '#' is no identifier character, but library callers can still build
+    # such atoms, so a placeholder must avoid them all
+    h0, h1, hh, hh0 = Atom("#0"), Atom("#1"), Atom("##"), Atom("##0")
+    op = Next(P)
+    for phi in (
+        Implies(h0, op), Implies(op, h1), Implies(hh, Implies(hh0, op)), Implies(op, Next(Q))
+    ):
+        assert not is_ipc_tautology(phi), phi
+    assert is_ipc_tautology(Implies(And(h0, op), And(op, h0)))
+    line = DerivationLine(1, Implies(h0, op), IpcTaut())
     assert not check(Derivation((line,)), get_logic("ITL.db")).ok
 
 

@@ -18,6 +18,7 @@ from itlmc import (
     WeakBox,
     interval,
     parse_derivation,
+    parse_edges,
     parse_formula,
     parse_interval_set,
     parse_poset_model,
@@ -353,3 +354,223 @@ def test_derivation_substitution_parse():
     assert just.subst == {"phi": P}
     bare = parse_derivation("1. O false -> false ; axiom ii\n")
     assert bare.lines[0].justification.subst is None
+
+
+# -- pinned file-format errors ----------------------------------------------
+
+# (input, message, span start, span end) for every ParseError a poset model,
+# real system or derivation file can raise; spans are offsets into the file.
+_MALFORMED_POSET_MODELS = [
+    ('worlds a\n', "expected 'section: entries'", 0, 8),
+    ('  worlds: a\n  bogus: x  \n', "unknown section 'bogus'", 14, 22),
+    ('worlds: a\nworlds: b\n', 'duplicate worlds section', 10, 19),
+    ('worlds: a 1b\n', "bad world name '1b'", 0, 12),
+    ('worlds: a\norder: a<b\n', "expected 'a<=b', found 'a<b'", 10, 20),
+    ('worlds: a b\norder: <=b\n', "expected 'a<=b', found '<=b'", 12, 22),
+    ('worlds: a b\norder: a<=\n', "expected 'a<=b', found 'a<='", 12, 22),
+    ('worlds: a\nstep: a->\n', "expected 'a->b', found 'a->'", 10, 19),
+    ('worlds: a\nstep: a\n', "expected 'a->b', found 'a'", 10, 17),
+    ('worlds: a\nstep: a->a a->a\n', "duplicate step for world 'a'", 10, 25),
+    ('worlds: a\nstep: a->a\nval 1p: a\n', "bad atom name '1p'", 21, 30),
+    ('worlds: a\nstep: a->a\nval: a\n', "bad atom name ''", 21, 27),
+    ('worlds: a\nstep: a->a\nval p: a\nval p: a\n', "duplicate valuation for atom 'p'", 30, 38),
+    ('worlds: a\nstep: a->a\nval p q: a\n', "bad atom name 'p q'", 21, 31),
+    ('order:\nstep:\n', 'at least one world required', 0, 13),
+    ('# only a comment\n', 'at least one world required', 0, 17),
+    ('worlds:\n', 'at least one world required', 0, 8),
+    ('worlds: a\nstep: a->a\nval p: b\n', "valuation of 'p' mentions unknown world 'b'", 0, 30),
+    ('worlds: a # c: d\n  foo # bar: baz\n', "expected 'section: entries'", 19, 22),
+    ('worlds: a\r\nfoo\r\n', "expected 'section: entries'", 11, 14),
+    ('\tworlds: a\n\tstep a->a\t\n', "expected 'section: entries'", 12, 21),
+]
+_MALFORMED_REAL_SYSTEMS = [
+    ('map x\n', "expected 'section: entries'", 0, 5),
+    ('map: x\nmap: x\n', 'duplicate map section', 7, 13),
+    ('val p: (0, 1)\n', 'a map section is required', 0, 14),
+    ('# nothing\n', 'a map section is required', 0, 10),
+    ('map: x\nfoo: 1\n', "unknown section 'foo'", 7, 13),
+    ('map: x\nval 2: (0, 1)\n', "bad atom name '2'", 7, 20),
+    ('map: x\nval p: (0, 1)\nval p: (0, 1)\n', "duplicate valuation for atom 'p'", 21, 34),
+    ('map: x\ncaps: iter\n', "expected 'name=value', found 'iter'", 7, 17),
+    ('map: x\ncaps: foo=1\n', "unknown cap 'foo'", 7, 18),
+    ('map: x\ncaps: iter=x\n', "cap 'iter' needs a non-negative integer (digits only, 0 allowed), found 'x'", 7, 19),
+    ('map: x\ncaps: iter=-1\n', "cap 'iter' needs a non-negative integer (digits only, 0 allowed), found '-1'", 7, 20),
+    ('map: x\nval p: (0 1)\n', "expected an interval like '(a, b)'", 13, 19),
+    ('map: x\nval p:   (0 1)   \n', "expected an interval like '(a, b)'", 13, 21),
+    ('map: x\nval p: [-inf, 0)\n', "'-inf' endpoint cannot be closed", 14, 23),
+    ('map: x\nval p: (0, inf]\n', "'inf' endpoint cannot be closed", 14, 22),
+    ('map: x\nval p: (1, 0)\n', 'interval is empty', 14, 20),
+    ('map: x\nval p: [1, 1)\n', 'interval is empty', 14, 20),
+    ('map: x\nval p: (0, 1) v (2, 3)\n', "expected 'u' between intervals", 20, 29),
+    ('map: x\nval p: (0, 1) u\n', "expected an interval like '(a, b)'", 22, 22),
+    ('map: x\nval p: (0, 1) u (2 3)\n', "expected an interval like '(a, b)'", 22, 28),
+    ('map: x\nval p: (0, 1) u (3, 2)  # comment\n', 'interval is empty', 23, 29),
+    ('map: x\nval p: 0, 1\n', "expected an interval like '(a, b)'", 13, 18),
+    ('map: x\nval p: (0,1)(1,2)\n', "expected 'u' between intervals", 19, 24),
+    ('map: x $\n', "unexpected character '$' in expression", 7, 8),
+    ('map: 2 3\n', "unexpected '3' in expression", 7, 8),
+    ('map:\n', 'expected a term', 4, 5),
+    ('map:    \n', 'expected a term', 4, 5),
+    ('map: x +\n', 'expected a term', 8, 9),
+    ('map: *x\n', 'expected a number', 5, 6),
+    ('map: 2*3\n', "expected 'x' after '*'", 5, 6),
+    ('map: 2 * \n', "expected 'x' after '*'", 5, 6),
+    ('map: x/\n', 'expected a number', 7, 8),
+    ('map: x/x\n', 'expected a number', 7, 8),
+    ('map: - - x\n', 'expected a number', 7, 8),
+    ('map: 1.x\n', "unexpected character '.' in expression", 6, 7),
+    ('map: .5\n', "unexpected character '.' in expression", 5, 6),
+    ('map: 2 / 3\n', "unexpected '/' in expression", 7, 8),
+    ('map: x 12/5\n', "unexpected '12/5' in expression", 7, 8),
+    ('map: x x\n', "unexpected 'x' in expression", 7, 8),
+    ('map: 2x\n', "unexpected 'x' in expression", 6, 7),
+    ('map: x2\n', "unexpected '2' in expression", 6, 7),
+    ('map: 1/23.5\n', "unexpected character '.' in expression", 9, 10),
+    ('map: 3 + -x\n', 'expected a number', 9, 10),
+    ('map: x * 2\n', "unexpected '*' in expression", 7, 8),
+    ('map: 2*x/\n', 'expected a number', 9, 10),
+    ('map: 2*x/+\n', 'expected a number', 9, 10),
+    ('map: y\n', "unexpected character 'y' in expression", 5, 6),
+    ('map: +\n', 'expected a term', 6, 7),
+    ('map: x -\n', 'expected a term', 8, 9),
+    ('map: x + 1 +\n', 'expected a term', 12, 13),
+    ('map: piecewise x : 0\n', "expected a guard like 'x<=0' or '0<x<=1'", 14, 17),
+    ('map: piecewise x<=0 0 ; x>0 : x\n', "expected 'guard : expression'", 14, 22),
+    ('map: piecewise\n', "expected 'guard : expression'", 14, 14),
+    ('map: piecewise 1<x<0 : 0 ; x>0 : x\n', 'guard describes an empty set', 14, 21),
+    ('map: piecewise 1<=x<=0 : 0\n', 'guard describes an empty set', 14, 23),
+    ('map: piecewise x>0 : x\n', 'first piece must extend to -inf', 0, 22),
+    ('map: piecewise x<=0 : 0\n', 'last piece must extend to inf', 0, 23),
+    ('map: piecewise x<=0 : 0 ; x>1 : x\n', 'pieces must tile the whole line', 0, 33),
+    ('map: piecewise x<0 : 0 ; x>0 : x\n', 'boundary 0 must belong to exactly one piece', 0, 32),
+    ('map: piecewise x<=0 : 0 ; x>=0 : x\n', 'boundary 0 must belong to exactly one piece', 0, 34),
+    ('map: piecewise x<=0 : 0 ; 0<x<=1 : x ; x>1 : $\n', "unexpected character '$' in expression", 45, 46),
+    ('map: piecewise x<=0 : 0 ; 0<x<=1 : x ; x>1 : 2 *\n', "expected 'x' after '*'", 45, 46),
+    ('map: piecewise x<=0 : 0 ; 0<x>1 : x\n', "expected a guard like 'x<=0' or '0<x<=1'", 25, 32),
+    ('map: piecewise x=<0 : 0 ; x>0 : x\n', "expected a guard like 'x<=0' or '0<x<=1'", 14, 20),
+    ('map: piecewise x<=0 : 0 ; x>0 : x ;\n', "expected 'guard : expression'", 35, 35),
+    ('map: piecewise x<=0 : 0 ;; x>0 : x\n', "expected 'guard : expression'", 25, 25),
+    ('map:piecewise x<=0:0;x>0:x;x>1:x\n', 'pieces must tile the whole line', 0, 32),
+    ('   map :  piecewise  x <= 0 : 0  ;  x > 0 : 2 * x  $\n', "unexpected character '$' in expression", 51, 52),
+]
+_MALFORMED_DERIVATIONS = [
+    ('p ; ipc-taut\n', "expected '<n>. <formula> ; <justification>'", 0, 12),
+    ('2. p ; ipc-taut\n', 'expected line number 1', 0, 15),
+    ('1. p -> p ; ipc-taut\n1. p ; ipc-taut\n', 'expected line number 2', 21, 36),
+    ('1. p ipc-taut\n', "missing ';' before justification", 0, 13),
+    ('1. p -> #q ; ipc-taut\n', "missing ';' before justification", 0, 7),
+    ('1. p & ; ipc-taut\n', "expected an atom, 'false' or '(', found '<end>'", 7, 7),
+    ('   1.   p -> (q ; ipc-taut\n', "expected ')', found '<end>'", 16, 16),
+    ('1. p ;\n', 'missing justification', 6, 6),
+    ('1. p ;   \n', 'missing justification', 6, 6),
+    ('1. p ; axiom\n', 'axiom justification needs a schema name', 7, 12),
+    ('1. p ; axiom   \n', 'axiom justification needs a schema name', 7, 12),
+    ('1. p ; axiom ix {phi}\n', "expected 'name := formula', found 'phi'", 7, 21),
+    ('1. p ; axiom ix {1x:=p}\n', "bad metavariable '1x'", 7, 23),
+    ('1. p ; axiom ix {phi:=p, phi:=q}\n', "metavariable 'phi' bound twice", 7, 32),
+    ('1. p ; axiom ix {phi:=p,}\n', "expected 'name := formula', found ''", 7, 25),
+    ('1. p ; axiom {phi:=p}\n', "bad schema name ''", 7, 21),
+    ('1. p ; axiom a b\n', "bad schema name 'a b'", 7, 16),
+    ('1. p ; axiom a b {phi:=p}\n', "bad schema name 'a b'", 7, 25),
+    ('1. p ; mp x\n', "premise reference must be a line number, found 'x'", 7, 11),
+    ('1. p ; mp 1\n', 'line 1 references line 1, which does not precede it', 7, 11),
+    ('1. p ; mp 0\n', 'line 1 references line 0, which does not precede it', 7, 11),
+    ('1. p -> p ; ipc-taut\n2. p ; mp 1 3\n', 'line 2 references line 3, which does not precede it', 28, 34),
+    ('', 'derivation has no lines', 0, 0),
+    ('# only\n   \n', 'derivation has no lines', 0, 11),
+    ('1 p ; ipc-taut\n', "expected '<n>. <formula> ; <justification>'", 0, 14),
+    ('1. p ; ipc-taut ; more\n', "premise reference must be a line number, found ';'", 7, 22),
+    ('1.p;mp 1\n', 'line 1 references line 1, which does not precede it', 4, 8),
+    ('1. p ; axiom ix {phi:=p} x\n', "bad schema name 'ix {phi:=p} x'", 7, 26),
+]
+
+_MALFORMED_FILES = (
+    [(parse_poset_model, *case) for case in _MALFORMED_POSET_MODELS]
+    + [(parse_real_system, *case) for case in _MALFORMED_REAL_SYSTEMS]
+    + [(parse_derivation, *case) for case in _MALFORMED_DERIVATIONS]
+)
+
+
+def _error_of(parse, text):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    return err.value.message, err.value.span.start, err.value.span.end
+
+
+@pytest.mark.parametrize("parse, text, message, start, end", _MALFORMED_FILES)
+def test_file_error_messages_and_spans_are_pinned(parse, text, message, start, end):
+    assert _error_of(parse, text) == (message, start, end)
+
+
+def test_substitution_errors_point_into_the_substitution():
+    for text, message, start, end in [
+        ("1. p ; axiom ix {phi:=&}\n", "expected an atom, 'false' or '(', found '&'", 22, 23),
+        ("1. p ; axiom ix {phi:=p, psi:=&}\n", "expected an atom, 'false' or '(', found '&'", 30, 31),
+        ("1. p ; axiom a&b {phi:=&}\n", "expected an atom, 'false' or '(', found '&'", 23, 24),
+        ("1. p ;   axiom   ix  {  phi :=  ( }\n", "expected an atom, 'false' or '(', found '<end>'", 33, 33),
+        ("1. p ; axiom ix { phi := p ,psi:= q r}\n", "unexpected 'r' after formula", 36, 37),
+    ]:
+        assert _error_of(parse_derivation, text) == (message, start, end), text
+
+
+def test_rational_literals():
+    system = parse_real_system("map: 1.5/2*x + 0.25\nval p: (-3/2, 1.5/3)\n")
+    assert system.map.pieces == ((Fraction(3, 4), Fraction(1, 4)),)
+    assert system.valuation["p"] == interval(Fraction(-3, 2), Fraction(1, 2))
+    assert parse_real_system("map: x/1/2\n").map.pieces == ((2, 0),)
+
+
+def test_premise_references_are_decimal_numbers():
+    assert _error_of(parse_derivation, "1. p ; mp \u00b2\n") == (
+        "premise reference must be a line number, found '\u00b2'", 7, 11
+    )
+
+
+def test_hash_starts_a_comment_and_is_no_name_character():
+    assert _error_of(parse_formula, "p -> #q") == ("unexpected character '#'", 5, 6)
+    model, _ = parse_poset_model("worlds: a#b\nstep: a->a # c\n")
+    assert model.worlds == ("a",)
+    assert parse_real_system("map: x # + 1\n").map.pieces == ((1, 0),)
+    deriv = parse_derivation("1. p -> p ; ipc-taut #1\n2. p ; mp 1#2\n")
+    assert deriv.lines[1].justification.premises == (1,)
+    assert _error_of(parse_derivation, "1. p -> #q ; ipc-taut\n") == (
+        "missing ';' before justification", 0, 7
+    )
+
+
+# -- edge files --------------------------------------------------------------
+
+_EDGE = (
+    "from=A; to=B; style=solid; label=l; formula=O p -> p; witness=w;"
+    " point=x; derivation=d; logic=L.db; inclusion="
+)
+
+
+def test_parse_edges():
+    text = f"# header\n\n  {_EDGE}a:d1, b:d2 # trailing comment\n{_EDGE}\n"
+    first, second = parse_edges(text)
+    assert (first.source, first.target, first.style, first.label) == ("A", "B", "solid", "l")
+    assert first.formula == Implies(Next(P), P)
+    assert (first.witness, first.point, first.derivation, first.logic) == ("w", "x", "d", "L.db")
+    assert first.inclusion == (("a", "d1"), ("b", "d2"))
+    assert second.inclusion == ()
+
+
+# (input, message, span start, span end): spans are offsets into the file.
+_MALFORMED_EDGES = [
+    ("from=A; to=B\n", "edge line is missing fields: style, label, formula,"
+     " witness, point, derivation, logic, inclusion", 0, 12),
+    ("# c\n  " + _EDGE.replace(" point=x;", "") + "  # c\n",
+     "edge line is missing fields: point", 6, 107),
+    (_EDGE.replace("formula=O p -> p", "formula =  O p -> &"), "expected an atom,"
+     " 'false' or '(', found '&'", 54, 55),
+    (_EDGE + "\n" + _EDGE.replace("O p -> p", "p q"),
+     "unexpected 'q' after formula", 157, 158),
+    (_EDGE.replace("formula=O p -> p;", "formula;"), "expected an atom, 'false'"
+     " or '(', found '<end>'", 43, 43),
+]
+
+
+@pytest.mark.parametrize("text, message, start, end", _MALFORMED_EDGES)
+def test_edge_error_messages_and_spans_are_pinned(text, message, start, end):
+    assert _error_of(parse_edges, text) == (message, start, end)

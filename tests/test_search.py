@@ -229,7 +229,7 @@ def test_sliced_rows_match_mask_evaluator(phi, seed):
     assert full == (1 << len(upsets) ** len(names)) - 1
     assert all(row <= full for row in top)
     for v, assignment in enumerate(product(upsets, repeat=len(names))):
-        ext = eval_masks(model, dict(zip(names, assignment)), phi)[phi]
+        ext = eval_masks(model, dict(zip(names, assignment)), phi)
         assert [(row >> v) & 1 for row in top] == [
             (ext >> i) & 1 for i in range(model.n)
         ]
