@@ -8,7 +8,9 @@ The default configuration mirrors the acceptance run (bound 3).  Pass
 import argparse
 import time
 
-from itlmc import Countermodel, LOGICS, SemanticClass, print_poset_model, soundness_sweep
+from itlmc import (
+    Countermodel, LOGICS, SOUND_STRUCTURES, SemanticClass, print_poset_model, soundness_sweep,
+)
 
 DEFAULT = ["ITL.db", "ITL.dw", "CDTL.db", "CDTL.b", "CDTL+.db"]
 
@@ -19,7 +21,7 @@ def main() -> int:
     parser.add_argument("--bound", type=int, default=3)
     parser.add_argument(
         "--semclass", choices=("e", "p"), default=None,
-        help="force one class; default: p for persistent-only logics, else e",
+        help="force one class; default: e where the base logic is sound for it, else p",
     )
     parser.add_argument("--show-countermodels", action="store_true")
     args = parser.parse_args()
@@ -27,7 +29,7 @@ def main() -> int:
     failures = 0
     for name in args.logics:
         logic = LOGICS[name]
-        kind = args.semclass or ("p" if name.startswith(("ITL+", "ETL+", "CDTL+", "RTL")) else "e")
+        kind = args.semclass or ("e" if "poset-e" in SOUND_STRUCTURES[logic.base_name] else "p")
         semclass = SemanticClass(kind, args.bound)
         start = time.perf_counter()
         results = soundness_sweep(logic, semclass)

@@ -275,7 +275,7 @@ def _sections(text: str):
         base = offset + len(head) + 1
         head = head.strip()
         atom = None
-        if head.startswith("val"):
+        if head.split(None, 1)[:1] == ["val"]:
             atom = head[3:].strip()
             if not _NAME_RE.fullmatch(atom):
                 raise ParseError(f"bad atom name {atom!r}", span)

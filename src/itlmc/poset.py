@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from functools import reduce
-from operator import and_, or_
+from operator import and_
 
 from .formula import (
     And,
@@ -27,7 +27,7 @@ from .formula import (
     Program,
     StrongBox,
     WeakBox,
-    walk,
+    compile_formula,
 )
 
 
@@ -71,7 +71,6 @@ class DynamicPoset:
         "worlds",
         "index",
         "n",
-        "full_mask",
         "order_pairs",
         "up_masks",
         "step",
@@ -93,7 +92,6 @@ class DynamicPoset:
             raise MalformedOrder(["a model needs at least one world"])
         self.index = {w: i for i, w in enumerate(self.worlds)}
         self.n = len(self.worlds)
-        self.full_mask = (1 << self.n) - 1
 
         violations: list[str] = []
         pairs: set[tuple[str, str]] = {(w, w) for w in self.worlds}
@@ -169,7 +167,6 @@ class DynamicPoset:
         other.worlds = self.worlds
         other.index = self.index
         other.n = self.n
-        other.full_mask = self.full_mask
         other.order_pairs = self.order_pairs
         other.up_masks = self.up_masks
         other._set_step(step)
@@ -198,13 +195,6 @@ class DynamicPoset:
         out = 0
         for i in range(self.n):
             if self.up_masks[i] & ~mask == 0:
-                out |= 1 << i
-        return out
-
-    def preimage_mask(self, mask: int) -> int:
-        out = 0
-        for i in range(self.n):
-            if (mask >> self.step_arr[i]) & 1:
                 out |= 1 << i
         return out
 
@@ -241,49 +231,18 @@ def _valuation_masks(model: DynamicPoset, valuation: Mapping[str, Iterable[str]]
 
 
 def eval_masks(model: DynamicPoset, val_masks: Mapping[str, int], phi: Formula) -> int:
-    """Low-level evaluator over bitmasks; returns the mask of phi.
+    """Mask of the worlds where phi holds under one valuation of bitmasks.
 
-    Atoms missing from the valuation denote the empty set. Requires a
-    continuous step.
+    The one-bit case of `eval_sliced`: each world's row holds a single
+    valuation. Atoms missing from the valuation denote the empty set.
+    Requires a continuous step.
     """
-    if not model.is_continuous:
-        raise ContinuityRequired("evaluation requires a continuous (monotone) step")
-    _, program = walk(phi)
-    table: list[int] = []
-    for op, a, b in program:
-        if op is Atom:
-            v = val_masks.get(a, 0)
-        elif op is Bottom:
-            v = 0
-        elif op is And:
-            v = table[a] & table[b]
-        elif op is Or:
-            v = table[a] | table[b]
-        elif op is Implies:
-            v = model.interior_mask((model.full_mask & ~table[a]) | table[b])
-        elif op is Next:
-            v = model.preimage_mask(table[a])
-        elif op is Eventually:
-            v = table[a]
-            while True:
-                nv = v | model.preimage_mask(v)
-                if nv == v:
-                    break
-                v = nv
-        else:
-            # Decreasing chain to the greatest fixpoint below the child set.
-            # Continuity keeps every iterate open, so the strong box is the
-            # limit itself and the weak box is its (identical) interior.
-            v = table[a]
-            while True:
-                nv = table[a] & model.preimage_mask(v)
-                if nv == v:
-                    break
-                v = nv
-            if op is WeakBox:
-                v = model.interior_mask(v)
-        table.append(v)
-    return table[-1]
+    program, names = compile_formula(phi)
+    atom_rows = [
+        [(val_masks.get(name, 0) >> i) & 1 for i in range(model.n)] for name in names
+    ]
+    top = eval_sliced(model, program, atom_rows, 1)
+    return sum(row << i for i, row in enumerate(top))
 
 
 def eval_sliced(
@@ -300,13 +259,6 @@ def eval_sliced(
         raise ContinuityRequired("evaluation requires a continuous (monotone) step")
     step = model.step_arr
     ups = [[j for j in range(model.n) if (up >> j) & 1] for up in model.up_masks]
-    orbits = []
-    for i in range(model.n):
-        orbit: list[int] = []
-        while i not in orbit:
-            orbit.append(i)
-            i = step[i]
-        orbits.append(orbit)
     table: list[list[int]] = []
     for op, a, b in program:
         if op is Atom:
@@ -323,12 +275,25 @@ def eval_sliced(
         elif op is Next:
             rows = [table[a][j] for j in step]
         elif op is Eventually:
-            rows = [reduce(or_, [table[a][j] for j in orbit]) for orbit in orbits]
+            # Increasing chain to the least fixpoint above the child rows:
+            # after k rounds a world holds what its first k successors hold.
+            child = rows = table[a]
+            while True:
+                grown = [x | rows[j] for x, j in zip(child, step)]
+                if grown == rows:
+                    break
+                rows = grown
         elif op is StrongBox or op is WeakBox:
-            # The greatest fixpoint keeps exactly the worlds whose whole
-            # forward orbit stays in the child set. On a continuous step the
-            # box of an up-set is an up-set, so the weak box needs no interior.
-            rows = [reduce(and_, [table[a][j] for j in orbit]) for orbit in orbits]
+            # Decreasing chain to the greatest fixpoint below the child rows:
+            # the worlds whose whole forward orbit stays in the child set. On
+            # a continuous step the box of an up-set is an up-set, so the weak
+            # box needs no interior.
+            child = rows = table[a]
+            while True:
+                shrunk = [x & rows[j] for x, j in zip(child, step)]
+                if shrunk == rows:
+                    break
+                rows = shrunk
         else:
             raise TypeError(f"unknown formula op {op!r}")
         table.append(rows)

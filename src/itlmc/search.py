@@ -16,7 +16,7 @@ from typing import Iterator, Optional, Union
 
 from .formula import Atom, Formula, compile_formula, translate_weak
 from .hilbert import LogicSpec, Schema, check, get_logic, instantiate
-from .poset import DynamicPoset, Valuation, eval_formula, eval_masks, eval_sliced
+from .poset import DynamicPoset, Valuation, eval_formula, eval_sliced
 from .realline import Status, eval_real
 
 MAX_BOUND = 5
@@ -192,7 +192,7 @@ def validity(phi: Formula, semclass: SemanticClass) -> Verdict:
 
     Each model is evaluated under all its valuations at once; the first
     countermodel is the lowest failing valuation index, then the lowest
-    failing world. It is re-checked by `eval_masks` and `eval_formula`.
+    failing world. `eval_formula` re-checks it on that one valuation.
     """
     program, names = compile_formula(phi)
     carrier_upsets = None
@@ -207,16 +207,11 @@ def validity(phi: Formula, semclass: SemanticClass) -> Verdict:
         if not failing:
             continue
         v = (failing & -failing).bit_length() - 1
+        world = next(w for w, row in zip(model.worlds, top) if not (row >> v) & 1)
         assignment = next(islice(product(upsets, repeat=len(names)), v, None))
-        masks = dict(zip(names, assignment))
-        ext = eval_masks(model, masks, phi)
-        if ext != sum(((row >> v) & 1) << i for i, row in enumerate(top)):
-            raise AssertionError("sliced evaluator and mask evaluator disagree")
-        world = next(w for i, w in enumerate(model.worlds) if not (ext >> i) & 1)
-        valuation = {a: model.worlds_of(m) for a, m in masks.items()}
-        confirmed = eval_formula(model, valuation, phi)
-        if world in confirmed:
-            raise AssertionError("mask evaluator and public evaluator disagree")
+        valuation = {a: model.worlds_of(m) for a, m in zip(names, assignment)}
+        if world in eval_formula(model, valuation, phi):
+            raise AssertionError("sliced rows and the one-valuation re-check disagree")
         return Countermodel(model, valuation, world, phi)
     return ValidUpTo(semclass.bound)
 

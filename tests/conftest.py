@@ -101,6 +101,61 @@ def random_model(
         return model, valuation
 
 
+def kripke_extension(model, valuation, phi) -> frozenset[str]:
+    """Worlds where phi holds, read off the Kripke clauses with plain sets.
+
+    Independent of the engine: -> ranges over the worlds above, O follows
+    the step, <> and [] range over the forward orbit, and [*] asks every
+    world above for its whole orbit (the engine skips that interior on
+    continuous steps). Recursive, for the small formulas of the tests.
+    """
+    worlds = model.worlds
+
+    def above(w):
+        return [v for v in worlds if model.leq(w, v)]
+
+    def orbit(w):
+        seen = []
+        while w not in seen:
+            seen.append(w)
+            w = model.step[w]
+        return seen
+
+    def ext(f) -> frozenset[str]:
+        match f:
+            case Bottom():
+                return frozenset()
+            case Atom(name):
+                return frozenset(valuation.get(name, ()))
+            case And(a, b):
+                return ext(a) & ext(b)
+            case Or(a, b):
+                return ext(a) | ext(b)
+            case Implies(a, b):
+                ea, eb = ext(a), ext(b)
+                return frozenset(
+                    w for w in worlds if all(v not in ea or v in eb for v in above(w))
+                )
+            case Next(a):
+                ea = ext(a)
+                return frozenset(w for w in worlds if model.step[w] in ea)
+            case Eventually(a):
+                ea = ext(a)
+                return frozenset(w for w in worlds if any(x in ea for x in orbit(w)))
+            case StrongBox(a):
+                ea = ext(a)
+                return frozenset(w for w in worlds if all(x in ea for x in orbit(w)))
+            case WeakBox(a):
+                ea = ext(a)
+                return frozenset(
+                    w for w in worlds
+                    if all(x in ea for v in above(w) for x in orbit(v))
+                )
+        raise TypeError(f"unknown formula {f!r}")
+
+    return ext(phi)
+
+
 def random_interval_set(rng: random.Random, max_pieces: int = 4) -> IntervalSet:
     """A random finite union of rational intervals (possibly unbounded)."""
     pieces = []

@@ -201,6 +201,15 @@ def test_paper_suite_unknown_filter_exits_3(capsys):
     assert code == 3
 
 
+def test_paper_suite_malformed_corpus_file_exits_3(capsys, tmp_path):
+    root = tmp_path / "corpus"
+    shutil.copytree(CORPUS, root)
+    (root / "deriv" / "d-wh.drv").write_text("1. p ; mp x\n")
+    code, out, err = run(capsys, "paper-suite", "--corpus", str(root), "--filter", "d-wh")
+    assert code == 3 and out == ""
+    assert err == "error: premise reference must be a line number, found 'x' (at 7..11)\n"
+
+
 def test_records_format(capsys):
     code, out, _ = run(
         capsys, "--format", "records", "check",

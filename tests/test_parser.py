@@ -382,6 +382,7 @@ _MALFORMED_POSET_MODELS = [
     ('worlds: a # c: d\n  foo # bar: baz\n', "expected 'section: entries'", 19, 22),
     ('worlds: a\r\nfoo\r\n', "expected 'section: entries'", 11, 14),
     ('\tworlds: a\n\tstep a->a\t\n', "expected 'section: entries'", 12, 21),
+    ('worlds: a\nstep: a->a\nvalues: a\n', "unknown section 'values'", 21, 30),
 ]
 _MALFORMED_REAL_SYSTEMS = [
     ('map x\n', "expected 'section: entries'", 0, 5),
@@ -389,6 +390,7 @@ _MALFORMED_REAL_SYSTEMS = [
     ('val p: (0, 1)\n', 'a map section is required', 0, 14),
     ('# nothing\n', 'a map section is required', 0, 10),
     ('map: x\nfoo: 1\n', "unknown section 'foo'", 7, 13),
+    ('map: x\nvalid: (0, 1)\n', "unknown section 'valid'", 7, 20),
     ('map: x\nval 2: (0, 1)\n', "bad atom name '2'", 7, 20),
     ('map: x\nval p: (0, 1)\nval p: (0, 1)\n', "duplicate valuation for atom 'p'", 21, 34),
     ('map: x\ncaps: iter\n', "expected 'name=value', found 'iter'", 7, 17),

@@ -24,10 +24,10 @@ from itlmc import (
     Atom,
 )
 from itlmc.formula import atoms, compile_formula
-from itlmc.poset import eval_masks, eval_sliced
+from itlmc.poset import eval_sliced
 from itlmc.search import _atom_rows
 
-from conftest import formulas, random_model
+from conftest import formulas, kripke_extension, random_model
 
 
 def test_semantic_class_validation():
@@ -181,9 +181,9 @@ def test_sound_structures_table_shape():
 
 
 def _reference_countermodel(phi, semclass):
-    """One valuation at a time through the public evaluator; first failing world."""
+    """One valuation at a time through the Kripke clauses; first failing world."""
     for model, valuation in enumerate_models(semclass, tuple(atoms(phi))):
-        ext = eval_formula(model, valuation, phi)
+        ext = kripke_extension(model, valuation, phi)
         for world in model.worlds:
             if world not in ext:
                 return model, valuation, world
@@ -220,7 +220,7 @@ def test_validity_matches_reference_search(query):
 
 @settings(max_examples=60, deadline=None)
 @given(formulas(max_leaves=8, allow_weak=True), st.integers(0, 2**32))
-def test_sliced_rows_match_mask_evaluator(phi, seed):
+def test_sliced_rows_match_kripke_extension(phi, seed):
     model, _ = random_model(random.Random(seed), max_worlds=4)
     program, names = compile_formula(phi)
     upsets = [m for m in range(1 << model.n) if model.is_up_set_mask(m)]
@@ -229,7 +229,6 @@ def test_sliced_rows_match_mask_evaluator(phi, seed):
     assert full == (1 << len(upsets) ** len(names)) - 1
     assert all(row <= full for row in top)
     for v, assignment in enumerate(product(upsets, repeat=len(names))):
-        ext = eval_masks(model, dict(zip(names, assignment)), phi)
-        assert [(row >> v) & 1 for row in top] == [
-            (ext >> i) & 1 for i in range(model.n)
-        ]
+        valuation = {a: model.worlds_of(m) for a, m in zip(names, assignment)}
+        ext = kripke_extension(model, valuation, phi)
+        assert [(row >> v) & 1 for row in top] == [w in ext for w in model.worlds]
