@@ -37,6 +37,7 @@ from .poset import (
 from .realline import (
     MalformedMap,
     MalformedSystem,
+    REALS,
     Status,
     eval_real,
 )
@@ -130,8 +131,6 @@ def _cmd_real_check(args) -> int:
             [("status", status), ("verdict", "undetermined")],
         )
         return 2
-    from .realline import REALS
-
     verdict = "valid" if outcome.value == REALS else "not valid"
     _emit(
         args,

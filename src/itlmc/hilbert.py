@@ -39,7 +39,6 @@ dia-mono and dia-ind.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import TYPE_CHECKING, Optional, Union
 
 from .formula import (
@@ -233,80 +232,86 @@ def instantiate(schema: Schema, subst: dict[str, Formula]) -> Formula:
 # --------------------------------------------------------------------------
 # intuitionistic propositional tautology decision
 #
-# Contraction-free sequent search (Dyckhoff's calculus): all rules below
-# strictly decrease sequent weight, so plain recursion terminates; results
-# are memoized on (context, goal).
+# Dyckhoff's contraction-free sequent calculus LJT over the positions of
+# walk(phi): a sequent is a frozenset of positions plus a goal position.
+# Tensed entries are atoms, and equal subformulas share one position.  The
+# implications the rules build are interned into the same (op, a, b) table.
+# Every rule strictly decreases sequent weight, so the search terminates;
+# it runs on an explicit stack of rule generators with a memo per call.
 
-_FALSE = Bottom()
-
-
-def _abstract_tenses(phi: Formula) -> Formula:
-    """Replace maximal tensed subformulas by placeholder atoms.
-
-    Equal tensed subformulas share one walk position and so one placeholder.
-    Placeholder names are longer than every atom name of phi, so none of
-    them equals an atom of phi.
-    """
-    nodes, program = walk(phi)
-    mark = "#" * (1 + max((len(a) for op, a, _ in program if op is Atom), default=0))
-    out: list[Formula] = []
-    for i, (f, (op, a, b)) in enumerate(zip(nodes, program)):
-        if op in (Next, Eventually, StrongBox, WeakBox):
-            out.append(Atom(f"{mark}{i}"))
-        elif op in (And, Or, Implies):
-            out.append(op(out[a], out[b]))
-        else:
-            out.append(f)
-    return out[-1]
-
-
-@lru_cache(maxsize=None)
-def _prove(gamma: frozenset, goal: Formula) -> bool:
-    if _FALSE in gamma or goal in gamma:
-        return True
-    for f in gamma:
-        if isinstance(f, And):
-            return _prove((gamma - {f}) | {f.left, f.right}, goal)
-        if isinstance(f, Or):
-            rest = gamma - {f}
-            return _prove(rest | {f.left}, goal) and _prove(rest | {f.right}, goal)
-        if isinstance(f, Implies):
-            head = f.left
-            if isinstance(head, Bottom):
-                return _prove(gamma - {f}, goal)
-            if isinstance(head, Atom) and head in gamma:
-                return _prove((gamma - {f}) | {f.right}, goal)
-            if isinstance(head, And):
-                curried = Implies(head.left, Implies(head.right, f.right))
-                return _prove((gamma - {f}) | {curried}, goal)
-            if isinstance(head, Or):
-                split = {
-                    Implies(head.left, f.right),
-                    Implies(head.right, f.right),
-                }
-                return _prove((gamma - {f}) | split, goal)
-    if isinstance(goal, And):
-        return _prove(gamma, goal.left) and _prove(gamma, goal.right)
-    if isinstance(goal, Implies):
-        return _prove(gamma | {goal.left}, goal.right)
-    if isinstance(goal, Or) and (
-        _prove(gamma, goal.left) or _prove(gamma, goal.right)
-    ):
-        return True
-    for f in gamma:
-        if isinstance(f, Implies) and isinstance(f.left, Implies):
-            inner = f.left
-            rest = gamma - {f}
-            if _prove(rest | {Implies(inner.right, f.right)}, inner) and _prove(
-                rest | {f.right}, goal
-            ):
-                return True
-    return False
+_OPAQUE = (Atom, Next, Eventually, StrongBox, WeakBox)  # entries read as atoms
 
 
 def is_ipc_tautology(phi: Formula) -> bool:
-    """Decide intuitionistic validity, tensed subformulas read as atoms."""
-    return _prove(frozenset(), _abstract_tenses(phi))
+    """Decide intuitionistic validity, tensed subformulas read as atoms.
+
+    The search reads walk positions, not formula objects, so formula depth
+    is not bounded by the recursion limit.
+    """
+    program = walk(phi)[1]
+    index = {key: i for i, key in enumerate(program)}
+    bottom = index.get((Bottom, 0, 0))
+
+    def implies(a: int, b: int) -> int:
+        key = (Implies, a, b)
+        if key not in index:
+            index[key] = len(program)
+            program.append(key)
+        return index[key]
+
+    def rules(gamma: frozenset, goal: int):
+        # yields the sequents a rule needs and is sent their verdicts
+        if bottom in gamma or goal in gamma:
+            return True
+        for f in gamma:
+            op, a, b = program[f]
+            if op is And:
+                return (yield (gamma - {f}) | {a, b}, goal)
+            if op is Or:
+                rest = gamma - {f}
+                return (yield rest | {a}, goal) and (yield rest | {b}, goal)
+            if op is Implies:
+                head, c, d = program[a]
+                if head is Bottom:
+                    return (yield gamma - {f}, goal)
+                if head in _OPAQUE and a in gamma:
+                    return (yield (gamma - {f}) | {b}, goal)
+                if head is And:
+                    return (yield (gamma - {f}) | {implies(c, implies(d, b))}, goal)
+                if head is Or:
+                    return (yield (gamma - {f}) | {implies(c, b), implies(d, b)}, goal)
+        op, a, b = program[goal]
+        if op is And:
+            return (yield gamma, a) and (yield gamma, b)
+        if op is Implies:
+            return (yield gamma | {a}, b)
+        if op is Or and ((yield gamma, a) or (yield gamma, b)):
+            return True
+        for f in gamma:
+            op, a, b = program[f]
+            if op is Implies and program[a][0] is Implies:
+                rest = gamma - {f}
+                d = program[a][2]
+                if (yield rest | {implies(d, b)}, a) and (yield rest | {b}, goal):
+                    return True
+        return False
+
+    memo: dict[tuple, bool] = {}
+    top = (frozenset(), len(program) - 1)
+    stack = [(top, rules(*top))]
+    verdict = None
+    while stack:
+        sequent, search = stack[-1]
+        try:
+            sub = search.send(verdict)
+        except StopIteration as done:
+            stack.pop()
+            verdict = memo[sequent] = done.value
+            continue
+        verdict = memo.get(sub)
+        if verdict is None:
+            stack.append((sub, rules(*sub)))
+    return verdict
 
 
 # --------------------------------------------------------------------------
@@ -389,9 +394,6 @@ _BASE_AXIOMS: dict[str, tuple[str, ...]] = {
     "ETL+": _CORE_NAMES + ("fs-next", "cd-minus"),
     "CDTL+": _CORE_NAMES + ("fs-next", "cd"),
 }
-
-BASE_NAMES = tuple(_BASE_AXIOMS)
-SUFFIXES = ("db", "dw", "b", "w", "d")
 
 _RULE_MP = Rule("mp", (_PHI, Implies(_PHI, _PSI)), _PSI)
 _RULE_NEC_NEXT = Rule("nec-next", (_PHI,), Next(_PHI))

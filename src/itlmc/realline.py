@@ -32,8 +32,6 @@ from .formula import (
     walk,
 )
 
-Rational = Fraction
-
 
 def _frac(x) -> Fraction | None:
     return None if x is None else Fraction(x)
@@ -400,7 +398,7 @@ class RealValue:
 class RealOutcome:
     value: IntervalSet | None
     status: Status
-    table: dict[Formula, RealValue] = field(compare=False, hash=False, default_factory=dict)
+    table: dict[int, RealValue] = field(compare=False, hash=False, default_factory=dict)
 
 
 _UNDET = RealValue(None, Status.UNDETERMINED)
@@ -544,14 +542,15 @@ _FIXPOINTS = {Eventually: _eventually, StrongBox: _strong_box, WeakBox: _weak_bo
 
 
 def eval_real(system: RealSystem, phi: Formula, caps: EvalCaps | None = None) -> RealOutcome:
-    """Evaluate phi over the system; per-subformula values in the table.
+    """Evaluate phi over the system; the table holds the value of every
+    subformula, keyed by its position in `walk(phi)`.
 
     Atoms missing from the valuation denote the empty set. Undetermined
     results propagate upward with value None.
     """
     caps = caps or system.caps
     pwmap = system.map
-    nodes, program = walk(phi)
+    program = walk(phi)[1]
     table: list[RealValue] = []
     for op, a, b in program:
         if op is Atom:
@@ -586,7 +585,7 @@ def eval_real(system: RealSystem, phi: Formula, caps: EvalCaps | None = None) ->
                 )
         table.append(rv)
     top = table[-1]
-    return RealOutcome(top.value, top.status, dict(zip(nodes, table)))
+    return RealOutcome(top.value, top.status, dict(enumerate(table)))
 
 
 def check_pointwise(

@@ -144,11 +144,13 @@ def test_countermodel_output_is_independent_of_hash_seed():
     assert "order: w2<=w0 w2<=w1\n" in outputs[0]
 
 
-def test_internal_error_is_not_a_verdict(capsys):
-    # RealOutcome.table is keyed by Formula, whose hash recurses (ROADMAP item 3)
-    deep = "O " * 990 + "p"
+def test_internal_error_is_not_a_verdict(capsys, monkeypatch):
+    def fail(*args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr("itlmc.cli.eval_real", fail)
     code, out, err = run(
-        capsys, "real-check", "--system", "corpus/real/r-const.rds", deep
+        capsys, "real-check", "--system", "corpus/real/r-const.rds", "O p"
     )
     assert code == 4
     assert out == ""
@@ -156,12 +158,23 @@ def test_internal_error_is_not_a_verdict(capsys):
     assert err.count("\n") == 1
 
 
-def test_deep_formulas_get_a_verdict(capsys):
+def test_deep_formulas_get_a_verdict(capsys, tmp_path):
     deep = "O " * 2000 + "p"
     code, out, _ = run(capsys, "check", "--model", "corpus/poset/fig4-fs.dpm", deep)
     assert code == 1 and "falsified at: w\n" in out
     code, out, _ = run(capsys, "validate", "--class", "e", "--bound", "2", deep)
     assert code == 1 and out.startswith("countermodel:\n")
+    deep = "O " * 990 + "p"
+    code, out, _ = run(capsys, "real-check", "--system", "corpus/real/r-const.rds", deep)
+    assert code in (0, 1) and out.endswith("valid\n")
+    path = tmp_path / "deep.drv"
+    for theorem in (
+        " -> ".join(["p"] * 2000),
+        " & ".join(f"p{i}" for i in range(600)) + " -> p0",
+    ):
+        path.write_text(f"1. {theorem} ; ipc-taut\n")
+        code, out, _ = run(capsys, "prove", "--logic", "ITL.db", str(path))
+        assert code == 0 and out.startswith("accepted (1 lines)\n")
 
 
 def test_validate_bound_too_large_exits_3(capsys):

@@ -1,28 +1,40 @@
 import re
+from functools import lru_cache
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from itlmc import (
     ALL_SCHEMAS,
     And,
     Atom,
+    Bottom,
     Derivation,
     DerivationLine,
     Eventually,
+    Formula,
     Implies,
     LOGICS,
     MixedBoxes,
     Next,
+    Or,
+    SemanticClass,
     StrongBox,
     UnknownLogic,
+    ValidUpTo,
+    WeakBox,
     check,
     get_logic,
     instantiate,
     is_ipc_tautology,
     parse_derivation,
     parse_formula,
+    validity,
 )
-from itlmc.hilbert import IpcTaut
+from itlmc.formula import walk
+from itlmc.hilbert import IPC_BASIS_NAMES, IpcTaut
+from conftest import formulas
 
 P, Q = Atom("p"), Atom("q")
 
@@ -48,6 +60,7 @@ REJECTED = [
     "((p -> q) -> p) -> p",  # Peirce
     "(p -> q) | (q -> p)",
     "~(p & q) -> ~p | ~q",
+    "((p -> p) -> q) -> r",  # the first premise of its rule holds, the second not
 ]
 
 
@@ -92,6 +105,125 @@ def test_placeholders_never_equal_an_atom_of_the_formula():
     assert is_ipc_tautology(Implies(And(h0, op), And(op, h0)))
     line = DerivationLine(1, Implies(h0, op), IpcTaut())
     assert not check(Derivation((line,)), get_logic("ITL.db")).ok
+
+
+def test_deep_inputs_get_a_verdict():
+    chain = P
+    for _ in range(1999):
+        chain = Implies(P, chain)
+    assert is_ipc_tautology(chain)
+    names = [Atom(f"p{i}") for i in range(600)]
+    conjunction = names[0]
+    for atom in names[1:]:
+        conjunction = And(conjunction, atom)
+    assert is_ipc_tautology(Implies(conjunction, names[0]))
+    assert not is_ipc_tautology(Implies(conjunction, Q))
+
+
+# -- reference prover ----------------------------------------------------------
+#
+# The recursive formula-level prover the library used before it read walk
+# positions, kept as an independent oracle: the same contraction-free
+# calculus, over formula objects, with tensed subformulas renamed to atoms.
+
+_FALSE = Bottom()
+
+
+def _abstract_tenses(phi: Formula) -> Formula:
+    """Replace maximal tensed subformulas by placeholder atoms.
+
+    Equal tensed subformulas share one walk position and so one placeholder.
+    Placeholder names are longer than every atom name of phi, so none of
+    them equals an atom of phi.
+    """
+    nodes, program = walk(phi)
+    mark = "#" * (1 + max((len(a) for op, a, _ in program if op is Atom), default=0))
+    out: list[Formula] = []
+    for i, (f, (op, a, b)) in enumerate(zip(nodes, program)):
+        if op in (Next, Eventually, StrongBox, WeakBox):
+            out.append(Atom(f"{mark}{i}"))
+        elif op in (And, Or, Implies):
+            out.append(op(out[a], out[b]))
+        else:
+            out.append(f)
+    return out[-1]
+
+
+@lru_cache(maxsize=None)
+def _prove(gamma: frozenset, goal: Formula) -> bool:
+    if _FALSE in gamma or goal in gamma:
+        return True
+    for f in gamma:
+        if isinstance(f, And):
+            return _prove((gamma - {f}) | {f.left, f.right}, goal)
+        if isinstance(f, Or):
+            rest = gamma - {f}
+            return _prove(rest | {f.left}, goal) and _prove(rest | {f.right}, goal)
+        if isinstance(f, Implies):
+            head = f.left
+            if isinstance(head, Bottom):
+                return _prove(gamma - {f}, goal)
+            if isinstance(head, Atom) and head in gamma:
+                return _prove((gamma - {f}) | {f.right}, goal)
+            if isinstance(head, And):
+                curried = Implies(head.left, Implies(head.right, f.right))
+                return _prove((gamma - {f}) | {curried}, goal)
+            if isinstance(head, Or):
+                split = {
+                    Implies(head.left, f.right),
+                    Implies(head.right, f.right),
+                }
+                return _prove((gamma - {f}) | split, goal)
+    if isinstance(goal, And):
+        return _prove(gamma, goal.left) and _prove(gamma, goal.right)
+    if isinstance(goal, Implies):
+        return _prove(gamma | {goal.left}, goal.right)
+    if isinstance(goal, Or) and (
+        _prove(gamma, goal.left) or _prove(gamma, goal.right)
+    ):
+        return True
+    for f in gamma:
+        if isinstance(f, Implies) and isinstance(f.left, Implies):
+            inner = f.left
+            rest = gamma - {f}
+            if _prove(rest | {Implies(inner.right, f.right)}, inner) and _prove(
+                rest | {f.right}, goal
+            ):
+                return True
+    return False
+
+
+def _basis_instances(schema):
+    args = formulas(("p", "q"), max_leaves=4)
+    drawn = st.fixed_dictionaries({v: args for v in schema.metavars})
+    return drawn.map(lambda subst: instantiate(schema, subst))
+
+
+# tensed formulas over p and q, implications between two formulas with
+# fewer tenses (which give the left rules an antecedent), and instances of
+# the propositional basis, so that both verdicts are common
+BASIS_INSTANCES = {name: _basis_instances(ALL_SCHEMAS[name]) for name in IPC_BASIS_NAMES}
+_NEXT_ONLY = formulas(("p", "q"), allow_dia=False, allow_strong=False)
+PROVER_INPUTS = st.one_of(
+    formulas(("p", "q")),
+    st.builds(Implies, _NEXT_ONLY, _NEXT_ONLY),
+    st.sampled_from(IPC_BASIS_NAMES).flatmap(BASIS_INSTANCES.__getitem__),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(PROVER_INPUTS)
+def test_prover_matches_the_reference(phi):
+    assert is_ipc_tautology(phi) == _prove(frozenset(), _abstract_tenses(phi))
+
+
+@settings(max_examples=120, deadline=None)
+@given(PROVER_INPUTS)
+def test_tautologies_have_no_kripke_countermodel(phi):
+    # a dynamic poset is in particular a Kripke model of IPC, and tensed
+    # subformulas are just some up-sets of it
+    if is_ipc_tautology(phi):
+        assert isinstance(validity(phi, SemanticClass("e", 3)), ValidUpTo), phi
 
 
 # -- registry ----------------------------------------------------------------

@@ -1,11 +1,26 @@
-"""Source hygiene checks that need nothing beyond the standard library."""
+"""Source hygiene checks and the design rules they pin."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "itlmc"
+from itlmc import (
+    Corpus,
+    Formula,
+    SemanticClass,
+    ValidUpTo,
+    build_separation_matrix,
+    check,
+    get_logic,
+    paper_suite,
+    parse_derivation,
+    parse_formula,
+    validity,
+)
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "itlmc"
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -32,3 +47,73 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 def test_no_unused_imports(path):
     # __init__.py is skipped: its imports are the package's re-exports.
     assert _unused_imports(ast.parse(path.read_text())) == []
+
+
+def _module_names(tree: ast.Module) -> dict[str, int]:
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    names[target.id] = node.lineno
+    return names
+
+
+def _reads(tree: ast.Module) -> set[str]:
+    # loaded names, attributes, imported names, and strings such as the
+    # ("itlmc.realline", "eval_real") pairs the tracer patches by name
+    read = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            read.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            read.add(n.attr)
+        elif isinstance(n, ast.alias):
+            read.add(n.name.rsplit(".", 1)[-1])
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            read.add(n.value)
+    return read
+
+
+def test_every_module_level_name_is_read():
+    read = set()
+    for folder in ("src", "tests", "scripts", "perfbench"):
+        for path in (ROOT / folder).rglob("*.py"):
+            read |= _reads(ast.parse(path.read_text()))
+    unread = [
+        f"{path.name}: {name} (line {line})"
+        for path in sorted(SRC.glob("*.py"))
+        for name, line in _module_names(ast.parse(path.read_text())).items()
+        if name not in read and not name.startswith("__")
+    ]
+    assert unread == []
+
+
+def test_no_engine_hashes_a_formula(monkeypatch):
+    # formula equality and hashing recurse, so an engine that keys a dict or
+    # a set by formula fails on deep input; every engine keys by walk position
+    def unhashable(self):
+        raise AssertionError(f"a {type(self).__name__} formula was hashed")
+
+    for cls in Formula.__subclasses__():
+        monkeypatch.setattr(cls, "__hash__", unhashable)
+    with pytest.raises(AssertionError):
+        hash(parse_formula("p"))
+
+    corpus = Corpus()
+    facts = paper_suite(corpus)
+    assert len(facts) == 25 and all(result.ok for _, result in facts)
+    edges = build_separation_matrix(corpus)
+    assert len(edges) == 18 and all(report.ok for report in edges)
+    semclass = SemanticClass("e", 3)
+    assert isinstance(validity(parse_formula("[]p -> p"), semclass), ValidUpTo)
+    assert not isinstance(validity(parse_formula("(p -> q) | (q -> p)"), semclass), ValidUpTo)
+    weak = parse_derivation(
+        "1. [*]p -> [*]O p ; axiom wh {phi:=p}\n"
+        "2. ([*]p -> [*]O p) -> [*]p & [*]p -> [*]O p ; ipc-taut\n"
+        "3. [*]p & [*]p -> [*]O p ; mp 1 2\n"
+    )
+    assert check(weak, get_logic("ITL.dw")).ok
