@@ -11,7 +11,7 @@ tuple, which keeps exhaustive search cheap.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from functools import reduce
 from operator import and_
 
@@ -73,6 +73,7 @@ class DynamicPoset:
         "n",
         "order_pairs",
         "up_masks",
+        "ups",
         "step",
         "step_arr",
         "is_continuous",
@@ -117,6 +118,7 @@ class DynamicPoset:
         self.up_masks = [0] * self.n
         for a, b in pairs:
             self.up_masks[self.index[a]] |= 1 << self.index[b]
+        self.ups = tuple(tuple(j for j in range(self.n) if (up >> j) & 1) for up in self.up_masks)
 
         self._set_step(step)
 
@@ -138,28 +140,11 @@ class DynamicPoset:
             if bad_targets:
                 parts.append(f"step maps into unknown worlds at {', '.join(bad_targets)}")
             raise MalformedStep("; ".join(parts))
-        self.is_continuous = self._check_continuous()
-        self.is_open = self._check_open()
-
-    def _check_continuous(self) -> bool:
-        for a, b in self.order_pairs:
-            sa = self.step_arr[self.index[a]]
-            sb = self.step_arr[self.index[b]]
-            if not (self.up_masks[sa] >> sb) & 1:
-                return False
-        return True
-
-    def _check_open(self) -> bool:
-        # Lift condition: everything above S(w) is hit by S on points above w.
-        for i in range(self.n):
-            hit = 0
-            up = self.up_masks[i]
-            for j in range(self.n):
-                if (up >> j) & 1:
-                    hit |= 1 << self.step_arr[j]
-            if self.up_masks[self.step_arr[i]] & ~hit:
-                return False
-        return True
+        self.is_continuous = all(
+            (self.up_masks[self.step_arr[i]] >> self.step_arr[j]) & 1
+            for i, up in enumerate(self.ups) for j in up
+        )
+        self.is_open = lifts(self.step_arr, self.up_masks, self.ups)
 
     def replace_step(self, step: Mapping[str, str]) -> "DynamicPoset":
         """New model on the same poset with a different step function."""
@@ -169,6 +154,7 @@ class DynamicPoset:
         other.n = self.n
         other.order_pairs = self.order_pairs
         other.up_masks = self.up_masks
+        other.ups = self.ups
         other._set_step(step)
         return other
 
@@ -197,6 +183,17 @@ class DynamicPoset:
             if self.up_masks[i] & ~mask == 0:
                 out |= 1 << i
         return out
+
+
+def lifts(step: Sequence[int], up_masks: Sequence[int], ups: Sequence[Sequence[int]]) -> bool:
+    """Lift condition: everything above S(w) is hit by S on points above w."""
+    for i, up in enumerate(ups):
+        hit = 0
+        for j in up:
+            hit |= 1 << step[j]
+        if up_masks[step[i]] & ~hit:
+            return False
+    return True
 
 
 Valuation = dict[str, frozenset[str]]
@@ -237,41 +234,42 @@ def eval_masks(model: DynamicPoset, val_masks: Mapping[str, int], phi: Formula) 
     valuation. Atoms missing from the valuation denote the empty set.
     Requires a continuous step.
     """
+    if not model.is_continuous:
+        raise ContinuityRequired("evaluation requires a continuous (monotone) step")
     program, names = compile_formula(phi)
     atom_rows = [
         [(val_masks.get(name, 0) >> i) & 1 for i in range(model.n)] for name in names
     ]
-    top = eval_sliced(model, program, atom_rows, 1)
+    top = eval_sliced(model.step_arr, model.ups, program, atom_rows, 1)
     return sum(row << i for i, row in enumerate(top))
 
 
 def eval_sliced(
-    model: DynamicPoset, program: Program, atom_rows: list[list[int]], full: int
+    step: Sequence[int], ups: Sequence[Sequence[int]], program: Program,
+    atom_rows: list[list[int]], full: int,
 ) -> list[int]:
     """Evaluate a compiled formula under a whole family of valuations at once.
 
-    Each world holds a row: bit v is set when the subformula holds there
-    under valuation v. ``atom_rows[t][i]`` is the row of atom t at world i
-    and ``full`` has one bit per valuation. Returns the rows of the formula
-    itself, one per world. Requires a continuous step.
+    The model is given by its step array and its up-lists: ``ups[i]`` lists
+    the worlds above world i, itself included; the step must be monotone
+    (callers check continuity). Each world holds a row: bit v is set when
+    the subformula holds there under valuation v. ``atom_rows[t][i]`` is
+    the row of atom t at world i and ``full`` has one bit per valuation.
+    Returns the rows of the formula itself, one per world.
     """
-    if not model.is_continuous:
-        raise ContinuityRequired("evaluation requires a continuous (monotone) step")
-    step = model.step_arr
-    ups = [[j for j in range(model.n) if (up >> j) & 1] for up in model.up_masks]
     table: list[list[int]] = []
     for op, a, b in program:
         if op is Atom:
             rows = atom_rows[a]
         elif op is Bottom:
-            rows = [0] * model.n
+            rows = [0] * len(step)
         elif op is And:
             rows = [x & y for x, y in zip(table[a], table[b])]
         elif op is Or:
             rows = [x | y for x, y in zip(table[a], table[b])]
         elif op is Implies:
             holds = [(full ^ x) | y for x, y in zip(table[a], table[b])]
-            rows = [reduce(and_, [holds[j] for j in up]) for up in ups]
+            rows = [reduce(and_, map(holds.__getitem__, up)) for up in ups]
         elif op is Next:
             rows = [table[a][j] for j in step]
         elif op is Eventually:

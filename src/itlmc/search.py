@@ -1,22 +1,24 @@
 """Bounded countermodel search over finite dynamic posets.
 
-Models are enumerated exhaustively up to a world bound: all partial
-orders on labeled carriers, all monotone step maps (plus the open-map
-filter for class p), and all up-set valuations of the requested atoms.
-Enumeration order is deterministic, so the first countermodel found for
-a formula is stable across runs.
+Models are enumerated exhaustively up to a world bound: all partial orders
+on labeled carriers, the monotone step maps found by backtracking (open ones
+only for class p), and all up-set valuations of the requested atoms. Each
+`SemanticClass` keeps its model table, built one size at a time as a scan
+first reaches it; only a reported countermodel becomes a `DynamicPoset`.
+The order is deterministic, so the first countermodel is stable across runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice, product
-from typing import Iterator, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 from .formula import Atom, Formula, compile_formula, translate_weak
 from .hilbert import LogicSpec, Schema, check, get_logic, instantiate
-from .poset import DynamicPoset, Valuation, eval_formula, eval_sliced
+from .poset import DynamicPoset, Valuation, eval_formula, eval_sliced, lifts
 from .realline import Status, eval_real
 
 MAX_BOUND = 5
@@ -38,6 +40,8 @@ class SemanticClass:
 
     kind: str
     bound: int
+    # Model table by size: entry n - 1 holds the carriers of n worlds.
+    _tables: list = field(default_factory=list, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in ("e", "p"):
@@ -48,6 +52,12 @@ class SemanticClass:
             raise BoundTooLarge(
                 f"bound {self.bound} exceeds the configured maximum {MAX_BOUND}"
             )
+
+    def table(self, n: int) -> tuple[_Carrier, ...]:
+        """The class's models on n worlds, built on first use and kept."""
+        while len(self._tables) < n:
+            self._tables.append(_build_table(len(self._tables) + 1, self.kind))
+        return self._tables[n - 1]
 
 
 @dataclass(frozen=True)
@@ -115,31 +125,75 @@ def count_posets(n: int) -> int:
     return sum(1 for _ in _orders(n))
 
 
-def _models(semclass: SemanticClass) -> Iterator[tuple[DynamicPoset, list[int]]]:
-    """Every model of the class in enumeration order, with its up-set masks.
+class _Carrier(NamedTuple):
+    """One labeled poset of a model table: its strict order as index pairs,
+    the worlds above each world as masks and as lists, its up-set masks in
+    increasing order and the class's step maps in `itertools.product` order."""
 
-    Carriers come by size, then in `_orders` order; steps in product order.
-    Models on one carrier share a single up-set list object.
+    pairs: tuple[tuple[int, int], ...]
+    up_masks: tuple[int, ...]
+    ups: tuple[tuple[int, ...], ...]
+    upsets: tuple[int, ...]
+    steps: tuple[tuple[int, ...], ...]
+
+
+def _class_steps(up_masks, ups, kind: str, interned: list) -> tuple[tuple[int, ...], ...]:
+    """Monotone step maps of one carrier (open ones for class p), in product order.
+
+    Backtracks over worlds 0..n-1, trying for each world only the values
+    that fit the steps of the earlier worlds comparable with it. Maps are
+    taken from ``interned``, the product list, so carriers share them.
     """
-    for n in range(1, semclass.bound + 1):
-        worlds = tuple(f"w{i}" for i in range(n))
-        identity = {w: w for w in worlds}
-        for pairs in _orders(n):
-            carrier = DynamicPoset(
-                worlds,
-                tuple((worlds[i], worlds[j]) for i, j in pairs),
-                identity,
-            )
-            upsets = [m for m in range(1 << n) if carrier.is_up_set_mask(m)]
-            for step in product(range(n), repeat=n):
-                model = carrier.replace_step(
-                    {worlds[i]: worlds[step[i]] for i in range(n)}
-                )
-                if not model.is_continuous:
-                    continue
-                if semclass.kind == "p" and not model.is_open:
-                    continue
-                yield model, upsets
+    n = len(ups)
+    down_masks = [sum(1 << j for j in range(n) if (up_masks[j] >> i) & 1) for i in range(n)]
+    # World i is constrained by each earlier comparable j: S(i) lies above
+    # S(j) when j is below i, and below S(j) when j is above i.
+    checks = [
+        [(j, up_masks) for j in range(i) if (up_masks[j] >> i) & 1]
+        + [(j, down_masks) for j in range(i) if (up_masks[i] >> j) & 1]
+        for i in range(n)
+    ]
+    step = [0] * n
+    out = []
+
+    def extend(i: int, index: int) -> None:
+        if i == n:
+            out.append(interned[index])
+            return
+        allowed = (1 << n) - 1
+        for j, masks in checks[i]:
+            allowed &= masks[step[j]]
+        while allowed:
+            v = (allowed & -allowed).bit_length() - 1
+            allowed &= allowed - 1
+            step[i] = v
+            extend(i + 1, index * n + v)
+
+    extend(0, 0)
+    return tuple(s for s in out if kind == "e" or lifts(s, up_masks, ups))
+
+
+def _build_table(n: int, kind: str) -> tuple[_Carrier, ...]:
+    """Every carrier of n worlds with its class steps, in `_orders` order."""
+    interned = list(product(range(n), repeat=n))
+    table = []
+    for pairs in _orders(n):
+        base = _poset(n, pairs)
+        upsets = tuple(m for m in range(1 << n) if base.is_up_set_mask(m))
+        steps = _class_steps(base.up_masks, base.ups, kind, interned)
+        table.append(_Carrier(pairs, tuple(base.up_masks), base.ups, upsets, steps))
+    return tuple(table)
+
+
+def _poset(n: int, pairs: tuple[tuple[int, int], ...]) -> DynamicPoset:
+    """Worlds w0..w{n-1} under the order of the index pairs, with the identity step."""
+    worlds = tuple(f"w{i}" for i in range(n))
+    order = tuple((worlds[i], worlds[j]) for i, j in pairs)
+    return DynamicPoset(worlds, order, {w: w for w in worlds})
+
+
+def _with_step(base: DynamicPoset, step: tuple[int, ...]) -> DynamicPoset:
+    return base.replace_step({w: base.worlds[s] for w, s in zip(base.worlds, step)})
 
 
 def enumerate_models(
@@ -147,20 +201,23 @@ def enumerate_models(
 ) -> Iterator[tuple[DynamicPoset, Valuation]]:
     """All (model, valuation) pairs of the class, up to the bound.
 
+    Carriers come by size, then in `_orders` order; steps in product order.
     Valuations of a model come in `itertools.product` order over its
     up-sets, the first atom varying slowest.
     """
-    for model, upsets in _models(semclass):
-        for assignment in product(upsets, repeat=len(atom_names)):
-            yield model, {
-                a: model.worlds_of(m) for a, m in zip(atom_names, assignment)
-            }
+    for n in range(1, semclass.bound + 1):
+        for carrier in semclass.table(n):
+            base = _poset(n, carrier.pairs)
+            for step in carrier.steps:
+                model = _with_step(base, step)
+                for assignment in product(carrier.upsets, repeat=len(atom_names)):
+                    yield model, {a: model.worlds_of(m) for a, m in zip(atom_names, assignment)}
 
 
 # --------------------------------------------------------------------------
 # validity search
 
-def _atom_rows(n: int, upsets: list[int], k: int) -> tuple[list[list[int]], int]:
+def _atom_rows(n: int, upsets: Sequence[int], k: int) -> tuple[list[list[int]], int]:
     """Rows of k atoms over all valuations of a carrier, and the full row.
 
     Valuation v gives atom t the up-set ``upsets[d]``, d being digit t of v
@@ -190,29 +247,30 @@ def _atom_rows(n: int, upsets: list[int], k: int) -> tuple[list[list[int]], int]
 def validity(phi: Formula, semclass: SemanticClass) -> Verdict:
     """First falsifying model in enumeration order, or validity up to bound.
 
-    Each model is evaluated under all its valuations at once; the first
-    countermodel is the lowest failing valuation index, then the lowest
-    failing world. `eval_formula` re-checks it on that one valuation.
+    Each model of the class table is evaluated under all its valuations at
+    once; the first countermodel is the lowest failing valuation index, then
+    the lowest failing world. Only that model becomes a `DynamicPoset`, and
+    `eval_formula` re-checks it on that one valuation.
     """
     program, names = compile_formula(phi)
-    carrier_upsets = None
-    for model, upsets in _models(semclass):
-        if upsets is not carrier_upsets:
-            carrier_upsets = upsets
-            atom_rows, full = _atom_rows(model.n, upsets, len(names))
-        top = eval_sliced(model, program, atom_rows, full)
-        failing = 0
-        for row in top:
-            failing |= full ^ row
-        if not failing:
-            continue
-        v = (failing & -failing).bit_length() - 1
-        world = next(w for w, row in zip(model.worlds, top) if not (row >> v) & 1)
-        assignment = next(islice(product(upsets, repeat=len(names)), v, None))
-        valuation = {a: model.worlds_of(m) for a, m in zip(names, assignment)}
-        if world in eval_formula(model, valuation, phi):
-            raise AssertionError("sliced rows and the one-valuation re-check disagree")
-        return Countermodel(model, valuation, world, phi)
+    for n in range(1, semclass.bound + 1):
+        for carrier in semclass.table(n):
+            atom_rows, full = _atom_rows(n, carrier.upsets, len(names))
+            for step in carrier.steps:
+                top = eval_sliced(step, carrier.ups, program, atom_rows, full)
+                failing = 0
+                for row in top:
+                    failing |= full ^ row
+                if not failing:
+                    continue
+                model = _with_step(_poset(n, carrier.pairs), step)
+                v = (failing & -failing).bit_length() - 1
+                world = next(w for w, row in zip(model.worlds, top) if not (row >> v) & 1)
+                assignment = next(islice(product(carrier.upsets, repeat=len(names)), v, None))
+                valuation = {a: model.worlds_of(m) for a, m in zip(names, assignment)}
+                if world in eval_formula(model, valuation, phi):
+                    raise AssertionError("sliced rows and the one-valuation re-check disagree")
+                return Countermodel(model, valuation, world, phi)
     return ValidUpTo(semclass.bound)
 
 

@@ -32,10 +32,7 @@ def formulas(
     allow_weak: bool = False,
 ):
     """Hypothesis strategy for random formulas in a chosen fragment."""
-    leaves = st.one_of(
-        st.just(Bottom()),
-        st.sampled_from([Atom(a) for a in atom_names]),
-    )
+    leaves = st.sampled_from([Bottom(), *(Atom(a) for a in atom_names)])
     unary = [Next]
     if allow_dia:
         unary.append(Eventually)

@@ -25,7 +25,7 @@ from itlmc import (
 )
 from itlmc.formula import atoms, compile_formula
 from itlmc.poset import eval_sliced
-from itlmc.search import _atom_rows
+from itlmc.search import _atom_rows, _orders
 
 from conftest import formulas, kripke_extension, random_model
 
@@ -180,13 +180,75 @@ def test_sound_structures_table_shape():
     assert "real" in SOUND_STRUCTURES["ITL"]
 
 
+def _reference_models(semclass: SemanticClass):
+    """Every model of the class in enumeration order, with its up-set masks.
+
+    Carriers come by size, then in `_orders` order; steps in product order.
+    Models on one carrier share a single up-set list object.
+    """
+    for n in range(1, semclass.bound + 1):
+        worlds = tuple(f"w{i}" for i in range(n))
+        identity = {w: w for w in worlds}
+        for pairs in _orders(n):
+            carrier = DynamicPoset(
+                worlds,
+                tuple((worlds[i], worlds[j]) for i, j in pairs),
+                identity,
+            )
+            upsets = [m for m in range(1 << n) if carrier.is_up_set_mask(m)]
+            for step in product(range(n), repeat=n):
+                model = carrier.replace_step(
+                    {worlds[i]: worlds[step[i]] for i in range(n)}
+                )
+                if not model.is_continuous:
+                    continue
+                if semclass.kind == "p" and not model.is_open:
+                    continue
+                yield model, upsets
+
+
+def _model_key(model):
+    return model.worlds, model.order_pairs, tuple(model.step.items())
+
+
+@pytest.mark.parametrize("kind", "ep")
+def test_enumeration_matches_reference_models(kind):
+    reference = [_model_key(m) for m, _ in _reference_models(SemanticClass(kind, 4))]
+    for bound in (1, 2, 3, 4):
+        got = [_model_key(m) for m, _ in enumerate_models(SemanticClass(kind, bound))]
+        assert got == [key for key in reference if len(key[0]) <= bound]
+
+
+@pytest.mark.parametrize(
+    "kind, counts",
+    [("e", [1, 10, 225, 9504, 696735]), ("p", [1, 8, 126, 3188, 122130])],
+)
+def test_table_counts_per_size(kind, counts):
+    semclass = SemanticClass(kind, 5)
+    assert [sum(len(c.steps) for c in semclass.table(n)) for n in range(1, 6)] == counts
+
+
+def test_table_is_invisible_and_built_only_as_far_as_the_scan_goes():
+    used = SemanticClass("e", 3)
+    assert validity(parse_formula("[]p -> p"), used) == ValidUpTo(3)
+    fresh = SemanticClass("e", 3)
+    assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+    deep = SemanticClass("e", 5)
+    verdict = validity(cem(Atom("p"), Atom("q")), deep)
+    assert isinstance(verdict, Countermodel) and verdict.model.n <= 3
+    assert len(deep._tables) <= 3
+
+
 def _reference_countermodel(phi, semclass):
     """One valuation at a time through the Kripke clauses; first failing world."""
-    for model, valuation in enumerate_models(semclass, tuple(atoms(phi))):
-        ext = kripke_extension(model, valuation, phi)
-        for world in model.worlds:
-            if world not in ext:
-                return model, valuation, world
+    names = tuple(atoms(phi))
+    for model, upsets in _reference_models(semclass):
+        for assignment in product(upsets, repeat=len(names)):
+            valuation = {a: model.worlds_of(m) for a, m in zip(names, assignment)}
+            ext = kripke_extension(model, valuation, phi)
+            for world in model.worlds:
+                if world not in ext:
+                    return model, valuation, world
     return None
 
 
@@ -225,7 +287,7 @@ def test_sliced_rows_match_kripke_extension(phi, seed):
     program, names = compile_formula(phi)
     upsets = [m for m in range(1 << model.n) if model.is_up_set_mask(m)]
     rows, full = _atom_rows(model.n, upsets, len(names))
-    top = eval_sliced(model, program, rows, full)
+    top = eval_sliced(model.step_arr, model.ups, program, rows, full)
     assert full == (1 << len(upsets) ** len(names)) - 1
     assert all(row <= full for row in top)
     for v, assignment in enumerate(product(upsets, repeat=len(names))):
