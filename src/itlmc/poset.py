@@ -187,13 +187,15 @@ class DynamicPoset:
 
 def lifts(step: Sequence[int], up_masks: Sequence[int], ups: Sequence[Sequence[int]]) -> bool:
     """Lift condition: everything above S(w) is hit by S on points above w."""
-    for i, up in enumerate(ups):
-        hit = 0
-        for j in up:
-            hit |= 1 << step[j]
-        if up_masks[step[i]] & ~hit:
-            return False
-    return True
+    return not any(lift_misses(step, up_masks, up, i) for i, up in enumerate(ups))
+
+
+def lift_misses(step: Sequence[int], up_masks: Sequence[int], up: Sequence[int], i: int) -> int:
+    """Mask of the points above S(i) that S misses on ``up``, the points above i."""
+    hit = 0
+    for j in up:
+        hit |= 1 << step[j]
+    return up_masks[step[i]] & ~hit
 
 
 Valuation = dict[str, frozenset[str]]
@@ -231,8 +233,8 @@ def eval_masks(model: DynamicPoset, val_masks: Mapping[str, int], phi: Formula) 
     """Mask of the worlds where phi holds under one valuation of bitmasks.
 
     The one-bit case of `eval_sliced`: each world's row holds a single
-    valuation. Atoms missing from the valuation denote the empty set.
-    Requires a continuous step.
+    valuation and steps to one world with mask 1. Atoms missing from the
+    valuation denote the empty set. Requires a continuous step.
     """
     if not model.is_continuous:
         raise ContinuityRequired("evaluation requires a continuous (monotone) step")
@@ -240,29 +242,33 @@ def eval_masks(model: DynamicPoset, val_masks: Mapping[str, int], phi: Formula) 
     atom_rows = [
         [(val_masks.get(name, 0) >> i) & 1 for i in range(model.n)] for name in names
     ]
-    top = eval_sliced(model.step_arr, model.ups, program, atom_rows, 1)
+    top = eval_sliced([((j, 1),) for j in model.step_arr], model.ups, program, atom_rows, 1)
     return sum(row << i for i, row in enumerate(top))
 
 
 def eval_sliced(
-    step: Sequence[int], ups: Sequence[Sequence[int]], program: Program,
-    atom_rows: list[list[int]], full: int,
+    moves: Sequence[Sequence[tuple[int, int]]], ups: Sequence[Sequence[int]],
+    program: Program, atom_rows: list[list[int]], full: int,
 ) -> list[int]:
-    """Evaluate a compiled formula under a whole family of valuations at once.
+    """Evaluate a compiled formula on a family of models and valuations at once.
 
-    The model is given by its step array and its up-lists: ``ups[i]`` lists
-    the worlds above world i, itself included; the step must be monotone
-    (callers check continuity). Each world holds a row: bit v is set when
-    the subformula holds there under valuation v. ``atom_rows[t][i]`` is
-    the row of atom t at world i and ``full`` has one bit per valuation.
-    Returns the rows of the formula itself, one per world.
+    The models share their poset's up-lists: ``ups[i]`` lists the worlds
+    above world i, itself included. A world's row has one bit per
+    (valuation, step) pair, set where the subformula holds; ``full`` sets
+    them all and ``atom_rows[t][i]`` is atom t's row at world i. ``moves[i]``
+    pairs each target j of world i with the bits whose step sends i to j;
+    these masks are disjoint, so a sum joins them. Steps must be monotone
+    (callers check continuity). Returns the formula's rows.
     """
+    def after(rows: list[int]) -> list[int]:
+        return [sum([rows[j] & mask for j, mask in targets]) for targets in moves]
+
     table: list[list[int]] = []
     for op, a, b in program:
         if op is Atom:
             rows = atom_rows[a]
         elif op is Bottom:
-            rows = [0] * len(step)
+            rows = [0] * len(ups)
         elif op is And:
             rows = [x & y for x, y in zip(table[a], table[b])]
         elif op is Or:
@@ -271,13 +277,13 @@ def eval_sliced(
             holds = [(full ^ x) | y for x, y in zip(table[a], table[b])]
             rows = [reduce(and_, map(holds.__getitem__, up)) for up in ups]
         elif op is Next:
-            rows = [table[a][j] for j in step]
+            rows = after(table[a])
         elif op is Eventually:
             # Increasing chain to the least fixpoint above the child rows:
             # after k rounds a world holds what its first k successors hold.
             child = rows = table[a]
             while True:
-                grown = [x | rows[j] for x, j in zip(child, step)]
+                grown = [x | y for x, y in zip(child, after(rows))]
                 if grown == rows:
                     break
                 rows = grown
@@ -288,7 +294,7 @@ def eval_sliced(
             # box needs no interior.
             child = rows = table[a]
             while True:
-                shrunk = [x & rows[j] for x, j in zip(child, step)]
+                shrunk = [x & y for x, y in zip(child, after(rows))]
                 if shrunk == rows:
                     break
                 rows = shrunk

@@ -6,6 +6,14 @@ only for class p), and all up-set valuations of the requested atoms. Each
 `SemanticClass` keeps its model table, built one size at a time as a scan
 first reaches it; only a reported countermodel becomes a `DynamicPoset`.
 The order is deterministic, so the first countermodel is stable across runs.
+
+`validity` evaluates the step maps of a carrier together: a world's row has
+bit v * S + s for valuation v under the chunk's step s, valuation-major and
+step-minor, for S = CHUNK_BITS // V steps (at least one) and V valuations,
+so no row is wider than CHUNK_BITS = 2^16 bits unless one step's valuations
+are. Reading the lowest failing step slot, then the lowest valuation at that
+slot, then the lowest world, gives the countermodel a scan of one step at a
+time would meet first.
 """
 
 from __future__ import annotations
@@ -13,15 +21,20 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice, product
+from functools import reduce
+from itertools import chain, islice, product
+from operator import and_
 from typing import Iterator, NamedTuple, Optional, Union
 
 from .formula import Atom, Formula, compile_formula, translate_weak
 from .hilbert import LogicSpec, Schema, check, get_logic, instantiate
-from .poset import DynamicPoset, Valuation, eval_formula, eval_sliced, lifts
+from .poset import DynamicPoset, Valuation, eval_formula, eval_sliced, lift_misses
 from .realline import Status, eval_real
 
 MAX_BOUND = 5
+
+# Widest row of a query, in bits: CHUNK_BITS // V step maps share a row of V valuations.
+CHUNK_BITS = 1 << 16
 
 _FRESH = ("p", "q", "r", "s")
 
@@ -99,25 +112,9 @@ def _orders(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
                 leq[i] |= 1 << j
             elif s == 2:
                 leq[j] |= 1 << i
-        ok = True
-        for i in range(n):
-            row = leq[i]
-            acc = row
-            k_bits = row
-            while k_bits:
-                k = (k_bits & -k_bits).bit_length() - 1
-                k_bits &= k_bits - 1
-                acc |= leq[k]
-            if acc != row:
-                ok = False
-                break
-        if ok:
-            yield tuple(
-                (i, j)
-                for i in range(n)
-                for j in range(n)
-                if i != j and (leq[i] >> j) & 1
-            )
+        # Transitive: every world above a world above i is above i.
+        if all(leq[k] & ~leq[i] == 0 for i in range(n) for k in range(n) if leq[i] >> k & 1):
+            yield tuple((i, j) for i in range(n) for j in range(n) if i != j and leq[i] >> j & 1)
 
 
 def count_posets(n: int) -> int:
@@ -128,21 +125,26 @@ def count_posets(n: int) -> int:
 class _Carrier(NamedTuple):
     """One labeled poset of a model table: its strict order as index pairs,
     the worlds above each world as masks and as lists, its up-set masks in
-    increasing order and the class's step maps in `itertools.product` order."""
+    increasing order, the class's step maps in `itertools.product` order,
+    and per world its membership mask over the up-sets and its moves: each
+    target j of a step, with the mask of the indices of the steps to j."""
 
     pairs: tuple[tuple[int, int], ...]
     up_masks: tuple[int, ...]
     ups: tuple[tuple[int, ...], ...]
     upsets: tuple[int, ...]
     steps: tuple[tuple[int, ...], ...]
+    members: tuple[int, ...]
+    moves: tuple[tuple[tuple[int, int], ...], ...]
 
 
 def _class_steps(up_masks, ups, kind: str, interned: list) -> tuple[tuple[int, ...], ...]:
     """Monotone step maps of one carrier (open ones for class p), in product order.
 
     Backtracks over worlds 0..n-1, trying for each world only the values
-    that fit the steps of the earlier worlds comparable with it. Maps are
-    taken from ``interned``, the product list, so carriers share them.
+    that fit the steps of the earlier worlds comparable with it, and in
+    class p checking each world's lift condition once its up-set has steps.
+    Maps are taken from ``interned``, the product list, so carriers share them.
     """
     n = len(ups)
     down_masks = [sum(1 << j for j in range(n) if (up_masks[j] >> i) & 1) for i in range(n)]
@@ -153,6 +155,7 @@ def _class_steps(up_masks, ups, kind: str, interned: list) -> tuple[tuple[int, .
         + [(j, down_masks) for j in range(i) if (up_masks[i] >> j) & 1]
         for i in range(n)
     ]
+    due = [[w for w in range(n) if kind == "p" and max(ups[w]) == i] for i in range(n)]
     step = [0] * n
     out = []
 
@@ -163,25 +166,35 @@ def _class_steps(up_masks, ups, kind: str, interned: list) -> tuple[tuple[int, .
         allowed = (1 << n) - 1
         for j, masks in checks[i]:
             allowed &= masks[step[j]]
+        lifting = due[i]
         while allowed:
             v = (allowed & -allowed).bit_length() - 1
             allowed &= allowed - 1
             step[i] = v
-            extend(i + 1, index * n + v)
+            if not lifting or not any(lift_misses(step, up_masks, ups[w], w) for w in lifting):
+                extend(i + 1, index * n + v)
 
     extend(0, 0)
-    return tuple(s for s in out if kind == "e" or lifts(s, up_masks, ups))
+    return tuple(out)
 
 
 def _build_table(n: int, kind: str) -> tuple[_Carrier, ...]:
     """Every carrier of n worlds with its class steps, in `_orders` order."""
     interned = list(product(range(n), repeat=n))
+    one = [b"0" * j + b"1" + b"0" * (255 - j) for j in range(n)]  # byte j to "1"
     table = []
     for pairs in _orders(n):
         base = _poset(n, pairs)
         upsets = tuple(m for m in range(1 << n) if base.is_up_set_mask(m))
         steps = _class_steps(base.up_masks, base.ups, kind, interned)
-        table.append(_Carrier(pairs, tuple(base.up_masks), base.ups, upsets, steps))
+        members = tuple(sum(1 << d for d, up in enumerate(upsets) if up >> i & 1) for i in range(n))
+        # Each world's column of targets, last step first, as one binary numeral per target.
+        flat = bytes(chain.from_iterable(steps[::-1]))
+        columns = [flat[i::n] for i in range(n)]
+        moves = tuple(
+            tuple((j, int(c.translate(one[j]), 2)) for j in range(n) if j in c) for c in columns
+        )
+        table.append(_Carrier(pairs, tuple(base.up_masks), base.ups, upsets, steps, members, moves))
     return tuple(table)
 
 
@@ -217,57 +230,69 @@ def enumerate_models(
 # --------------------------------------------------------------------------
 # validity search
 
-def _atom_rows(n: int, upsets: Sequence[int], k: int) -> tuple[list[list[int]], int]:
-    """Rows of k atoms over all valuations of a carrier, and the full row.
+def _repeat(x: int, period: int, total: int) -> int:
+    """The low `period` bits of x repeated up to `total` bits, by doubling."""
+    while period < total:
+        x |= x << period
+        period *= 2
+    return x & ((1 << total) - 1)
 
-    Valuation v gives atom t the up-set ``upsets[d]``, d being digit t of v
-    in base len(upsets), most significant first: the index of the valuation
-    in `enumerate_models` order. Bit v of ``rows[t][i]`` says whether world
-    i is in that up-set. Within one period of the digit the row is a block
-    of ``stride`` ones per matching up-set; the repunit repeats the period.
+
+def _atom_rows(members: Sequence[int], m: int, k: int, slots: int) -> tuple[list[list[int]], int]:
+    """Rows of k atoms over a carrier's (valuation, step slot) pairs, and the full row.
+
+    Bit v * slots + s of ``rows[t][i]`` says whether world i is in the up-set
+    d that valuation v (in `enumerate_models` order) gives atom t: digit t
+    of v in base m, most significant first. So bit d of world i's membership
+    mask fills block d of ``stride`` bits in each period of m blocks. A mask
+    times a comb with teeth stride - 1 apart puts bit d at d * stride (no two
+    partial products meet); narrow blocks come from a string instead.
     """
-    m = len(upsets)
-    total = m**k
-    full = (1 << total) - 1
+    total = m**k * slots
     rows = []
     for t in range(k):
-        stride = m ** (k - 1 - t)
-        period = stride * m
-        block = (1 << stride) - 1
-        repunit = full // ((1 << period) - 1)
-        rows.append([
-            repunit * sum(
-                block << (d * stride) for d, up in enumerate(upsets) if (up >> i) & 1
-            )
-            for i in range(n)
-        ])
-    return rows, full
+        stride = slots * m ** (k - 1 - t)
+        if stride > m:
+            comb = _repeat(_repeat(1, stride - 1, m * (stride - 1)), m * stride, total)
+            ends = _repeat(1, stride, total)
+            rows.append([(x << stride) - x for x in [mask * comb & ends for mask in members]])
+        else:
+            blocks = {48: "0" * stride, 49: "1" * stride}
+            spread = [int(format(mask, f"0{m}b").translate(blocks), 2) for mask in members]
+            rows.append([_repeat(x, m * stride, total) for x in spread])
+    return rows, (1 << total) - 1
 
 
 def validity(phi: Formula, semclass: SemanticClass) -> Verdict:
     """First falsifying model in enumeration order, or validity up to bound.
 
-    Each model of the class table is evaluated under all its valuations at
-    once; the first countermodel is the lowest failing valuation index, then
-    the lowest failing world. Only that model becomes a `DynamicPoset`, and
-    `eval_formula` re-checks it on that one valuation.
+    A carrier is evaluated a chunk of steps at a time under all valuations
+    (see the module docstring). Only the first countermodel becomes a
+    `DynamicPoset`, and `eval_formula` re-checks it on that one valuation.
     """
     program, names = compile_formula(phi)
+    k = len(names)
     for n in range(1, semclass.bound + 1):
         for carrier in semclass.table(n):
-            atom_rows, full = _atom_rows(n, carrier.upsets, len(names))
-            for step in carrier.steps:
-                top = eval_sliced(step, carrier.ups, program, atom_rows, full)
-                failing = 0
-                for row in top:
-                    failing |= full ^ row
+            size = max(1, CHUNK_BITS // len(carrier.upsets) ** k)
+            for first in range(0, len(carrier.steps), size):
+                slots = min(size, len(carrier.steps) - first)
+                rows, full = _atom_rows(carrier.members, len(carrier.upsets), k, slots)
+                # A move mask holds the chunk's slots of its steps once per valuation.
+                repunit, low = _repeat(1, slots, full.bit_length()), (1 << slots) - 1
+                chunk = [[(j, mask >> first & low) for j, mask in ts] for ts in carrier.moves]
+                moves = [[(j, mask * repunit) for j, mask in ts if mask] for ts in chunk]
+                top = eval_sliced(moves, carrier.ups, program, rows, full)
+                failing = full ^ reduce(and_, top)
                 if not failing:
                     continue
-                model = _with_step(_poset(n, carrier.pairs), step)
-                v = (failing & -failing).bit_length() - 1
-                world = next(w for w, row in zip(model.worlds, top) if not (row >> v) & 1)
-                assignment = next(islice(product(carrier.upsets, repeat=len(names)), v, None))
-                valuation = {a: model.worlds_of(m) for a, m in zip(names, assignment)}
+                slot = next(s for s in range(slots) if failing >> s & repunit)
+                at_slot = failing >> slot & repunit
+                bit = (at_slot & -at_slot).bit_length() - 1 + slot
+                model = _with_step(_poset(n, carrier.pairs), carrier.steps[first + slot])
+                world = next(w for w, row in zip(model.worlds, top) if not (row >> bit) & 1)
+                assignment = next(islice(product(carrier.upsets, repeat=k), bit // slots, None))
+                valuation = {a: model.worlds_of(up) for a, up in zip(names, assignment)}
                 if world in eval_formula(model, valuation, phi):
                     raise AssertionError("sliced rows and the one-valuation re-check disagree")
                 return Countermodel(model, valuation, world, phi)

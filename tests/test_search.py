@@ -23,6 +23,7 @@ from itlmc import (
     validity,
     Atom,
 )
+from itlmc import search
 from itlmc.formula import atoms, compile_formula
 from itlmc.poset import eval_sliced
 from itlmc.search import _atom_rows, _orders
@@ -262,10 +263,7 @@ def _queries(draw):
     return phi, SemanticClass(draw(st.sampled_from("ep")), bound)
 
 
-@settings(max_examples=80, deadline=None)
-@given(_queries())
-def test_validity_matches_reference_search(query):
-    phi, semclass = query
+def _assert_matches_reference(phi, semclass):
     verdict = validity(phi, semclass)
     expected = _reference_countermodel(phi, semclass)
     if expected is None:
@@ -280,17 +278,77 @@ def test_validity_matches_reference_search(query):
     assert verdict.world == world
 
 
+@settings(max_examples=80, deadline=None)
+@given(_queries())
+def test_validity_matches_reference_search(query):
+    _assert_matches_reference(*query)
+
+
+def _narrow_chunks(mp, chunk_bits):
+    """Set the chunk width, and check that no row is wider unless it holds one step."""
+    evaluate = search.eval_sliced
+
+    def eval_sliced_narrow(moves, ups, program, atom_rows, full):
+        # A chunk of one step is the only one whose worlds all have one target.
+        assert full.bit_length() <= chunk_bits or all(len(t) == 1 for t in moves)
+        return evaluate(moves, ups, program, atom_rows, full)
+
+    mp.setattr(search, "CHUNK_BITS", chunk_bits)
+    mp.setattr(search, "eval_sliced", eval_sliced_narrow)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_queries(), st.sampled_from([1, 40]))
+def test_chunk_boundaries_keep_the_first_countermodel(query, chunk_bits):
+    # Width 1 puts every step map in its own chunk; 40 bits cut carriers
+    # into several chunks of a few steps, the last one often shorter.
+    with pytest.MonkeyPatch.context() as mp:
+        _narrow_chunks(mp, chunk_bits)
+        _assert_matches_reference(*query)
+
+
+@pytest.mark.parametrize("chunk_bits", [1, 40, search.CHUNK_BITS])
+@pytest.mark.parametrize("text, kind", [("q & p -> [](p & q)", "e"), ("<>p | q -> p -> []p", "p")])
+def test_first_failing_step_wins_over_lower_valuations_of_later_steps(text, kind, chunk_bits):
+    # Both hold on one world. On two, a later step of the first failing
+    # carrier fails under a lower valuation index than its first failing step.
+    with pytest.MonkeyPatch.context() as mp:
+        _narrow_chunks(mp, chunk_bits)
+        _assert_matches_reference(parse_formula(text), SemanticClass(kind, 3))
+
+
+_TABLES = SemanticClass("e", 4)
+
+
 @settings(max_examples=60, deadline=None)
 @given(formulas(max_leaves=8, allow_weak=True), st.integers(0, 2**32))
 def test_sliced_rows_match_kripke_extension(phi, seed):
-    model, _ = random_model(random.Random(seed), max_worlds=4)
+    # Several step maps of one random carrier in one call: each step's
+    # slice of the rows agrees with the set-based Kripke clauses.
+    rng = random.Random(seed)
+    poset, _ = random_model(rng, max_worlds=4)
+    index = poset.index
+    pairs = tuple(sorted((index[a], index[b]) for a, b in poset.order_pairs if a != b))
+    carrier = next(c for c in _TABLES.table(poset.n) if c.pairs == pairs)
+    first = rng.randrange(len(carrier.steps))
+    slots = rng.randint(1, min(6, len(carrier.steps) - first))
     program, names = compile_formula(phi)
-    upsets = [m for m in range(1 << model.n) if model.is_up_set_mask(m)]
-    rows, full = _atom_rows(model.n, upsets, len(names))
-    top = eval_sliced(model.step_arr, model.ups, program, rows, full)
-    assert full == (1 << len(upsets) ** len(names)) - 1
+    valuations = len(carrier.upsets) ** len(names)
+    rows, full = _atom_rows(carrier.members, len(carrier.upsets), len(names), slots)
+    assert full == (1 << valuations * slots) - 1
+    # Bit v * slots + s stands for valuation v under step first + s.
+    moves = [{} for _ in range(poset.n)]
+    for s in range(slots):
+        bits = sum(1 << (v * slots + s) for v in range(valuations))
+        for i, j in enumerate(carrier.steps[first + s]):
+            moves[i][j] = moves[i].get(j, 0) | bits
+    top = eval_sliced([list(t.items()) for t in moves], carrier.ups, program, rows, full)
     assert all(row <= full for row in top)
-    for v, assignment in enumerate(product(upsets, repeat=len(names))):
-        valuation = {a: model.worlds_of(m) for a, m in zip(names, assignment)}
-        ext = kripke_extension(model, valuation, phi)
-        assert [(row >> v) & 1 for row in top] == [w in ext for w in model.worlds]
+    for s in range(slots):
+        step = carrier.steps[first + s]
+        model = poset.replace_step({w: poset.worlds[j] for w, j in zip(poset.worlds, step)})
+        for v, assignment in enumerate(product(carrier.upsets, repeat=len(names))):
+            valuation = {a: model.worlds_of(up) for a, up in zip(names, assignment)}
+            ext = kripke_extension(model, valuation, phi)
+            bit = v * slots + s
+            assert [(row >> bit) & 1 for row in top] == [w in ext for w in model.worlds]
