@@ -94,7 +94,6 @@ from .hilbert import (
     LOGICS,
     LogicSpec,
     MissingMetavariable,
-    MixedBoxes,
     Rule,
     Schema,
     UnknownLogic,

@@ -122,7 +122,7 @@ def _cmd_real_check(args) -> int:
         caps = parse_caps(items, SourceSpan(0, len(args.caps)), system.caps)
         system = replace(system, caps=caps)
     phi = parse_formula(args.formula)
-    outcome = eval_real(system, phi, system.caps)
+    outcome = eval_real(system, phi)
     status = outcome.status.name.lower()
     if outcome.status is Status.UNDETERMINED or outcome.value is None:
         _emit(
@@ -280,9 +280,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = _PARSER.parse_args(argv)
+    except SystemExit as stop:
+        # argparse exits 2 on a usage error, and 2 reads as "undetermined".
+        return 3 if stop.code == 2 else stop.code
     try:
         return args.func(args)
     except INPUT_ERRORS as err:

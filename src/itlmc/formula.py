@@ -4,17 +4,49 @@ Connectives: falsum, atoms, conjunction, disjunction, implication, plus the
 temporal operators next, eventually, strong henceforth and weak henceforth.
 Negation and biconditional are defined connectives and are normalized away at
 construction time: the tree never contains a Not or Iff node.
+
+Nodes are hash-consed: building a node equal to a live one returns that
+node, so equal formulas are one object, and `==` and `hash` are identity,
+constant time at any depth. Interning assumes that one thread builds
+formulas at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from weakref import WeakValueDictionary
+
+# Every live node, keyed by its class and fields. Children are interned
+# already, so the key hashes them by identity.
+_NODES: WeakValueDictionary = WeakValueDictionary()
 
 
 class Formula:
-    """Base class for formula nodes. Instances are immutable and hashable."""
+    """Base class for formula nodes: immutable, interned, compared by identity."""
 
-    __slots__ = ()
+    __slots__ = ("__weakref__",)
+
+    def __new__(cls, *fields):
+        key = (cls, *fields)
+        node = _NODES.get(key)
+        if node is None:
+            if len(fields) != len(cls.__slots__):
+                raise TypeError(f"{cls.__name__} takes {len(cls.__slots__)} argument(s)")
+            node = _NODES[key] = object.__new__(cls)
+            for name, value in zip(cls.__slots__, fields):
+                object.__setattr__(node, name, value)
+        return node
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(map(repr, self.__reduce__()[1]))})"
 
     def __and__(self, other: "Formula") -> "Formula":
         return And(self, other)
@@ -29,56 +61,46 @@ class Formula:
         return Not(self)
 
 
-@dataclass(frozen=True, slots=True)
 class Bottom(Formula):
     """Falsum."""
 
+    __slots__ = __match_args__ = ()
 
-@dataclass(frozen=True, slots=True)
+
 class Atom(Formula):
-    name: str
+    __slots__ = __match_args__ = ("name",)
 
 
-@dataclass(frozen=True, slots=True)
 class And(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@dataclass(frozen=True, slots=True)
 class Or(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@dataclass(frozen=True, slots=True)
 class Implies(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@dataclass(frozen=True, slots=True)
 class Next(Formula):
-    child: Formula
+    __slots__ = __match_args__ = ("child",)
 
 
-@dataclass(frozen=True, slots=True)
 class Eventually(Formula):
-    child: Formula
+    __slots__ = __match_args__ = ("child",)
 
 
-@dataclass(frozen=True, slots=True)
 class StrongBox(Formula):
     """Henceforth interpreted as the greatest invariant open subset."""
 
-    child: Formula
+    __slots__ = __match_args__ = ("child",)
 
 
-@dataclass(frozen=True, slots=True)
 class WeakBox(Formula):
     """Henceforth interpreted as the interior of the orbit intersection."""
 
-    child: Formula
+    __slots__ = __match_args__ = ("child",)
 
 
 def Not(phi: Formula) -> Formula:
@@ -110,11 +132,11 @@ Program = list[tuple[type, int, int]]
 def walk(phi: Formula) -> tuple[list[Formula], Program]:
     """Distinct subformulas of phi in postorder, each with its (op, a, b) entry.
 
-    Children precede their parents; phi comes last. The op is the node
-    class. For an atom, a is its name; for other nodes a and b are the
-    positions of the children (0 where a node has fewer). Entries are keyed
-    by (op, a, b), so no formula object is hashed, and the walk keeps its
-    own stack, so formula depth is not bounded by the recursion limit.
+    Children precede their parents; phi comes last. Equal subformulas are
+    one node and get one position. The op is the node class. For an atom, a
+    is its name; for other nodes a and b are the positions of the children
+    (0 where a node has fewer). The walk keeps its own stack, so formula
+    depth is not bounded by the recursion limit.
     """
     # Preorder taking right children first, reversed, is postorder taking
     # left children first.
@@ -123,33 +145,21 @@ def walk(phi: Formula) -> tuple[list[Formula], Program]:
     while todo:
         f = todo.pop()
         order.append(f)
-        arity = _ARITY[type(f)]
-        if arity == 2:
-            todo.append(f.left)
-            todo.append(f.right)
-        elif arity:
-            todo.append(f.child)
-    nodes: list[Formula] = []
+        todo.extend(children(f))
+    position: dict[Formula, int] = {}
     program: Program = []
-    position: dict[tuple, int] = {}
-    done: list[int] = []
     for f in reversed(order):
-        op = type(f)
-        arity = _ARITY[op]
-        if arity == 2:
-            b = done.pop()
-            key = (op, done.pop(), b)
-        elif arity:
-            key = (op, done.pop(), 0)
-        else:
-            key = (op, f.name if op is Atom else 0, 0)
-        i = position.get(key)
-        if i is None:
-            i = position[key] = len(program)
-            program.append(key)
-            nodes.append(f)
-        done.append(i)
-    return nodes, program
+        if f not in position:
+            position[f] = len(program)
+            op = type(f)
+            arity = _ARITY[op]
+            if arity == 2:
+                program.append((op, position[f.left], position[f.right]))
+            elif arity:
+                program.append((op, position[f.child], 0))
+            else:
+                program.append((op, f.name if op is Atom else 0, 0))
+    return list(position), program
 
 
 def subformulas(phi: Formula) -> list[Formula]:

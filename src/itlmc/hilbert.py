@@ -78,10 +78,6 @@ class MissingMetavariable(ValueError):
     pass
 
 
-class MixedBoxes(ValueError):
-    """Raised when a weak-box derivation also uses the strong box."""
-
-
 class UnknownLogic(KeyError):
     pass
 
@@ -189,20 +185,13 @@ def _match_into(template: Formula, target: Formula, binding: dict) -> bool:
     while todo:
         t, f = todo.pop()
         if type(t) is Atom:
-            if binding.setdefault(t.name, f) != f:
+            if binding.setdefault(t.name, f) is not f:
                 return False
         elif type(t) is not type(f):
             return False
         else:
             todo.extend(zip(children(t), children(f)))
     return True
-
-
-def match_template(template: Formula, target: Formula) -> Optional[dict]:
-    binding: dict[str, Formula] = {}
-    if _match_into(template, target, binding):
-        return binding
-    return None
 
 
 def _substitute(template: Formula, binding: dict[str, Formula]) -> Formula:
@@ -510,12 +499,12 @@ def _check_core(
                     instance = instantiate(schema, just.subst)
                 except (MissingMetavariable, ValueError) as err:
                     return reject(line.number, str(err))
-                if instance != phi:
+                if instance is not phi:
                     return reject(
                         line.number,
                         f"formula is not the stated instance of axiom {just.schema!r}",
                     )
-            elif match_template(schema.template, phi) is None:
+            elif not _match_into(schema.template, phi, {}):
                 return reject(
                     line.number, f"formula does not match axiom {just.schema!r}"
                 )
@@ -539,7 +528,7 @@ def _check_core(
                 _match_into(template, lines[i - 1].formula, binding)
                 for template, i in zip(rule.premises, just.premises)
             )
-            if not matched or _substitute(rule.conclusion, binding) != phi:
+            if not matched or _substitute(rule.conclusion, binding) is not phi:
                 return reject(
                     line.number,
                     f"rule {just.rule!r} does not derive this line "
@@ -554,10 +543,6 @@ def check_weak(derivation: Derivation, logic: LogicSpec) -> CheckResult:
     """Check a weak-box derivation against a weak-rendered logic."""
     if not logic.weak_rendered:
         raise ValueError(f"{logic.name} is not weak-rendered")
-    ops = set().union(*(operators(line.formula) for line in derivation.lines))
-    if StrongBox in ops and WeakBox in ops:
-        raise MixedBoxes("derivation mixes both henceforth flavors")
-
     total = len(derivation.lines)
     fragment = logic.fragment
     for line in derivation.lines:

@@ -463,7 +463,7 @@ def _chain_limit(
         history.append(nv)
         v = nv
 
-    window = history[-caps.window:]
+    window = history[max(0, len(history) - caps.window):]
     if len(window) < 3:
         return None, Status.UNDETERMINED
     counts = {len(s.components) for s in window}
@@ -541,15 +541,14 @@ def _eventually(pwmap: PiecewiseAffineMap, child: IntervalSet, caps: EvalCaps) -
 _FIXPOINTS = {Eventually: _eventually, StrongBox: _strong_box, WeakBox: _weak_box}
 
 
-def eval_real(system: RealSystem, phi: Formula, caps: EvalCaps | None = None) -> RealOutcome:
+def eval_real(system: RealSystem, phi: Formula) -> RealOutcome:
     """Evaluate phi over the system; the table holds the value of every
     subformula, keyed by its position in `walk(phi)`.
 
     Atoms missing from the valuation denote the empty set. Undetermined
     results propagate upward with value None.
     """
-    caps = caps or system.caps
-    pwmap = system.map
+    caps, pwmap = system.caps, system.map
     program = walk(phi)[1]
     table: list[RealValue] = []
     for op, a, b in program:
@@ -588,11 +587,9 @@ def eval_real(system: RealSystem, phi: Formula, caps: EvalCaps | None = None) ->
     return RealOutcome(top.value, top.status, dict(enumerate(table)))
 
 
-def check_pointwise(
-    system: RealSystem, phi: Formula, points, caps: EvalCaps | None = None
-) -> list[tuple[Fraction, bool]]:
+def check_pointwise(system: RealSystem, phi: Formula, points) -> list[tuple[Fraction, bool]]:
     """Membership of each sample point in the extension of phi."""
-    outcome = eval_real(system, phi, caps)
+    outcome = eval_real(system, phi)
     if outcome.value is None:
         raise UndeterminedExtension(
             "extension is undetermined; pointwise membership unavailable"

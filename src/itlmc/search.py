@@ -40,7 +40,7 @@ _FRESH = ("p", "q", "r", "s")
 
 
 class BoundTooLarge(ValueError):
-    pass
+    """A search bound below 1 or above MAX_BOUND."""
 
 
 class CorpusMissing(KeyError):
@@ -60,7 +60,7 @@ class SemanticClass:
         if self.kind not in ("e", "p"):
             raise ValueError(f"unknown semantic class {self.kind!r}")
         if self.bound < 1:
-            raise ValueError("bound must be at least 1")
+            raise BoundTooLarge("bound must be at least 1")
         if self.bound > MAX_BOUND:
             raise BoundTooLarge(
                 f"bound {self.bound} exceeds the configured maximum {MAX_BOUND}"
@@ -124,13 +124,12 @@ def count_posets(n: int) -> int:
 
 class _Carrier(NamedTuple):
     """One labeled poset of a model table: its strict order as index pairs,
-    the worlds above each world as masks and as lists, its up-set masks in
+    the worlds above each world as lists, its up-set masks in
     increasing order, the class's step maps in `itertools.product` order,
     and per world its membership mask over the up-sets and its moves: each
     target j of a step, with the mask of the indices of the steps to j."""
 
     pairs: tuple[tuple[int, int], ...]
-    up_masks: tuple[int, ...]
     ups: tuple[tuple[int, ...], ...]
     upsets: tuple[int, ...]
     steps: tuple[tuple[int, ...], ...]
@@ -194,7 +193,7 @@ def _build_table(n: int, kind: str) -> tuple[_Carrier, ...]:
         moves = tuple(
             tuple((j, int(c.translate(one[j]), 2)) for j in range(n) if j in c) for c in columns
         )
-        table.append(_Carrier(pairs, tuple(base.up_masks), base.ups, upsets, steps, members, moves))
+        table.append(_Carrier(pairs, base.ups, upsets, steps, members, moves))
     return tuple(table)
 
 

@@ -182,6 +182,50 @@ def test_validate_bound_too_large_exits_3(capsys):
     assert code == 3 and "maximum" in err
 
 
+@pytest.mark.parametrize("bound", ["0", "-1"])
+def test_validate_bound_below_one_exits_3(capsys, bound):
+    code, out, err = run(capsys, "validate", "--class", "e", "--bound", bound, "p")
+    assert (code, out, err) == (3, "", "error: bound must be at least 1\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["validate", "--class", "x", "--bound", "2", "p"], "argument --class: invalid choice: 'x'"),
+        (["validate", "--class", "e", "--bound", "abc", "p"], "argument --bound: invalid int value: 'abc'"),
+        ([], "itlmc: error: the following arguments are required: command"),
+    ],
+)
+def test_usage_errors_exit_3(capsys, argv, message):
+    # 2 is "undetermined", so argparse's own usage exit must not leak through
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.startswith("usage: itlmc") and message in err
+
+
+def test_help_exits_0(capsys):
+    code, out, _ = run(capsys, "--help")
+    assert code == 0 and out.startswith("usage: itlmc")
+    code, out, _ = run(capsys, "validate", "--help")
+    assert code == 0 and out.startswith("usage: itlmc validate")
+
+
+def test_real_check_zero_window_is_undetermined(capsys):
+    code, out, _ = run(
+        capsys, "real-check", "--system", "corpus/real/r-kinked.rds",
+        "--caps", "window=0", "[*]p",
+    )
+    assert code == 2 and "undetermined" in out
+
+
+def test_prove_weak_logic_rejects_mixed_henceforths(capsys, tmp_path):
+    path = tmp_path / "mixed.drv"
+    path.write_text("1. []p -> [*]p ; ipc-taut\n")
+    code, out, err = run(capsys, "prove", "--logic", "ITL.dw", str(path))
+    assert code == 1 and err == ""
+    assert out == "rejected at line 1: formula outside the logic's language\n"
+
+
 def test_prove(capsys):
     code, out, _ = run(
         capsys, "prove", "--logic", "ITL.db", str(CORPUS / "deriv/d-wh.drv")

@@ -1,3 +1,8 @@
+import copy
+import gc
+import pickle
+import weakref
+
 import pytest
 from hypothesis import given
 
@@ -17,6 +22,7 @@ from itlmc import (
     atoms,
     cd,
     children,
+    parse_formula,
     subformulas,
     translate_strong,
     translate_weak,
@@ -37,6 +43,57 @@ def test_nodes_are_hashable_and_comparable():
     assert len({P, Atom("p"), Q}) == 2
     assert Next(P) != Eventually(P)
     assert StrongBox(P) != WeakBox(P)
+
+
+def test_equal_nodes_are_one_object():
+    text = "[](p | q) -> []p | <>q"
+    assert parse_formula(text) is parse_formula(text)
+    assert Bottom() is Bottom() and Not(P) is Implies(Atom("p"), Bottom())
+    phi = parse_formula(text)
+    assert pickle.loads(pickle.dumps(phi)) is phi
+    assert copy.copy(phi) is phi and copy.deepcopy(phi) is phi
+
+
+def _rebuild(f):
+    """A fresh construction of f from its fields, recursively."""
+    if type(f) is Atom:
+        return Atom(f.name)
+    return type(f)(*map(_rebuild, children(f)))
+
+
+@given(formulas(allow_weak=True), formulas(allow_weak=True))
+def test_identity_is_structural_equality(phi, psi):
+    assert _rebuild(phi) is phi
+    assert parse_formula(print_formula(phi)) is phi
+    assert (phi is psi) == (print_formula(phi) == print_formula(psi))
+
+
+def test_nodes_are_immutable():
+    phi = And(P, Q)
+    with pytest.raises(AttributeError):
+        phi.left = Q
+    with pytest.raises(AttributeError):
+        del phi.right
+    with pytest.raises(AttributeError):
+        P.name = "q"
+    assert phi.left is P and P.name == "p"
+
+
+def test_wrong_arity_raises_type_error():
+    with pytest.raises(TypeError):
+        And(P)
+    with pytest.raises(TypeError):
+        Next(P, Q)
+    with pytest.raises(TypeError):
+        Atom()
+
+
+def test_unreferenced_nodes_are_collected():
+    node = And(Atom("only-here"), Next(Atom("only-here")))
+    ref = weakref.ref(node)
+    del node
+    gc.collect()
+    assert ref() is None
 
 
 def test_subformula_count_of_distribution_schema():

@@ -16,7 +16,6 @@ from itlmc import (
     Formula,
     Implies,
     LOGICS,
-    MixedBoxes,
     Next,
     Or,
     SemanticClass,
@@ -379,10 +378,15 @@ def test_weak_logic_rejects_strong_box_lines():
     assert not result.ok and "language" in result.reason
 
 
-def test_mixed_box_flavors_raise():
-    deriv = parse_derivation("1. []p -> [*]p ; ipc-taut\n")
-    with pytest.raises(MixedBoxes):
-        check(deriv, get_logic("ITL.dw"))
+def test_mixed_box_flavors_are_rejected_at_the_first_strong_box_line():
+    deriv = parse_derivation(
+        "1. [*]p -> [*]O p ; axiom wh {phi:=p}\n"
+        "2. []p -> [*]p ; ipc-taut\n"
+    )
+    for logic in ("ITL.dw", "ITL.w"):
+        result = check(deriv, get_logic(logic))
+        assert (result.ok, result.failed_line) == (False, 2)
+        assert "language" in result.reason
 
 
 def test_substitution_values_are_translated_too():

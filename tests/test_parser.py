@@ -125,7 +125,7 @@ def test_parse_error_messages_and_spans_are_pinned(text, message, start, end):
 
 
 def test_deep_formulas_parse():
-    # Checked through the printer: == and hash on Formula still recurse.
+    # Checked through the printer, which keeps its own stack too.
     assert print_formula(parse_formula("(" * 400 + "p" + ")" * 400)) == "p"
     nexts = "O " * 2000 + "p"
     assert print_formula(parse_formula(nexts)) == nexts

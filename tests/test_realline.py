@@ -215,6 +215,16 @@ def test_strict_caps_give_undetermined():
     assert out.value is None
 
 
+def test_zero_window_gives_undetermined():
+    # an empty window has no iterates to fit, so it must not read as the
+    # whole chain history
+    system = _system(PiecewiseAffineMap.affine(2, 0), p=interval(None, 1))
+    for window, status in ((0, Status.UNDETERMINED), (3, Status.EXTRAPOLATED)):
+        caps = EvalCaps(window=window)
+        out = eval_real(RealSystem(system.map, system.valuation, caps), parse_formula("[*]p"))
+        assert out.status is status, window
+
+
 def test_status_propagates_worst():
     system = _system(PiecewiseAffineMap.affine(2, 0), p=interval(None, 1))
     out = eval_real(system, parse_formula("[]p | p"))
