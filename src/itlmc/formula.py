@@ -43,10 +43,14 @@ class Formula:
     __delattr__ = __setattr__
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+        # The flat walk program, so pickling and copying do not recurse.
+        return _build, (walk(self)[1],)
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}({', '.join(map(repr, self.__reduce__()[1]))})"
+        def show(f: Formula, args: tuple) -> str:
+            return f"{type(f).__name__}({', '.join([repr(f.name)] if type(f) is Atom else args)})"
+
+        return fold(self, show)
 
     def __and__(self, other: "Formula") -> "Formula":
         return And(self, other)
@@ -136,30 +140,44 @@ def walk(phi: Formula) -> tuple[list[Formula], Program]:
     one node and get one position. The op is the node class. For an atom, a
     is its name; for other nodes a and b are the positions of the children
     (0 where a node has fewer). The walk keeps its own stack, so formula
-    depth is not bounded by the recursion limit.
+    depth is not bounded by the recursion limit, and it skips nodes it has
+    placed, so its cost follows the distinct nodes, not the tree.
     """
-    # Preorder taking right children first, reversed, is postorder taking
-    # left children first.
-    order = []
-    todo = [phi]
-    while todo:
-        f = todo.pop()
-        order.append(f)
-        todo.extend(children(f))
     position: dict[Formula, int] = {}
     program: Program = []
-    for f in reversed(order):
-        if f not in position:
-            position[f] = len(program)
-            op = type(f)
-            arity = _ARITY[op]
-            if arity == 2:
-                program.append((op, position[f.left], position[f.right]))
-            elif arity:
-                program.append((op, position[f.child], 0))
-            else:
-                program.append((op, f.name if op is Atom else 0, 0))
+    # Expanding a node pushes it back, to be placed, under its children,
+    # left child on top. A node already placed is skipped.
+    todo = [(phi, False)]
+    while todo:
+        f, expanded = todo.pop()
+        if f in position:
+            continue
+        op = type(f)
+        arity = _ARITY[op]
+        if arity == 2:
+            if not expanded:
+                todo += ((f, True), (f.right, False), (f.left, False))
+                continue
+            entry = (op, position[f.left], position[f.right])
+        elif arity:
+            if not expanded:
+                todo += ((f, True), (f.child, False))
+                continue
+            entry = (op, position[f.child], 0)
+        else:
+            entry = (op, f.name if op is Atom else 0, 0)
+        position[f] = len(program)
+        program.append(entry)
     return list(position), program
+
+
+def _build(program: Program) -> Formula:
+    """The formula whose walk program is program."""
+    nodes: list[Formula] = []
+    for op, a, b in program:
+        args = (a,) if op is Atom else tuple(nodes[i] for i in (a, b)[: _ARITY[op]])
+        nodes.append(op(*args))
+    return nodes[-1]
 
 
 def subformulas(phi: Formula) -> list[Formula]:

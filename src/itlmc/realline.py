@@ -1,14 +1,19 @@
 """One-dimensional systems: rational interval sets and piecewise affine maps.
 
 Everything is exact: endpoints are fractions.Fraction, infinities are None
-endpoints, and no floating point is used anywhere. Interval sets are kept in
-a canonical form (sorted, pairwise disjoint, never adjacent), so structural
-equality is set equality.
+endpoints, and no floating point is used anywhere. Numbers from outside
+become Fraction where they enter: `make_interval` (and so `interval` and
+`point`), the `PiecewiseAffineMap` constructor, `apply` and
+`IntervalSet.contains`. The set algebra and the maps compute on those
+Fractions and never convert again. Interval sets are kept in a canonical
+form (sorted, pairwise disjoint, never adjacent), so structural equality is
+set equality.
 
 Henceforth operators are computed by a decreasing preimage chain with
 branch-stabilized affine extrapolation; every extrapolated limit is verified
-to be a genuine fixpoint before it is trusted, and results carry an
-Exact / Extrapolated / Undetermined status.
+to be a genuine fixpoint before it is trusted. Results carry a status,
+ordered exact < extrapolated < undetermined, and a value takes the worst
+status of its operands and its operator.
 """
 
 from __future__ import annotations
@@ -33,13 +38,10 @@ from .formula import (
 )
 
 
-def _frac(x) -> Fraction | None:
-    return None if x is None else Fraction(x)
-
-
 @dataclass(frozen=True, slots=True)
 class Interval:
-    """Nonempty interval; a None endpoint is an infinity and is never closed."""
+    """Nonempty interval with exact endpoints; a None endpoint is an infinity
+    and is never closed."""
 
     lo: Fraction | None
     lo_closed: bool
@@ -47,15 +49,8 @@ class Interval:
     hi_closed: bool
 
     def __post_init__(self):
-        if self.lo is None and self.lo_closed:
-            raise ValueError("-inf cannot be a closed endpoint")
-        if self.hi is None and self.hi_closed:
-            raise ValueError("inf cannot be a closed endpoint")
-        if self.lo is not None and self.hi is not None:
-            if self.lo > self.hi:
-                raise ValueError("empty interval")
-            if self.lo == self.hi and not (self.lo_closed and self.hi_closed):
-                raise ValueError("empty interval")
+        if not _is_interval(self.lo, self.lo_closed, self.hi, self.hi_closed):
+            raise ValueError(f"empty or closed at an infinity: {self}")
 
     def contains(self, x: Fraction) -> bool:
         if self.lo is not None and (x < self.lo or (x == self.lo and not self.lo_closed)):
@@ -63,9 +58,6 @@ class Interval:
         if self.hi is not None and (x > self.hi or (x == self.hi and not self.hi_closed)):
             return False
         return True
-
-    def is_singleton(self) -> bool:
-        return self.lo is not None and self.lo == self.hi
 
     def __str__(self) -> str:
         lo = "-inf" if self.lo is None else str(self.lo)
@@ -77,17 +69,29 @@ class Interval:
         )
 
 
+def _is_interval(lo, lo_closed, hi, hi_closed) -> bool:
+    """The interval rule: an infinite endpoint is open, and the set is nonempty."""
+    if lo is None or hi is None:
+        return not (lo is None and lo_closed) and not (hi is None and hi_closed)
+    return lo < hi or (lo == hi and lo_closed and hi_closed)
+
+
+def _interval(lo, lo_closed, hi, hi_closed) -> Interval | None:
+    """Interval of exact endpoints, or None where the interval rule fails."""
+    if _is_interval(lo, lo_closed, hi, hi_closed):
+        return Interval(lo, lo_closed, hi, hi_closed)
+    return None
+
+
 def make_interval(lo, lo_closed, hi, hi_closed) -> Interval | None:
-    """Interval or None when the description is empty."""
-    lo, hi = _frac(lo), _frac(hi)
-    if lo is None:
-        lo_closed = False
-    if hi is None:
-        hi_closed = False
-    if lo is not None and hi is not None:
-        if lo > hi or (lo == hi and not (lo_closed and hi_closed)):
-            return None
-    return Interval(lo, lo_closed, hi, hi_closed)
+    """Interval or None when the description is empty.
+
+    This is where endpoints from outside become Fraction; an infinite
+    endpoint is made open.
+    """
+    lo = None if lo is None else Fraction(lo)
+    hi = None if hi is None else Fraction(hi)
+    return _interval(lo, lo_closed and lo is not None, hi, hi_closed and hi is not None)
 
 
 def _lo_key(iv: Interval):
@@ -114,7 +118,7 @@ def _touches(a: Interval, b: Interval) -> bool:
 def _intersect(a: Interval, b: Interval) -> Interval | None:
     lo, lo_closed = (a.lo, a.lo_closed) if _lo_key(a) >= _lo_key(b) else (b.lo, b.lo_closed)
     hi, hi_closed = (a.hi, a.hi_closed) if _hi_key(a) <= _hi_key(b) else (b.hi, b.hi_closed)
-    return make_interval(lo, lo_closed, hi, hi_closed)
+    return _interval(lo, lo_closed, hi, hi_closed)
 
 
 @dataclass(frozen=True, slots=True)
@@ -151,11 +155,7 @@ class IntervalSet:
         return IntervalSet.of(self.components + other.components)
 
     def intersection(self, other: "IntervalSet") -> "IntervalSet":
-        out = []
-        for a in self.components:
-            for b in other.components:
-                out.append(_intersect(a, b))
-        return IntervalSet.of(out)
+        return IntervalSet.of(_intersect(a, b) for a in self.components for b in other.components)
 
     def complement(self) -> "IntervalSet":
         gaps = []
@@ -165,14 +165,14 @@ class IntervalSet:
         for iv in self.components:
             if iv.lo is not None:
                 gaps.append(
-                    make_interval(cur_lo, cur_lo_closed, iv.lo, not iv.lo_closed)
+                    _interval(cur_lo, cur_lo_closed, iv.lo, not iv.lo_closed)
                 )
             if iv.hi is None:
                 open_ended = False
                 break
             cur_lo, cur_lo_closed = iv.hi, not iv.hi_closed
         if open_ended:
-            gaps.append(make_interval(cur_lo, cur_lo_closed, None, False))
+            gaps.append(_interval(cur_lo, cur_lo_closed, None, False))
         return IntervalSet.of(gaps)
 
     def difference(self, other: "IntervalSet") -> "IntervalSet":
@@ -182,30 +182,16 @@ class IntervalSet:
         return self.difference(other).is_empty()
 
     def interior(self) -> "IntervalSet":
-        out = []
-        for iv in self.components:
-            if iv.is_singleton():
-                continue
-            out.append(Interval(iv.lo, False, iv.hi, False))
-        return IntervalSet.of(out)
+        # The interval rule drops the open version of a single point.
+        return IntervalSet.of(_interval(iv.lo, False, iv.hi, False) for iv in self.components)
 
     def closure(self) -> "IntervalSet":
-        out = []
-        for iv in self.components:
-            out.append(
-                Interval(
-                    iv.lo,
-                    iv.lo is not None,
-                    iv.hi,
-                    iv.hi is not None,
-                )
-            )
-        return IntervalSet.of(out)
+        return IntervalSet.of(
+            Interval(iv.lo, iv.lo is not None, iv.hi, iv.hi is not None) for iv in self.components
+        )
 
     def is_open(self) -> bool:
-        return all(
-            not iv.lo_closed and not iv.hi_closed for iv in self.components
-        )
+        return all(not iv.lo_closed and not iv.hi_closed for iv in self.components)
 
     def __str__(self) -> str:
         if not self.components:
@@ -237,13 +223,17 @@ class PiecewiseAffineMap:
 
     ``breakpoints`` are strictly increasing; ``pieces`` hold one
     (slope, intercept) pair per region, one more than the breakpoints.
-    Continuity across every breakpoint is validated.
+    Both become Fraction here. Continuity across every breakpoint is
+    validated.
     """
 
     breakpoints: tuple[Fraction, ...]
     pieces: tuple[tuple[Fraction, Fraction], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "breakpoints", tuple(map(Fraction, self.breakpoints)))
+        pieces = tuple((Fraction(a), Fraction(c)) for a, c in self.pieces)
+        object.__setattr__(self, "pieces", pieces)
         if len(self.pieces) != len(self.breakpoints) + 1:
             raise MalformedMap("need exactly one piece per region")
         if any(b1 >= b2 for b1, b2 in zip(self.breakpoints, self.breakpoints[1:])):
@@ -256,14 +246,11 @@ class PiecewiseAffineMap:
 
     @staticmethod
     def affine(slope, intercept) -> "PiecewiseAffineMap":
-        return PiecewiseAffineMap((), ((Fraction(slope), Fraction(intercept)),))
+        return PiecewiseAffineMap((), ((slope, intercept),))
 
     @staticmethod
     def from_pieces(breakpoints, pieces) -> "PiecewiseAffineMap":
-        return PiecewiseAffineMap(
-            tuple(Fraction(b) for b in breakpoints),
-            tuple((Fraction(a), Fraction(c)) for a, c in pieces),
-        )
+        return PiecewiseAffineMap(tuple(breakpoints), tuple(pieces))
 
     def is_open(self) -> bool:
         """Open iff no flat piece and all slopes share a sign (invertible)."""
@@ -288,28 +275,8 @@ class PiecewiseAffineMap:
             dom = self._domain(i)
             for comp in s.components:
                 clip = _intersect(comp, dom)
-                if clip is None:
-                    continue
-                if a == 0:
-                    out.append(make_interval(c, True, c, True))
-                elif a > 0:
-                    out.append(
-                        make_interval(
-                            None if clip.lo is None else a * clip.lo + c,
-                            clip.lo_closed,
-                            None if clip.hi is None else a * clip.hi + c,
-                            clip.hi_closed,
-                        )
-                    )
-                else:
-                    out.append(
-                        make_interval(
-                            None if clip.hi is None else a * clip.hi + c,
-                            clip.hi_closed,
-                            None if clip.lo is None else a * clip.lo + c,
-                            clip.lo_closed,
-                        )
-                    )
+                if clip is not None:
+                    out.append(_affine(clip, a, c) if a else Interval(c, True, c, True))
         return IntervalSet.of(out)
 
     def preimage(self, s: IntervalSet) -> IntervalSet:
@@ -320,37 +287,32 @@ class PiecewiseAffineMap:
                 if s.contains(c):
                     out.append(dom)
                 continue
+            # y = a*x + c inverts to x = y/a - c/a, exact in Fraction.
+            inverse, offset = 1 / a, -c / a
             for comp in s.components:
-                if a > 0:
-                    pre = make_interval(
-                        None if comp.lo is None else (comp.lo - c) / a,
-                        comp.lo_closed,
-                        None if comp.hi is None else (comp.hi - c) / a,
-                        comp.hi_closed,
-                    )
-                else:
-                    pre = make_interval(
-                        None if comp.hi is None else (comp.hi - c) / a,
-                        comp.hi_closed,
-                        None if comp.lo is None else (comp.lo - c) / a,
-                        comp.lo_closed,
-                    )
-                if pre is not None:
-                    out.append(_intersect(pre, dom))
+                out.append(_intersect(_affine(comp, inverse, offset), dom))
         return IntervalSet.of(out)
 
 
+def _affine(iv: Interval, a: Fraction, c: Fraction) -> Interval:
+    """Image of iv under x -> a*x + c for a nonzero slope a."""
+    lo = None if iv.lo is None else a * iv.lo + c
+    hi = None if iv.hi is None else a * iv.hi + c
+    if a > 0:
+        return Interval(lo, iv.lo_closed, hi, iv.hi_closed)
+    return Interval(hi, iv.hi_closed, lo, iv.lo_closed)
+
+
 class Status(enum.Enum):
+    """Trust in a value, declared best first: exact < extrapolated < undetermined."""
+
     EXACT = "Exact"
     EXTRAPOLATED = "Extrapolated"
     UNDETERMINED = "Undetermined"
 
 
-_STATUS_RANK = {Status.EXACT: 0, Status.EXTRAPOLATED: 1, Status.UNDETERMINED: 2}
-
-
 def worst_status(*statuses: Status) -> Status:
-    return max(statuses, key=_STATUS_RANK.__getitem__)
+    return max(statuses, key=list(Status).index)
 
 
 @dataclass(frozen=True, slots=True)
@@ -399,9 +361,6 @@ class RealOutcome:
     value: IntervalSet | None
     status: Status
     table: dict[int, RealValue] = field(compare=False, hash=False, default_factory=dict)
-
-
-_UNDET = RealValue(None, Status.UNDETERMINED)
 
 
 def _orbit_stays_in(pwmap: PiecewiseAffineMap, x: Fraction, target: IntervalSet, cap: int) -> bool | None:
@@ -483,18 +442,11 @@ def _chain_limit(
         hi = None if hi_fit[0] in ("none", "inf") else hi_fit[1]
         if lo is not None and hi is not None and lo > hi:
             continue
-        lo_closed = hi_closed = False
-        if lo is not None:
-            inside = _orbit_stays_in(pwmap, lo, target, caps.orbit)
-            if inside is None:
-                return None, Status.UNDETERMINED
-            lo_closed = inside
-        if hi is not None:
-            inside = _orbit_stays_in(pwmap, hi, target, caps.orbit)
-            if inside is None:
-                return None, Status.UNDETERMINED
-            hi_closed = inside
-        out.append(make_interval(lo, lo_closed, hi, hi_closed))
+        # A finite endpoint is in the limit iff its orbit stays in target.
+        closed = [e is not None and _orbit_stays_in(pwmap, e, target, caps.orbit) for e in (lo, hi)]
+        if None in closed:
+            return None, Status.UNDETERMINED
+        out.append(_interval(lo, closed[0], hi, closed[1]))
 
     limit = IntervalSet.of(out)
     if limit != target.intersection(pwmap.preimage(limit)):
@@ -502,86 +454,72 @@ def _chain_limit(
     return limit, Status.EXTRAPOLATED
 
 
-def _weak_box(pwmap: PiecewiseAffineMap, child: IntervalSet, caps: EvalCaps) -> RealValue:
+def _weak_box(pwmap: PiecewiseAffineMap, child: IntervalSet, caps: EvalCaps):
     limit, status = _chain_limit(pwmap, child, caps)
-    if limit is None:
-        return _UNDET
-    return RealValue(limit.interior(), status)
+    return (None if limit is None else limit.interior()), status
 
 
-def _strong_box(pwmap: PiecewiseAffineMap, child: IntervalSet, caps: EvalCaps) -> RealValue:
+def _strong_box(pwmap: PiecewiseAffineMap, child: IntervalSet, caps: EvalCaps):
     """Greatest invariant open subset of child, chain plus interior restarts."""
-    target = child
-    first = True
+    target, status = child, Status.EXACT
     for _ in range(caps.restart + 1):
-        limit, status = _chain_limit(pwmap, target, caps)
-        if limit is None:
-            return _UNDET
-        if status is Status.EXACT:
-            # A stabilized chain limit is open and invariant already.
-            return RealValue(limit, Status.EXACT if first else Status.EXTRAPOLATED)
-        first = False
-        c = limit.interior()
-        if pwmap.image(c).is_subset(c):
-            return RealValue(c, Status.EXTRAPOLATED)
-        target = c
-    return _UNDET
+        limit, chain = _chain_limit(pwmap, target, caps)
+        if chain is not Status.EXTRAPOLATED:
+            # An Exact chain limit is open and invariant already; an
+            # Undetermined one ends the search.
+            return limit, worst_status(status, chain)
+        status, target = Status.EXTRAPOLATED, limit.interior()
+        if pwmap.image(target).is_subset(target):
+            return target, status
+    return None, Status.UNDETERMINED
 
 
-def _eventually(pwmap: PiecewiseAffineMap, child: IntervalSet, caps: EvalCaps) -> RealValue:
+def _eventually(pwmap: PiecewiseAffineMap, child: IntervalSet, caps: EvalCaps):
     v = child
     for _ in range(caps.iter):
         nv = v.union(pwmap.preimage(v))
         if nv == v:
-            return RealValue(v, Status.EXACT)
+            return v, Status.EXACT
         v = nv
-    return _UNDET
+    return None, Status.UNDETERMINED
 
 
-_FIXPOINTS = {Eventually: _eventually, StrongBox: _strong_box, WeakBox: _weak_box}
+# Each operator maps (map, caps, x, y) to (value, status), the value None when
+# undetermined; y is the second operand, which unary operators ignore.
+_OPS = {
+    And: lambda f, caps, x, y: (x.intersection(y), Status.EXACT),
+    Or: lambda f, caps, x, y: (x.union(y), Status.EXACT),
+    Implies: lambda f, caps, x, y: (x.complement().union(y).interior(), Status.EXACT),
+    Next: lambda f, caps, x, y: (f.preimage(x), Status.EXACT),
+    Eventually: lambda f, caps, x, y: _eventually(f, x, caps),
+    StrongBox: lambda f, caps, x, y: _strong_box(f, x, caps),
+    WeakBox: lambda f, caps, x, y: _weak_box(f, x, caps),
+}
 
 
 def eval_real(system: RealSystem, phi: Formula) -> RealOutcome:
     """Evaluate phi over the system; the table holds the value of every
     subformula, keyed by its position in `walk(phi)`.
 
-    Atoms missing from the valuation denote the empty set. Undetermined
-    results propagate upward with value None.
+    Atoms missing from the valuation denote the empty set. A value takes the
+    worst status of its operands and its operator; Undetermined values are
+    None.
     """
     caps, pwmap = system.caps, system.map
-    program = walk(phi)[1]
     table: list[RealValue] = []
-    for op, a, b in program:
+    for op, a, b in walk(phi)[1]:
         if op is Atom:
             rv = RealValue(system.valuation.get(a, EMPTY), Status.EXACT)
         elif op is Bottom:
             rv = RealValue(EMPTY, Status.EXACT)
-        elif op is And or op is Or or op is Implies:
-            lv, rvv = table[a], table[b]
-            st = worst_status(lv.status, rvv.status)
-            if st is Status.UNDETERMINED:
-                rv = _UNDET
-            elif op is And:
-                rv = RealValue(lv.value.intersection(rvv.value), st)
-            elif op is Or:
-                rv = RealValue(lv.value.union(rvv.value), st)
-            else:
-                rv = RealValue(
-                    lv.value.complement().union(rvv.value).interior(), st
-                )
         else:
-            cv = table[a]
-            if cv.status is Status.UNDETERMINED:
-                rv = _UNDET
-            elif op is Next:
-                rv = RealValue(pwmap.preimage(cv.value), cv.status)
+            # A unary entry has b = 0: the walk's first node, a leaf, so Exact.
+            x, y = table[a], table[b]
+            if x.value is None or y.value is None:
+                value, status = None, Status.UNDETERMINED
             else:
-                inner = _FIXPOINTS[op](pwmap, cv.value, caps)
-                rv = (
-                    _UNDET
-                    if inner.status is Status.UNDETERMINED
-                    else RealValue(inner.value, worst_status(inner.status, cv.status))
-                )
+                value, status = _OPS[op](pwmap, caps, x.value, y.value)
+            rv = RealValue(value, worst_status(x.status, y.status, status))
         table.append(rv)
     top = table[-1]
     return RealOutcome(top.value, top.status, dict(enumerate(table)))

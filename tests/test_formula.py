@@ -1,6 +1,7 @@
 import copy
 import gc
 import pickle
+import time
 import weakref
 
 import pytest
@@ -10,6 +11,7 @@ from itlmc import (
     And,
     Atom,
     Bottom,
+    Countermodel,
     Eventually,
     FRAGMENTS,
     Iff,
@@ -17,6 +19,7 @@ from itlmc import (
     Next,
     Not,
     Or,
+    SemanticClass,
     StrongBox,
     WeakBox,
     atoms,
@@ -26,6 +29,7 @@ from itlmc import (
     subformulas,
     translate_strong,
     translate_weak,
+    validity,
 )
 from itlmc.formula import compile_formula, walk
 from itlmc.parser import print_formula
@@ -161,6 +165,37 @@ def test_deep_formulas_do_not_recurse():
     assert len(program) == depth + 2 and names == ["p"]
     assert print_formula(phi) == "O " * depth + "[]p"
     assert print_formula(translate_weak(phi)) == "O " * depth + "[*]p"
+
+
+def test_walk_places_each_shared_node_once():
+    # n doublings are a tree of 2**(n + 1) - 1 nodes but n + 1 distinct ones.
+    # A walk of the tree takes over 0.5 s at 20 and runs out of memory at 40,
+    # so 20 goes first.
+    for levels in (20, 40):
+        x = P
+        for _ in range(levels):
+            x = And(x, x)
+        start = time.perf_counter()
+        nodes, program = walk(x)
+        assert time.perf_counter() - start < 0.1
+        assert len(nodes) == levels + 1 and nodes == _reference_subformulas(x)
+        assert program == [(Atom, "p", 0)] + [(And, i, i) for i in range(levels)]
+
+
+def test_repr_pickle_and_copy_do_not_recurse():
+    shallow = parse_formula("[](p | q) -> ~p")
+    assert repr(shallow) == (
+        "Implies(StrongBox(Or(Atom('p'), Atom('q'))), Implies(Atom('p'), Bottom()))"
+    )
+    depth = 3000
+    deep = P
+    for _ in range(depth):
+        deep = Next(deep)
+    assert repr(deep) == "Next(" * depth + "Atom('p')" + ")" * depth
+    assert pickle.loads(pickle.dumps(deep)) is deep
+    assert copy.deepcopy(deep) is deep and copy.copy(deep) is deep
+    verdict = validity(deep, SemanticClass("e", 2))
+    assert isinstance(verdict, Countermodel) and repr(deep) in repr(verdict)
 
 
 def test_atoms_sorted():

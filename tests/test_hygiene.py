@@ -49,6 +49,27 @@ def test_no_unused_imports(path):
     assert _unused_imports(ast.parse(path.read_text())) == []
 
 
+def _inexact(tree: ast.Module) -> list[str]:
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and type(node.value) in (float, complex):
+            found.append(f"literal {node.value!r} (line {node.lineno})")
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "float":
+            found.append(f"float( (line {node.lineno})")
+        elif isinstance(node, ast.Import):
+            if any(alias.name.split(".")[0] == "math" for alias in node.names):
+                found.append(f"import math (line {node.lineno})")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "math":
+            found.append(f"from math import (line {node.lineno})")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_exact_stays_exact(path):
+    # Verdicts rest on exact arithmetic: Fraction endpoints and integer masks.
+    assert _inexact(ast.parse(path.read_text())) == []
+
+
 def _module_names(tree: ast.Module) -> dict[str, int]:
     names = {}
     for node in tree.body:

@@ -97,11 +97,17 @@ def test_difference_and_subset(a, b):
     assert a.is_subset(a.union(b))
 
 
+def _endpoints(s: IntervalSet) -> set[Fraction]:
+    return {e for iv in s.components for e in (iv.lo, iv.hi) if e is not None}
+
+
 @given(interval_sets(), interval_sets(), rationals)
 def test_membership_coherence(a, b, x):
-    assert a.union(b).contains(x) == (a.contains(x) or b.contains(x))
-    assert a.intersection(b).contains(x) == (a.contains(x) and b.contains(x))
-    assert a.complement().contains(x) == (not a.contains(x))
+    # closedness decides membership only at endpoints, so test each of them
+    for y in {x} | _endpoints(a) | _endpoints(b):
+        assert a.union(b).contains(y) == (a.contains(y) or b.contains(y))
+        assert a.intersection(b).contains(y) == (a.contains(y) and b.contains(y))
+        assert a.complement().contains(y) == (not a.contains(y))
 
 
 def test_point_and_interval_helpers():
@@ -109,6 +115,29 @@ def test_point_and_interval_helpers():
     assert not point(3).interior().contains(3)
     assert point(3).interior() == EMPTY
     assert interval(0, 1, True, True).closure() == interval(0, 1, True, True)
+
+
+def test_numbers_from_outside_become_exact_endpoints():
+    for iv in (interval(0.5, 1).components[0], make_interval(0.5, True, 1, False)):
+        assert type(iv.lo) is Fraction and iv.lo == Fraction(1, 2)
+        assert type(iv.hi) is Fraction and iv.hi == 1
+    # a map built from ints holds Fractions, so its preimages stay exact
+    direct = PiecewiseAffineMap((0,), ((0, 0), (2, 0)))
+    assert direct == PiecewiseAffineMap.from_pieces([0], [(0, 0), (2, 0)])
+    pre = direct.preimage(interval(1, 3)).components[0]
+    assert (type(pre.lo), type(pre.hi)) == (Fraction, Fraction) and pre.lo == Fraction(1, 2)
+    # make_interval opens an infinite endpoint and gives None for an empty one
+    assert make_interval(None, True, 1, False) == Interval(None, False, Fraction(1), False)
+    assert make_interval(1, True, 1, False) is None
+    assert make_interval(2, True, 1, True) is None
+    for args in (
+        (Fraction(1), False, Fraction(1), True),
+        (Fraction(2), True, Fraction(1), True),
+        (None, True, Fraction(1), False),
+        (Fraction(0), False, None, True),
+    ):
+        with pytest.raises(ValueError):
+            Interval(*args)
 
 
 # -- piecewise affine maps ----------------------------------------------------
@@ -140,6 +169,49 @@ def test_image_and_preimage():
     assert flat.image(interval(-9, 9)) == point(3)
     assert flat.preimage(interval(2, 4)) == REALS
     assert flat.preimage(interval(5, 6)) == EMPTY
+
+
+_SLOPES = st.sampled_from([Fraction(a) for a in ("-2", "-1", "-1/3", "0", "1/2", "1", "3")])
+
+
+@st.composite
+def piecewise_maps(draw):
+    """Continuous maps with up to two breakpoints, flat pieces and negative slopes."""
+    breakpoints = sorted(set(draw(st.lists(rationals, max_size=2))))
+    pieces = [(draw(_SLOPES), draw(rationals))]
+    for b in breakpoints:
+        a, c = pieces[-1]
+        slope = draw(_SLOPES)
+        pieces.append((slope, a * b + c - slope * b))
+    return PiecewiseAffineMap.from_pieces(breakpoints, pieces)
+
+
+def _points_in(s: IntervalSet) -> list[Fraction]:
+    """Three points inside each component, and its closed endpoints."""
+    out = []
+    for iv in s.components:
+        lo, hi = iv.lo, iv.hi
+        if lo is None:
+            lo = (Fraction(0) if hi is None else hi) - 1
+        if hi is None:
+            hi = lo + 2
+        out += [lo + (hi - lo) / 7, (lo + hi) / 2, hi - (hi - lo) / 7]
+        out += [e for e, closed in ((iv.lo, iv.lo_closed), (iv.hi, iv.hi_closed)) if closed]
+    return out
+
+
+@given(piecewise_maps(), interval_sets(), interval_sets())
+def test_image_and_preimage_are_adjoint(f, a, b):
+    assert a.is_subset(f.preimage(f.image(a)))
+    assert f.image(f.preimage(b)).is_subset(b)
+
+
+@given(piecewise_maps(), interval_sets())
+def test_image_holds_the_image_of_each_point(f, a):
+    image = f.image(a)
+    for x in _points_in(a):
+        assert a.contains(x)
+        assert image.contains(f.apply(x))
 
 
 def test_preimage_vs_point_sampling_bulk():

@@ -9,11 +9,18 @@ from itlmc import (
     BoundTooLarge,
     Countermodel,
     DynamicPoset,
+    Eventually,
+    Implies,
     LOGICS,
     MAX_BOUND,
+    Next,
+    Not,
+    Or,
     SemanticClass,
     SOUND_STRUCTURES,
+    StrongBox,
     ValidUpTo,
+    WeakBox,
     cem,
     count_posets,
     enumerate_models,
@@ -261,18 +268,43 @@ _FORMULAS = {
 }
 
 
+# On one world every temporal operator is the identity and the logic is
+# classical, so each of these holds there whatever f is. At the bound most
+# are refuted, and only a refutation on a carrier of several worlds, which
+# has several steps, can tell step order from valuation order.
+_ONE_WORLD_TAUTOLOGIES = (
+    lambda f: Implies(Next(f), f),
+    lambda f: Implies(f, Next(f)),
+    lambda f: Implies(Eventually(f), f),
+    lambda f: Implies(f, StrongBox(f)),
+    lambda f: Implies(f, WeakBox(f)),
+    lambda f: Or(f, Not(f)),
+    lambda f: Implies(Not(Not(f)), f),
+)
+_TAUTOLOGIES = {
+    bound: st.builds(lambda make, f: make(f), st.sampled_from(_ONE_WORLD_TAUTOLOGIES), strategy)
+    for bound, strategy in _FORMULAS.items()
+}
+
+
 @st.composite
 def _queries(draw):
-    # Only formulas that hold on one world are drawn: a carrier of one world
-    # has one step, so a refutation there cannot tell step order from
-    # valuation order. Most such formulas hold up to the bound, and a full
+    # Three draws in four are one-world tautologies refuted at the bound.
+    # The fourth is any formula that holds on one world; most of those hold
+    # up to the bound, which keeps the ValidUpTo verdict compared. A full
     # bound-3 reference scan costs some 30 bound-2 ones, so one draw in four
     # is bound 3.
     bound = draw(st.sampled_from((2, 2, 2, 3)))
     kind = draw(st.sampled_from("ep"))
+    semclass = SemanticClass(kind, bound)
+    if draw(st.integers(0, 3)):
+        refuted = _TAUTOLOGIES[bound].filter(
+            lambda f: not isinstance(validity(f, semclass), ValidUpTo)
+        )
+        return draw(refuted), semclass
     one_world = SemanticClass(kind, 1)
-    phi = draw(_FORMULAS[bound].filter(lambda f: isinstance(validity(f, one_world), ValidUpTo)))
-    return phi, SemanticClass(kind, bound)
+    holds = _FORMULAS[bound].filter(lambda f: isinstance(validity(f, one_world), ValidUpTo))
+    return draw(holds), semclass
 
 
 def _assert_matches_reference(phi, semclass):
