@@ -224,11 +224,15 @@ class PiecewiseAffineMap:
     ``breakpoints`` are strictly increasing; ``pieces`` hold one
     (slope, intercept) pair per region, one more than the breakpoints.
     Both become Fraction here. Continuity across every breakpoint is
-    validated.
+    validated. Each piece's inverse (slope, intercept) is computed here
+    too, None for a flat piece.
     """
 
     breakpoints: tuple[Fraction, ...]
     pieces: tuple[tuple[Fraction, Fraction], ...]
+    _inverses: tuple[tuple[Fraction, Fraction] | None, ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         object.__setattr__(self, "breakpoints", tuple(map(Fraction, self.breakpoints)))
@@ -243,6 +247,9 @@ class PiecewiseAffineMap:
             a2, c2 = self.pieces[i + 1]
             if a1 * b + c1 != a2 * b + c2:
                 raise MalformedMap(f"discontinuous at {b}")
+        # y = a*x + c inverts to x = y/a - c/a, exact in Fraction.
+        inverses = tuple((1 / a, -c / a) if a else None for a, c in pieces)
+        object.__setattr__(self, "_inverses", inverses)
 
     @staticmethod
     def affine(slope, intercept) -> "PiecewiseAffineMap":
@@ -281,16 +288,14 @@ class PiecewiseAffineMap:
 
     def preimage(self, s: IntervalSet) -> IntervalSet:
         out = []
-        for i, (a, c) in enumerate(self.pieces):
+        for i, ((_, c), inverse) in enumerate(zip(self.pieces, self._inverses)):
             dom = self._domain(i)
-            if a == 0:
+            if inverse is None:
                 if s.contains(c):
                     out.append(dom)
                 continue
-            # y = a*x + c inverts to x = y/a - c/a, exact in Fraction.
-            inverse, offset = 1 / a, -c / a
             for comp in s.components:
-                out.append(_intersect(_affine(comp, inverse, offset), dom))
+                out.append(_intersect(_affine(comp, *inverse), dom))
         return IntervalSet.of(out)
 
 

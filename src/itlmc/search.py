@@ -2,10 +2,22 @@
 
 Models are enumerated exhaustively up to a world bound: all partial orders
 on labeled carriers, the monotone step maps found by backtracking (open ones
-only for class p), and all up-set valuations of the requested atoms. Each
-`SemanticClass` keeps its model table, built one size at a time as a scan
-first reaches it; only a reported countermodel becomes a `DynamicPoset`.
-The order is deterministic, so the first countermodel is stable across runs.
+only for class p), and all up-set valuations of the requested atoms. The
+model tables depend only on the class and the size: each is built once per
+process, when a scan first reaches it, and shared by every later query.
+Only a reported countermodel becomes a `DynamicPoset`. The order is
+deterministic, so the first countermodel is stable across runs.
+
+Validity does not change under isomorphism, so `validity` scans only a
+reduced table per size (isomorph rejection, as in McKay and Brinkmann's
+"Posets on up to 16 points", Order 2002):
+the first carrier of each isomorphism class in `_orders` order, with the
+class steps that are lexicographically least in their orbit under
+conjugation by the carrier's automorphisms. Every (carrier, step) pair it
+drops is isomorphic to an earlier pair it keeps, so a dropped pair fails
+only after a kept one has failed: the reduced scan meets the same first
+countermodel as a scan of every labeled model. The labeled tables serve
+`enumerate_models`, and the tests as the reference.
 
 `validity` evaluates the step maps of a carrier together: a world's row has
 bit v * S + s for valuation v under the chunk's step s, valuation-major and
@@ -14,15 +26,21 @@ so no row is wider than CHUNK_BITS = 2^16 bits unless one step's valuations
 are. Reading the lowest failing step slot, then the lowest valuation at that
 slot, then the lowest world, gives the countermodel a scan of one step at a
 time would meet first.
+
+A chunk's plan (its atom rows, full row, repunit and move masks) depends
+only on the carrier, the atom count and the chunk width, so the plans are
+kept per process for formulas of at most PLANNED_ATOMS = 3 atoms. At five
+worlds in class e they take about 5 MB for two atoms and 71 MB for three;
+four atoms would take about 1 GB.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from itertools import chain, islice, product
+from functools import cache, reduce
+from itertools import chain, islice, permutations, product
 from operator import and_
 from typing import Iterator, NamedTuple, Optional, Union
 
@@ -35,6 +53,13 @@ MAX_BOUND = 5
 
 # Widest row of a query, in bits: CHUNK_BITS // V step maps share a row of V valuations.
 CHUNK_BITS = 1 << 16
+
+# Chunk plans are kept for formulas of at most this many atoms.
+PLANNED_ATOMS = 3
+
+# Kept chunk plans of the reduced tables by (class, size, atoms, chunk width),
+# then (carrier index, first step).
+_PLANS: dict[tuple[str, int, int, int], dict[tuple[int, int], tuple]] = {}
 
 _FRESH = ("p", "q", "r", "s")
 
@@ -53,8 +78,6 @@ class SemanticClass:
 
     kind: str
     bound: int
-    # Model table by size: entry n - 1 holds the carriers of n worlds.
-    _tables: list = field(default_factory=list, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in ("e", "p"):
@@ -65,12 +88,6 @@ class SemanticClass:
             raise BoundTooLarge(
                 f"bound {self.bound} exceeds the configured maximum {MAX_BOUND}"
             )
-
-    def table(self, n: int) -> tuple[_Carrier, ...]:
-        """The class's models on n worlds, built on first use and kept."""
-        while len(self._tables) < n:
-            self._tables.append(_build_table(len(self._tables) + 1, self.kind))
-        return self._tables[n - 1]
 
 
 @dataclass(frozen=True)
@@ -177,15 +194,50 @@ def _class_steps(up_masks, ups, kind: str, interned: list) -> tuple[tuple[int, .
     return tuple(out)
 
 
-def _build_table(n: int, kind: str) -> tuple[_Carrier, ...]:
-    """Every carrier of n worlds with its class steps, in `_orders` order."""
+def _orbit_minima(steps, automorphisms) -> tuple[tuple[int, ...], ...]:
+    """The steps least in their orbit under conjugation, g[σ i] = σ(s[i]).
+
+    Steps come in product order, which is lexicographic, so a step that no
+    earlier kept step's orbit covers is the least of its own orbit.
+    """
+    kept, covered = [], set()
+    for step in steps:
+        if step in covered:
+            continue
+        kept.append(step)
+        for sigma in automorphisms:
+            image = [0] * len(step)
+            for i, target in enumerate(step):
+                image[sigma[i]] = sigma[target]
+            covered.add(tuple(image))
+    return tuple(kept)
+
+
+@cache
+def _table(kind: str, n: int, reduced: bool) -> tuple[_Carrier, ...]:
+    """The class's carriers of n worlds in `_orders` order, built once per process.
+
+    The labeled table holds every carrier with all its class steps. The
+    reduced one holds the first carrier of each isomorphism class with the
+    steps `_orbit_minima` keeps under its automorphisms: one model per
+    isomorphism class of (poset, step) pairs.
+    """
     interned = list(product(range(n), repeat=n))
     one = [b"0" * j + b"1" + b"0" * (255 - j) for j in range(n)]  # byte j to "1"
+    relabelings = list(permutations(range(n))) if reduced else []
+    seen = set()  # the relabeled pair lists of the isomorphism classes met so far
     table = []
     for pairs in _orders(n):
+        if pairs in seen:
+            continue
         base = _poset(n, pairs)
         upsets = tuple(m for m in range(1 << n) if base.is_up_set_mask(m))
         steps = _class_steps(base.up_masks, base.ups, kind, interned)
+        if reduced:
+            images = [tuple(sorted((s[i], s[j]) for i, j in pairs)) for s in relabelings]
+            seen.update(images)
+            automorphisms = [s for s, image in zip(relabelings, images) if image == pairs]
+            steps = _orbit_minima(steps, automorphisms)
         members = tuple(sum(1 << d for d, up in enumerate(upsets) if up >> i & 1) for i in range(n))
         # Each world's column of targets, last step first, as one binary numeral per target.
         flat = bytes(chain.from_iterable(steps[::-1]))
@@ -218,7 +270,7 @@ def enumerate_models(
     up-sets, the first atom varying slowest.
     """
     for n in range(1, semclass.bound + 1):
-        for carrier in semclass.table(n):
+        for carrier in _table(semclass.kind, n, False):
             base = _poset(n, carrier.pairs)
             for step in carrier.steps:
                 model = _with_step(base, step)
@@ -262,25 +314,36 @@ def _atom_rows(members: Sequence[int], m: int, k: int, slots: int) -> tuple[list
     return rows, (1 << total) - 1
 
 
+def _plan(carrier: _Carrier, k: int, first: int, slots: int) -> tuple:
+    """Atom rows, full row, repunit and move masks of the chunk's steps under k atoms."""
+    rows, full = _atom_rows(carrier.members, len(carrier.upsets), k, slots)
+    # A move mask holds the chunk's slots of its steps once per valuation.
+    repunit, low = _repeat(1, slots, full.bit_length()), (1 << slots) - 1
+    chunk = [[(j, mask >> first & low) for j, mask in ts] for ts in carrier.moves]
+    moves = [[(j, mask * repunit) for j, mask in ts if mask] for ts in chunk]
+    return rows, full, repunit, moves
+
+
 def validity(phi: Formula, semclass: SemanticClass) -> Verdict:
     """First falsifying model in enumeration order, or validity up to bound.
 
-    A carrier is evaluated a chunk of steps at a time under all valuations
-    (see the module docstring). Only the first countermodel becomes a
-    `DynamicPoset`, and `eval_formula` re-checks it on that one valuation.
+    Each size's reduced table is scanned a chunk of steps at a time under
+    all valuations (see the module docstring). Only the first countermodel
+    becomes a `DynamicPoset`, and `eval_formula` re-checks it on that one
+    valuation.
     """
     program, names = compile_formula(phi)
     k = len(names)
     for n in range(1, semclass.bound + 1):
-        for carrier in semclass.table(n):
+        plans = _PLANS.setdefault((semclass.kind, n, k, CHUNK_BITS), {})
+        for index, carrier in enumerate(_table(semclass.kind, n, True)):
             size = max(1, CHUNK_BITS // len(carrier.upsets) ** k)
             for first in range(0, len(carrier.steps), size):
                 slots = min(size, len(carrier.steps) - first)
-                rows, full = _atom_rows(carrier.members, len(carrier.upsets), k, slots)
-                # A move mask holds the chunk's slots of its steps once per valuation.
-                repunit, low = _repeat(1, slots, full.bit_length()), (1 << slots) - 1
-                chunk = [[(j, mask >> first & low) for j, mask in ts] for ts in carrier.moves]
-                moves = [[(j, mask * repunit) for j, mask in ts if mask] for ts in chunk]
+                plan = plans.get((index, first)) or _plan(carrier, k, first, slots)
+                if k <= PLANNED_ATOMS:
+                    plans[index, first] = plan
+                rows, full, repunit, moves = plan
                 top = eval_sliced(moves, carrier.ups, program, rows, full)
                 failing = full ^ reduce(and_, top)
                 if not failing:

@@ -1,9 +1,9 @@
 import random
-from itertools import product
+from itertools import permutations, product
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 
 from itlmc import (
     BoundTooLarge,
@@ -32,6 +32,7 @@ from itlmc import (
 )
 from itlmc import search
 from itlmc.formula import atoms, compile_formula
+from itlmc.hilbert import instantiate
 from itlmc.poset import eval_sliced
 from itlmc.search import _atom_rows, _orders
 
@@ -232,8 +233,42 @@ def test_enumeration_matches_reference_models(kind):
     [("e", [1, 10, 225, 9504, 696735]), ("p", [1, 8, 126, 3188, 122130])],
 )
 def test_table_counts_per_size(kind, counts):
-    semclass = SemanticClass(kind, 5)
-    assert [sum(len(c.steps) for c in semclass.table(n)) for n in range(1, 6)] == counts
+    assert [sum(len(c.steps) for c in search._table(kind, n, False)) for n in range(1, 6)] == counts
+
+
+@pytest.mark.parametrize(
+    "kind, counts",
+    [("e", [1, 6, 43, 452, 6497]), ("p", [1, 5, 26, 170, 1297])],
+)
+def test_reduced_table_counts_per_size(kind, counts):
+    # One carrier per unlabeled poset (OEIS A000112), one step per orbit.
+    tables = [search._table(kind, n, True) for n in range(1, 6)]
+    assert [len(table) for table in tables] == [1, 2, 5, 16, 63]
+    assert [sum(len(c.steps) for c in table) for table in tables] == counts
+
+
+def _canonical_form(n, pairs, step):
+    """The least relabeling of a (poset, step) pair: equal exactly for isomorphic pairs."""
+    forms = []
+    for sigma in permutations(range(n)):
+        image = [0] * n
+        for i, target in enumerate(step):
+            image[sigma[i]] = sigma[target]
+        forms.append((tuple(sorted((sigma[i], sigma[j]) for i, j in pairs)), tuple(image)))
+    return min(forms)
+
+
+@pytest.mark.parametrize("kind", "ep")
+def test_reduced_table_holds_one_model_per_isomorphism_class(kind):
+    for n in range(1, 5):
+        reduced = [
+            _canonical_form(n, c.pairs, step) for c in search._table(kind, n, True) for step in c.steps
+        ]
+        labeled = {
+            _canonical_form(n, c.pairs, step) for c in search._table(kind, n, False) for step in c.steps
+        }
+        assert len(set(reduced)) == len(reduced)
+        assert set(reduced) == labeled
 
 
 def test_table_is_invisible_and_built_only_as_far_as_the_scan_goes():
@@ -241,10 +276,20 @@ def test_table_is_invisible_and_built_only_as_far_as_the_scan_goes():
     assert validity(parse_formula("[]p -> p"), used) == ValidUpTo(3)
     fresh = SemanticClass("e", 3)
     assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
-    deep = SemanticClass("e", 5)
-    verdict = validity(cem(Atom("p"), Atom("q")), deep)
-    assert isinstance(verdict, Countermodel) and verdict.model.n <= 3
-    assert len(deep._tables) <= 3
+    built, uncached = [], search._table.__wrapped__
+
+    def build(kind, n, reduced):
+        built.append((n, reduced))
+        return uncached(kind, n, reduced)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "_table", build)
+        verdict = validity(cem(Atom("p"), Atom("q")), SemanticClass("e", 5))
+        assert isinstance(verdict, Countermodel) and verdict.model.n == 3
+        assert built == [(1, True), (2, True), (3, True)]
+        built.clear()
+        assert validity(parse_formula("[](p | q) -> []p | <>q"), SemanticClass("e", 4)) == ValidUpTo(4)
+        assert built == [(1, True), (2, True), (3, True), (4, True)]
 
 
 def _reference_countermodel(phi, semclass):
@@ -262,9 +307,9 @@ def _reference_countermodel(phi, semclass):
 
 # Full bound-3 scans with three atoms (42k reference evaluations each) are
 # left to the benchmark; bound 3 draws formulas over two atoms.
+_ATOM_NAMES = {2: ("p", "q", "r"), 3: ("p", "q")}
 _FORMULAS = {
-    bound: formulas(("p", "q") if bound == 3 else ("p", "q", "r"), max_leaves=8, allow_weak=True)
-    for bound in (2, 3)
+    bound: formulas(names, max_leaves=8, allow_weak=True) for bound, names in _ATOM_NAMES.items()
 }
 
 
@@ -286,14 +331,19 @@ _TAUTOLOGIES = {
     for bound, strategy in _FORMULAS.items()
 }
 
+# The axioms of ITL hold in both classes, on one world as on every model,
+# whatever formulas replace their metavariables.
+_ITL = LOGICS["ITL.db"]
+_AXIOMS = tuple(_ITL.axioms[name] for name in sorted(_ITL.axioms))
+_PARTS = {bound: formulas(names, max_leaves=3, allow_weak=True) for bound, names in _ATOM_NAMES.items()}
+
 
 @st.composite
 def _queries(draw):
     # Three draws in four are one-world tautologies refuted at the bound.
-    # The fourth is any formula that holds on one world; most of those hold
-    # up to the bound, which keeps the ValidUpTo verdict compared. A full
-    # bound-3 reference scan costs some 30 bound-2 ones, so one draw in four
-    # is bound 3.
+    # The fourth is an instance of an ITL axiom, which keeps the ValidUpTo
+    # verdict compared. A full bound-3 reference scan costs some 30 bound-2
+    # ones, so one draw in four is bound 3.
     bound = draw(st.sampled_from((2, 2, 2, 3)))
     kind = draw(st.sampled_from("ep"))
     semclass = SemanticClass(kind, bound)
@@ -302,9 +352,9 @@ def _queries(draw):
             lambda f: not isinstance(validity(f, semclass), ValidUpTo)
         )
         return draw(refuted), semclass
-    one_world = SemanticClass(kind, 1)
-    holds = _FORMULAS[bound].filter(lambda f: isinstance(validity(f, one_world), ValidUpTo))
-    return draw(holds), semclass
+    schema = draw(st.sampled_from(_AXIOMS))
+    parts = {mv: draw(_PARTS[bound]) for mv in schema.metavars}
+    return instantiate(schema, parts), semclass
 
 
 def _assert_matches_reference(phi, semclass):
@@ -312,7 +362,7 @@ def _assert_matches_reference(phi, semclass):
     expected = _reference_countermodel(phi, semclass)
     if expected is None:
         assert verdict == ValidUpTo(semclass.bound)
-        return
+        return verdict
     model, valuation, world = expected
     assert isinstance(verdict, Countermodel)
     assert verdict.model.worlds == model.worlds
@@ -320,12 +370,13 @@ def _assert_matches_reference(phi, semclass):
     assert verdict.model.step == model.step
     assert verdict.valuation == valuation
     assert verdict.world == world
+    return verdict
 
 
 @settings(max_examples=80, deadline=None)
 @given(_queries())
 def test_validity_matches_reference_search(query):
-    _assert_matches_reference(*query)
+    event(type(_assert_matches_reference(*query)).__name__)
 
 
 def _narrow_chunks(mp, chunk_bits):
@@ -361,9 +412,6 @@ def test_first_failing_step_wins_over_lower_valuations_of_later_steps(text, kind
         _assert_matches_reference(parse_formula(text), SemanticClass(kind, 3))
 
 
-_TABLES = SemanticClass("e", 4)
-
-
 @settings(max_examples=60, deadline=None)
 @given(formulas(max_leaves=8, allow_weak=True), st.integers(0, 2**32))
 def test_sliced_rows_match_kripke_extension(phi, seed):
@@ -373,7 +421,7 @@ def test_sliced_rows_match_kripke_extension(phi, seed):
     poset, _ = random_model(rng, max_worlds=4)
     index = poset.index
     pairs = tuple(sorted((index[a], index[b]) for a, b in poset.order_pairs if a != b))
-    carrier = next(c for c in _TABLES.table(poset.n) if c.pairs == pairs)
+    carrier = next(c for c in search._table("e", poset.n, False) if c.pairs == pairs)
     first = rng.randrange(len(carrier.steps))
     slots = rng.randint(1, min(6, len(carrier.steps) - first))
     program, names = compile_formula(phi)
@@ -396,3 +444,45 @@ def test_sliced_rows_match_kripke_extension(phi, seed):
             ext = kripke_extension(model, valuation, phi)
             bit = v * slots + s
             assert [(row >> bit) & 1 for row in top] == [w in ext for w in model.worlds]
+
+
+def _labeled_scan(phi, semclass):
+    """Reference: `validity` over the labeled tables, keeping no chunk plans."""
+    labeled = search._table
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "_table", lambda kind, n, reduced: labeled(kind, n, False))
+        mp.setattr(search, "_PLANS", {})
+        mp.setattr(search, "PLANNED_ATOMS", -1)
+        return validity(phi, semclass)
+
+
+# Formulas first refuted at two, three and four worlds, with their class.
+_REFUTED_AT = [
+    ("p | ~p", "e", 2),
+    ("(O p -> O q) -> O (p -> q)", "e", 2),
+    ("[]~~p -> ~~[]p", "e", 2),
+    ("[]<>p -> <>[]p", "p", 2),
+    ("~p | ~~p", "e", 3),
+    ("<>(O O p -> p)", "e", 3),
+    ("(p -> q) | (q -> p)", "p", 3),
+    ("O O p -> p | O p", "p", 3),
+    ("<>[][]p -> O O p", "e", 4),
+    ("(q -> p) | (<>[]q -> p -> O q)", "e", 4),
+    ("r | (r -> q | (q -> p | ~p))", "e", 4),
+    ("<>(O O p -> p)", "p", 4),
+    ("<>q | ([]O q -> q)", "p", 4),
+    ("[](O O p -> []<>p)", "p", 4),
+]
+
+
+@pytest.mark.parametrize("chunk_bits", [1, search.CHUNK_BITS])
+@pytest.mark.parametrize("text, kind, size", _REFUTED_AT)
+def test_reduced_scan_keeps_the_labeled_first_countermodel(text, kind, size, chunk_bits):
+    phi = parse_formula(text)
+    semclass = SemanticClass(kind, 4)
+    with pytest.MonkeyPatch.context() as mp:
+        _narrow_chunks(mp, chunk_bits)
+        verdict, expected = validity(phi, semclass), _labeled_scan(phi, semclass)
+    assert isinstance(verdict, Countermodel) and verdict.model.n == size
+    assert _model_key(verdict.model) == _model_key(expected.model)
+    assert verdict.valuation == expected.valuation and verdict.world == expected.world
