@@ -6,8 +6,9 @@ become Fraction where they enter: `make_interval` (and so `interval` and
 `point`), the `PiecewiseAffineMap` constructor, `apply` and
 `IntervalSet.contains`. The set algebra and the maps compute on those
 Fractions and never convert again. Interval sets are kept in a canonical
-form (sorted, pairwise disjoint, never adjacent), so structural equality is
-set equality.
+form (sorted, pairwise disjoint, never adjacent) by linear sweeps; only
+`IntervalSet.of` sorts. So structural equality is set equality. Each map
+keeps the preimage of every component it has pulled back for its lifetime.
 
 Henceforth operators are computed by a decreasing preimage chain with
 branch-stabilized affine extrapolation; every extrapolated limit is verified
@@ -22,6 +23,7 @@ import enum
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import merge
 
 from .formula import (
     And,
@@ -133,16 +135,7 @@ class IntervalSet:
 
     @staticmethod
     def of(intervals) -> "IntervalSet":
-        comps = sorted((iv for iv in intervals if iv is not None), key=_lo_key)
-        merged: list[Interval] = []
-        for iv in comps:
-            if merged and _touches(merged[-1], iv):
-                last = merged[-1]
-                if _hi_key(iv) > _hi_key(last):
-                    merged[-1] = Interval(last.lo, last.lo_closed, iv.hi, iv.hi_closed)
-            else:
-                merged.append(iv)
-        return IntervalSet(tuple(merged))
+        return _coalesce(sorted((iv for iv in intervals if iv is not None), key=_lo_key))
 
     def is_empty(self) -> bool:
         return not self.components
@@ -152,10 +145,18 @@ class IntervalSet:
         return any(iv.contains(x) for iv in self.components)
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
-        return IntervalSet.of(self.components + other.components)
+        return _coalesce(merge(self.components, other.components, key=_lo_key))
 
     def intersection(self, other: "IntervalSet") -> "IntervalSet":
-        return IntervalSet.of(_intersect(a, b) for a in self.components for b in other.components)
+        # Advance the side that ends first, both on a tie. Two pieces lie in
+        # different components of one side, so a gap parts them: no merge.
+        a, b, out = self.components, other.components, []
+        i = j = 0
+        while i < len(a) and j < len(b):
+            out.append(_intersect(a[i], b[j]))
+            key_a, key_b = _hi_key(a[i]), _hi_key(b[j])
+            i, j = i + (key_a <= key_b), j + (key_b <= key_a)
+        return IntervalSet(tuple(filter(None, out)))
 
     def complement(self) -> "IntervalSet":
         gaps = []
@@ -199,14 +200,26 @@ class IntervalSet:
         return " u ".join(str(iv) for iv in self.components)
 
 
+def _coalesce(comps) -> IntervalSet:
+    """Canonical set of intervals given in order of their lower bounds."""
+    merged: list[Interval] = []
+    for iv in comps:
+        if merged and _touches(merged[-1], iv):
+            last = merged[-1]
+            if _hi_key(iv) > _hi_key(last):
+                merged[-1] = Interval(last.lo, last.lo_closed, iv.hi, iv.hi_closed)
+        else:
+            merged.append(iv)
+    return IntervalSet(tuple(merged))
+
+
 EMPTY = IntervalSet()
 REALS = IntervalSet((Interval(None, False, None, False),))
 
 
 def interval(lo, hi, lo_closed: bool = False, hi_closed: bool = False) -> IntervalSet:
     """Convenience one-component set; None endpoints are infinite."""
-    iv = make_interval(lo, lo_closed, hi, hi_closed)
-    return IntervalSet.of([iv])
+    return IntervalSet.of([make_interval(lo, lo_closed, hi, hi_closed)])
 
 
 def point(x) -> IntervalSet:
@@ -226,6 +239,11 @@ class PiecewiseAffineMap:
     Both become Fraction here. Continuity across every breakpoint is
     validated. Each piece's inverse (slope, intercept) is computed here
     too, None for a flat piece.
+
+    ``_memo`` lives as long as the map and maps each component interval
+    ever pre-imaged to one entry per piece: its preimage clipped to the
+    piece's domain, or None. `preimage` sweeps the pieces in domain order,
+    so it merges without a sort. Both fields stay out of eq, hash and repr.
     """
 
     breakpoints: tuple[Fraction, ...]
@@ -233,6 +251,7 @@ class PiecewiseAffineMap:
     _inverses: tuple[tuple[Fraction, Fraction] | None, ...] = field(
         init=False, repr=False, compare=False
     )
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "breakpoints", tuple(map(Fraction, self.breakpoints)))
@@ -287,16 +306,21 @@ class PiecewiseAffineMap:
         return IntervalSet.of(out)
 
     def preimage(self, s: IntervalSet) -> IntervalSet:
-        out = []
-        for i, ((_, c), inverse) in enumerate(zip(self.pieces, self._inverses)):
-            dom = self._domain(i)
-            if inverse is None:
-                if s.contains(c):
-                    out.append(dom)
-                continue
-            for comp in s.components:
-                out.append(_intersect(_affine(comp, *inverse), dom))
-        return IntervalSet.of(out)
+        rows = [self._memo.get(comp) or self._pull_back(comp) for comp in s.components]
+        # Pieces come in domain order. A rising piece keeps the order of the
+        # components, a falling one reverses it, a flat one has one at most.
+        return _coalesce(
+            row[i] for i, (a, _) in enumerate(self.pieces)
+            for row in (rows if a >= 0 else rows[::-1]) if row[i] is not None
+        )
+
+    def _pull_back(self, comp: Interval) -> tuple[Interval | None, ...]:
+        row = self._memo[comp] = tuple(
+            _intersect(_affine(comp, *inverse), self._domain(i)) if inverse
+            else self._domain(i) if comp.contains(c) else None
+            for i, ((_, c), inverse) in enumerate(zip(self.pieces, self._inverses))
+        )
+        return row
 
 
 def _affine(iv: Interval, a: Fraction, c: Fraction) -> Interval:

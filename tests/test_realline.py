@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -24,6 +26,7 @@ from itlmc import (
     parse_formula,
     point,
 )
+from itlmc.realline import _affine, _intersect
 from conftest import random_interval_set, random_point
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=6)
@@ -110,6 +113,59 @@ def test_membership_coherence(a, b, x):
         assert a.complement().contains(y) == (not a.contains(y))
 
 
+# References for the sweeps: intersect every pair of components, or pull
+# every component back under every piece, then sort and merge.
+def _pairwise_intersection(a: IntervalSet, b: IntervalSet) -> IntervalSet:
+    return IntervalSet.of(_intersect(x, y) for x in a.components for y in b.components)
+
+
+def _sorted_union(a: IntervalSet, b: IntervalSet) -> IntervalSet:
+    return IntervalSet.of(a.components + b.components)
+
+
+def _unsorted_preimage(f: PiecewiseAffineMap, s: IntervalSet) -> IntervalSet:
+    out = []
+    for i, (a, c) in enumerate(f.pieces):
+        lo = f.breakpoints[i - 1] if i else None
+        hi = f.breakpoints[i] if i < len(f.breakpoints) else None
+        dom = Interval(lo, lo is not None, hi, hi is not None)
+        if a == 0:
+            out += [dom] if s.contains(c) else []
+        else:
+            out += [_intersect(_affine(comp, 1 / a, -c / a), dom) for comp in s.components]
+    return IntervalSet.of(out)
+
+
+@st.composite
+def wide_interval_sets(draw, extra_ends=()):
+    """Up to about 40 components with ends on the half-integers in [-32, 32),
+    plus some of `extra_ends`.
+
+    Two such sets share many ends, with equal or opposite closedness, so the
+    sweeps meet equal hi keys and touching components; either end of the
+    line may be infinite.
+    """
+    ends = [Fraction(draw(st.integers(-64, 63)), 2) for _ in range(draw(st.integers(0, 100)))]
+    ends = sorted(ends + [e for e in extra_ends if draw(st.booleans())])
+    bits = draw(st.integers(0, 2 ** len(ends) - 1))
+    closed = [bits >> k & 1 == 1 for k in range(len(ends))]
+    pieces = [[ends[k], closed[k], ends[k + 1], closed[k + 1]] for k in range(0, len(ends) - 1, 2)]
+    if pieces and draw(st.booleans()):
+        pieces[0][0] = None
+    if pieces and draw(st.booleans()):
+        pieces[-1][2] = None
+    return IntervalSet.of(make_interval(*piece) for piece in pieces)
+
+
+@settings(max_examples=200)
+@given(wide_interval_sets(), wide_interval_sets())
+def test_sweeps_match_the_sorting_references(a, b):
+    # A complement shares every end with its set, with the opposite closedness.
+    for x, y in ((a, b), (a, b.complement()), (a, a), (a, a.closure())):
+        assert x.intersection(y).components == _pairwise_intersection(x, y).components
+        assert x.union(y).components == _sorted_union(x, y).components
+
+
 def test_point_and_interval_helpers():
     assert point(3).contains(3)
     assert not point(3).interior().contains(3)
@@ -184,6 +240,43 @@ def piecewise_maps(draw):
         slope = draw(_SLOPES)
         pieces.append((slope, a * b + c - slope * b))
     return PiecewiseAffineMap.from_pieces(breakpoints, pieces)
+
+
+@settings(max_examples=100)
+@given(piecewise_maps(), st.data())
+def test_preimage_matches_the_unsorted_reference_cold_and_warm(f, data):
+    # Ends at the values of breakpoints and flat pieces pull back exactly
+    # onto a breakpoint or a whole domain.
+    ends = {f.apply(b) for b in f.breakpoints} | {c for a, c in f.pieces if a == 0}
+    sets = [data.draw(wide_interval_sets(tuple(sorted(ends)))) for _ in range(2)]
+    # The first pass misses and partly hits the memo, the second only hits.
+    for _ in range(2):
+        for s in sets:
+            want = _unsorted_preimage(f, s).components
+            assert f.preimage(s).components == want
+            assert all(comp in f._memo for comp in s.components)
+            assert PiecewiseAffineMap(f.breakpoints, f.pieces).preimage(s).components == want
+
+
+def test_preimage_memo_is_invisible():
+    pieces = [(-1, 0), (0, 0), (2, -4)]
+    f = PiecewiseAffineMap.from_pieces([0, 2], pieces)
+    system = _system(f, p=interval(-1, 3), q=interval(1, None))
+    before = (hash(f), repr(f), repr(system))
+    assert eval_real(system, parse_formula("[]p | <>q")).status is Status.EXACT
+    assert f._memo
+    cold = PiecewiseAffineMap.from_pieces([0, 2], pieces)
+    assert not cold._memo
+    assert (hash(f), repr(f), repr(system)) == before
+    assert f == cold and hash(f) == hash(cold) and repr(f) == repr(cold)
+    assert system == _system(cold, p=interval(-1, 3), q=interval(1, None))
+    # A RealSystem holds a dict, so it has no hash to compare.
+    for clone in (pickle.loads(pickle.dumps(f)), copy.copy(f), copy.deepcopy(f)):
+        assert clone == f and hash(clone) == hash(f) and repr(clone) == repr(f)
+        assert clone.preimage(interval(-1, 3)) == cold.preimage(interval(-1, 3))
+    for clone in (pickle.loads(pickle.dumps(system)), copy.copy(system), copy.deepcopy(system)):
+        assert clone == system and repr(clone) == repr(system)
+        assert eval_real(clone, parse_formula("[]p")) == eval_real(system, parse_formula("[]p"))
 
 
 def _points_in(s: IntervalSet) -> list[Fraction]:
