@@ -14,11 +14,18 @@ formulas at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from weakref import WeakValueDictionary
+from weakref import KeyedRef
 
-# Every live node, keyed by its class and fields. Children are interned
-# already, so the key hashes them by identity.
-_NODES: WeakValueDictionary = WeakValueDictionary()
+# Every live node, as a weak reference keyed by its class and fields.
+# Children are interned already, so the key hashes them by identity. A
+# plain dict read from C is what keeps a hit cheap.
+_NODES: dict[tuple, KeyedRef] = {}
+
+
+def _forget(ref: KeyedRef) -> None:
+    """Drop a dead node's entry, unless its key now holds a newer node."""
+    if _NODES.get(ref.key) is ref:
+        del _NODES[ref.key]
 
 
 class Formula:
@@ -28,13 +35,15 @@ class Formula:
 
     def __new__(cls, *fields):
         key = (cls, *fields)
-        node = _NODES.get(key)
+        ref = _NODES.get(key)
+        node = ref and ref()
         if node is None:
             if len(fields) != len(cls.__slots__):
                 raise TypeError(f"{cls.__name__} takes {len(cls.__slots__)} argument(s)")
-            node = _NODES[key] = object.__new__(cls)
+            node = object.__new__(cls)
             for name, value in zip(cls.__slots__, fields):
                 object.__setattr__(node, name, value)
+            _NODES[key] = KeyedRef(node, _forget, key)
         return node
 
     def __setattr__(self, *_):

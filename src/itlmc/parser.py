@@ -13,6 +13,10 @@ An identifier is [A-Za-z_][A-Za-z0-9_']*, the same rule as names in files.
 '<->' is non-associative; implication is right-associative; '&' and '|'
 are left-associative.  `print_formula` emits minimal parentheses and
 round-trips through `parse_formula`.
+
+Formula tokens carry no spans: an error re-scans the text once to find
+them, and a bad character anywhere in it is reported before any grammar
+error.
 """
 
 from __future__ import annotations
@@ -81,96 +85,106 @@ _PREFIX = {"~": Not, "O": Next, "<>": Eventually, "[]": StrongBox, "[*]": WeakBo
 _PREFIX_LEVEL = 3
 _ATOM_LEVEL = 4
 
+# Input-only spellings, each read as the ASCII token it maps to.
 _ALIASES = {
-    "○": "O",      # next
-    "◇": "<>",     # eventually
-    "□": "[]",     # henceforth
-    "⊡": "[*]",    # weak henceforth
-    "¬": "~",
-    "→": "->",
-    "↔": "<->",
-    "∧": "&",
-    "∨": "|",
-    "⊥": "false",
+    "○": "O", "◇": "<>", "□": "[]", "⊡": "[*]", "¬": "~",
+    "→": "->", "↔": "<->", "∧": "&", "∨": "|", "⊥": "false",
 }
 
 # The one name rule: formula atoms, and world, atom and metavariable names
 # in files.  '#' is not a name character; it starts a comment in files.
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
+_NAME_START = frozenset(filter(_NAME_RE.match, map(chr, range(128))))
+
+
+def _spelled(table: dict) -> dict:
+    """table, with each alias of one of its tokens read as that token."""
+    return table | {alias: table[token] for alias, token in _ALIASES.items() if token in table}
+
+
+# The reader's tables, keyed by every spelling.  An entry is what the
+# operator stack holds: (builder, level, left minimum, right minimum).  A
+# pending '(' sits below every level, so no operator folds it.
+_OPENERS = _spelled(
+    {token: (build, _PREFIX_LEVEL, 0, _PREFIX_LEVEL) for token, build in _PREFIX.items()}
+    | {"(": (None, -1, 0, 0)}
+)
+_INFIX_READ = _spelled(_BINARY)
+_FALSE = frozenset(_spelled({"false": None}))
+_SYMBOLS = {*_OPENERS, *_INFIX_READ, *_FALSE, ")"}
 
 # Identifiers come first, so 'O' and 'false' scan as words ('Op' is an
 # atom); longer symbols precede their prefixes.  Any other non-space
-# character lands in the second group and is an error.
-_SYMBOLS = sorted([*_BINARY, *_PREFIX, "(", ")"], key=len, reverse=True)
-_TOKEN_RE = re.compile(
-    r"({}|{}|[{}])|(\S)".format(
-        _NAME_RE.pattern,
-        "|".join(map(re.escape, _SYMBOLS)),
-        re.escape("".join(_ALIASES)),
+# character scans alone and is an error.
+_SCAN_RE = re.compile("|".join(
+    [_NAME_RE.pattern]
+    + [re.escape(s) for s in sorted(_SYMBOLS, key=len, reverse=True) if s[0] not in _NAME_START]
+    + [r"\S"]
+))
+
+
+def _formula_error(text: str, base: int, index: int, message: str) -> ParseError:
+    """message at token index of text, with '{!r}' naming that token in ASCII.
+
+    Tokens carry no spans, so this re-scans text once.  The first bad
+    character wins over the grammar error, wherever it lies.
+    """
+    tokens = [(m.group(), *m.span()) for m in _SCAN_RE.finditer(text)]
+    bad = [t for t in tokens if t[0][0] not in _NAME_START and t[0] not in _SYMBOLS]
+    if bad:
+        message, index = "unexpected character {!r}", tokens.index(bad[0])
+    token, start, end = (tokens + [("<end>", len(text), len(text))])[index]
+    return ParseError(
+        message.format(_ALIASES.get(token, token)), SourceSpan(base + start, base + end)
     )
-)
-
-# A pending '(' sits below every level, so no operator folds it.
-_OPEN = (None, -1, 0)
 
 
-def _tokenize_formula(text: str) -> list[tuple[str, int, int]]:
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        token, bad = m.groups()
-        if bad is not None:
-            raise ParseError(f"unexpected character {bad!r}", SourceSpan(*m.span()))
-        tokens.append((_ALIASES.get(token, token), *m.span()))
-    tokens.append(("<end>", len(text), len(text)))
-    return tokens
-
-
-def parse_formula(text: str) -> Formula:
+def parse_formula(text: str, base: int = 0) -> Formula:
     """Parse with an explicit operator stack, so depth is not limited."""
     operands: list[Formula] = []
-    pending: list[tuple] = []  # (builder, level, right minimum) and _OPEN
+    pending: list[tuple] = []  # entries of _OPENERS and _INFIX_READ
     after_operand = False
-    for kind, start, end in _tokenize_formula(text):
+    tokens = _SCAN_RE.findall(text)
+    tokens.append("<end>")
+    for i, token in enumerate(tokens):
         if not after_operand:
-            if kind in _PREFIX:
-                pending.append((_PREFIX[kind], _PREFIX_LEVEL, _PREFIX_LEVEL))
-            elif kind == "(":
-                pending.append(_OPEN)
-            elif kind == "false" or _NAME_RE.fullmatch(kind):
-                operands.append(Bottom() if kind == "false" else Atom(kind))
+            entry = _OPENERS.get(token)
+            if entry is not None:
+                pending.append(entry)
+            elif token[0] in _NAME_START or token in _FALSE:
+                operands.append(Bottom() if token in _FALSE else Atom(token))
                 after_operand = True
             else:
-                raise ParseError(
-                    f"expected an atom, 'false' or '(', found {kind!r}",
-                    SourceSpan(start, end),
+                raise _formula_error(
+                    text, base, i, "expected an atom, 'false' or '(', found {!r}"
                 )
             continue
         # Fold every pending operator whose level reaches the incoming
         # operator's left minimum: its result can be that left operand.
         # Any other token has minimum 0 and folds down to the nearest '('.
-        build, level, left, right = _BINARY.get(kind, (None, 0, 0, 0))
+        entry = _INFIX_READ.get(token, (None, 0, 0, 0))
+        left = entry[2]
         while pending and pending[-1][1] >= left:
-            fn, fn_level, _ = pending.pop()
+            fn, fn_level, _, _ = pending.pop()
             arg = operands.pop()
             operands.append(
                 fn(arg) if fn_level == _PREFIX_LEVEL else fn(operands.pop(), arg)
             )
-        if build is not None:
+        if entry[0] is not None:
             # What stays pending takes this operator's result as its right
             # operand, which must reach its right minimum.
-            if pending and pending[-1][2] > level:
-                raise ParseError(
-                    "'<->' is non-associative; parenthesize to chain",
-                    SourceSpan(start, end),
+            if pending and pending[-1][3] > entry[1]:
+                raise _formula_error(
+                    text, base, i, "'<->' is non-associative; parenthesize to chain"
                 )
-            pending.append((build, level, right))
+            pending.append(entry)
             after_operand = False
-        elif pending:
-            if kind != ")":
-                raise ParseError(f"expected ')', found {kind!r}", SourceSpan(start, end))
+        elif pending and token == ")":
             pending.pop()
-        elif kind != "<end>":
-            raise ParseError(f"unexpected {kind!r} after formula", SourceSpan(start, end))
+        elif pending:
+            raise _formula_error(text, base, i, "expected ')', found {!r}")
+        elif token != "<end>":
+            raise _formula_error(text, base, i, "unexpected {!r} after formula")
     return operands[0]
 
 
@@ -212,7 +226,9 @@ def print_formula(phi: Formula) -> str:
 # corpus files: one rule each for lines and comments, names and numbers
 #
 # In all four formats '#' starts a comment that runs to the end of its
-# line, and blank lines are skipped.  Error spans are offsets into the file.
+# line, and blank lines are skipped.  Numbers are ASCII digits.  Error spans
+# are offsets into the file: a parser given `base`, the offset of its text,
+# adds it.
 
 def _logical_lines(text: str) -> list[tuple[int, str]]:
     """Non-blank lines without their comments, as (line offset, text)."""
@@ -231,17 +247,8 @@ def _line_span(offset: int, body: str) -> SourceSpan:
     return SourceSpan(offset + lead, offset + len(body.rstrip()))
 
 
-def _at(parse, text: str, base: int):
-    """parse(text), with the span of any ParseError moved on by base."""
-    try:
-        return parse(text)
-    except ParseError as err:
-        span = SourceSpan(err.span.start + base, err.span.end + base)
-        raise ParseError(err.message, span) from None
-
-
 # A rational literal: 3, 0.25, 1/3 or 1.5/2.
-_RATIONAL = r"\d+(?:\.\d+)?(?:/\d+)?"
+_RATIONAL = r"[0-9]+(?:\.[0-9]+)?(?:/[0-9]+)?"
 _SIGNED = rf"-?{_RATIONAL}"
 
 
@@ -255,7 +262,7 @@ def _divide(a: Fraction, b: Fraction, span: SourceSpan) -> Fraction:
     return a / b
 
 
-def _rational(m: re.Match, group: int, base: int = 0) -> Fraction:
+def _rational(m: re.Match, group: int, base: int) -> Fraction:
     """Value of the rational literal that group of m matched."""
     num, _, den = m.group(group).partition("/")
     return _divide(Fraction(num), Fraction(den or 1), _group_span(m, group, base))
@@ -361,7 +368,7 @@ _INTERVAL_RE = re.compile(
 )
 
 
-def parse_interval_set(text: str) -> IntervalSet:
+def parse_interval_set(text: str, base: int = 0) -> IntervalSet:
     """Parse e.g. ``(-inf, 0) u [1, 2]`` or ``{}`` (the empty set)."""
     if text.strip() in ("{}", ""):
         return IntervalSet.of(())
@@ -371,12 +378,12 @@ def parse_interval_set(text: str) -> IntervalSet:
         m = _INTERVAL_RE.match(text, pos)
         if m is None:
             raise ParseError(
-                "expected an interval like '(a, b)'", SourceSpan(pos, len(text))
+                "expected an interval like '(a, b)'", SourceSpan(base + pos, base + len(text))
             )
-        span = SourceSpan(m.start(1), m.end(4))
+        span = SourceSpan(base + m.start(1), base + m.end(4))
         lo_closed, hi_closed = m.group(1) == "[", m.group(4) == "]"
-        lo = None if m.group(2) == "-inf" else _rational(m, 2)
-        hi = None if m.group(3) == "inf" else _rational(m, 3)
+        lo = None if m.group(2) == "-inf" else _rational(m, 2, base)
+        hi = None if m.group(3) == "inf" else _rational(m, 3, base)
         if lo is None and lo_closed:
             raise ParseError("'-inf' endpoint cannot be closed", span)
         if hi is None and hi_closed:
@@ -391,7 +398,7 @@ def parse_interval_set(text: str) -> IntervalSet:
             return IntervalSet.of(parts)
         if not rest.startswith("u"):
             raise ParseError(
-                "expected 'u' between intervals", SourceSpan(pos, len(text))
+                "expected 'u' between intervals", SourceSpan(base + pos, base + len(text))
             )
         pos = len(text) - len(rest) + 1
 
@@ -556,7 +563,7 @@ def parse_real_system(text: str) -> RealSystem:
     caps = EvalCaps()
     for head, atom, rest, base, span in _sections(text):
         if atom is not None:
-            valuation[atom] = _at(parse_interval_set, rest, base)
+            valuation[atom] = parse_interval_set(rest, base)
         elif head == "map":
             if pwmap is not None:
                 raise ParseError("duplicate map section", span)
@@ -574,7 +581,7 @@ def parse_real_system(text: str) -> RealSystem:
 # --------------------------------------------------------------------------
 # derivation files
 
-_DERIV_LINE_RE = re.compile(r"\s*(\d+)\.\s*(.*)\Z")
+_DERIV_LINE_RE = re.compile(r"\s*([0-9]+)\.\s*(.*)\Z")
 _SUBST_RE = re.compile(r"\{(.*)\}\s*\Z", re.DOTALL)
 
 
@@ -595,19 +602,19 @@ def _parse_subst(text: str, base: int, span: SourceSpan) -> dict[str, Formula]:
             raise ParseError(f"bad metavariable {meta!r}", span)
         if meta in subst:
             raise ParseError(f"metavariable {meta!r} bound twice", span)
-        subst[meta] = _at(parse_formula, phi_txt, phi_base)
+        subst[meta] = parse_formula(phi_txt, phi_base)
         base += len(part) + 1
     return subst
 
 
 def _parse_justification(text: str, base: int, line_no: int):
+    """The justification text, which starts at base; spans cover it stripped."""
     stripped = text.strip()
-    shift = base + text.index(stripped)
-    span = SourceSpan(shift, shift + len(stripped))
-    if not stripped:
-        raise ParseError("missing justification", span)
     if stripped == "ipc-taut":
         return IpcTaut()
+    if not stripped:
+        raise ParseError("missing justification", SourceSpan(base, base))
+    span = _line_span(base, text)
     head, _, rest = stripped.partition(" ")
     rest = rest.strip()
     if head == "axiom":
@@ -617,15 +624,14 @@ def _parse_justification(text: str, base: int, line_no: int):
         name, subst = rest, None
         if m is not None:
             name = rest[: m.start()].strip()
-            rest_base = span.end - len(rest)
-            subst = _parse_subst(m.group(1), rest_base + m.start(1), span)
+            subst = _parse_subst(m.group(1), span.end - len(rest) + m.start(1), span)
         if not name or " " in name:
             raise ParseError(f"bad schema name {name!r}", span)
         return AxiomJust(name, subst)
     # anything else is a rule name followed by premise line numbers
     premises = []
     for token in rest.split():
-        if not token.isdecimal():
+        if not (token.isascii() and token.isdigit()):
             raise ParseError(
                 f"premise reference must be a line number, found {token!r}", span
             )
@@ -653,7 +659,7 @@ def parse_derivation(text: str) -> Derivation:
         if not semi:
             raise ParseError("missing ';' before justification", span)
         phi_base = offset + m.start(2)
-        phi = _at(parse_formula, phi_txt, phi_base)
+        phi = parse_formula(phi_txt, phi_base)
         just = _parse_justification(just_txt, phi_base + len(phi_txt) + 1, number)
         lines.append(DerivationLine(number, phi, just, span))
     if not lines:
@@ -693,7 +699,7 @@ def parse_edges(text: str) -> list[EdgeSpec]:
                 _line_span(offset, body),
             )
         values = {key: entries[key][0] for key in _EDGE_KEYS}
-        values["formula"] = _at(parse_formula, *entries["formula"])
+        values["formula"] = parse_formula(*entries["formula"])
         pairs = (item.strip().partition(":") for item in values["inclusion"].split(","))
         values["inclusion"] = tuple((a, d) for a, _, d in pairs) if values["inclusion"] else ()
         edges.append(EdgeSpec(*values.values()))

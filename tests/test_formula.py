@@ -31,6 +31,7 @@ from itlmc import (
     translate_weak,
     validity,
 )
+from itlmc import formula
 from itlmc.formula import compile_formula, walk
 from itlmc.parser import print_formula
 from conftest import formulas
@@ -84,12 +85,16 @@ def test_nodes_are_immutable():
 
 
 def test_wrong_arity_raises_type_error():
+    size = len(formula._NODES)
     with pytest.raises(TypeError):
         And(P)
     with pytest.raises(TypeError):
         Next(P, Q)
     with pytest.raises(TypeError):
         Atom()
+    with pytest.raises(TypeError):
+        Bottom(P)
+    assert len(formula._NODES) == size
 
 
 def test_unreferenced_nodes_are_collected():
@@ -98,6 +103,51 @@ def test_unreferenced_nodes_are_collected():
     del node
     gc.collect()
     assert ref() is None
+
+
+def test_unreferenced_nodes_leave_the_intern_table():
+    gc.collect()
+    size = len(formula._NODES)
+    node = And(Atom("leaves"), Next(Atom("leaves")))
+    assert len(formula._NODES) == size + 3
+    assert formula._NODES[(Atom, "leaves")]() is node.left
+    del node
+    gc.collect()
+    assert len(formula._NODES) == size
+    assert (Atom, "leaves") not in formula._NODES
+
+
+def test_a_dead_entry_does_not_evict_its_successor():
+    key = (Atom, "reborn")
+    first = Atom("reborn")
+    dead = formula._NODES[key]
+    del first
+    gc.collect()
+    assert dead() is None and key not in formula._NODES
+    second = Atom("reborn")
+    assert formula._NODES[key]() is second
+    formula._forget(dead)  # the dead entry's callback, run late
+    assert formula._NODES[key]() is second and Atom("reborn") is second
+    # A dead entry still in the table is replaced, and its callback then
+    # leaves the replacement alone.
+    del second
+    formula._NODES[key] = dead
+    third = Atom("reborn")
+    assert formula._NODES[key]() is third
+    formula._forget(dead)
+    assert Atom("reborn") is third
+
+
+def test_pickle_and_copy_return_the_interned_node():
+    text = "[](p_dies | q) -> O p_dies"
+    data = pickle.dumps(parse_formula(text))
+    gc.collect()
+    restored = pickle.loads(data)
+    assert restored is parse_formula(text)
+    assert pickle.loads(data) is restored
+    assert copy.copy(restored) is restored and copy.deepcopy(restored) is restored
+    deep = parse_formula("O " * 3000 + "p")
+    assert pickle.loads(pickle.dumps(deep)) is deep and copy.deepcopy(deep) is deep
 
 
 def test_subformula_count_of_distribution_schema():

@@ -1,19 +1,25 @@
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import itlmc
 from itlmc import (
     And,
     MalformedStep,
     Atom,
     Bottom,
     Eventually,
+    Formula,
+    Iff,
     Implies,
     Next,
     Not,
     Or,
     ParseError,
+    SourceSpan,
     StrongBox,
     WeakBox,
     interval,
@@ -196,6 +202,170 @@ def test_printer_output_is_pinned():
     for f, text in binary:
         for op, symbol in _UNARY_SYMBOLS:
             assert print_formula(op(f)) == f"{symbol}({text})"
+
+
+# -- the reader against a reference -----------------------------------------
+
+# The formula reader as it was when every token carried its span: the
+# tokenizer resolves aliases as it scans and stops at the first bad
+# character, and the parser is the same operator-stack algorithm.  Its
+# tables are copies, so a slip in the reader's own tables shows here.
+_REF_BINARY = {
+    "->": (Implies, 0, 1, 0),
+    "<->": (Iff, 0, 1, 1),
+    "|": (Or, 1, 1, 2),
+    "&": (And, 2, 2, 3),
+}
+_REF_PREFIX = {"~": Not, "O": Next, "<>": Eventually, "[]": StrongBox, "[*]": WeakBox}
+_REF_ALIASES = {
+    "○": "O", "◇": "<>", "□": "[]", "⊡": "[*]", "¬": "~",
+    "→": "->", "↔": "<->", "∧": "&", "∨": "|", "⊥": "false",
+}
+_REF_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
+_REF_SYMBOLS = sorted([*_REF_BINARY, *_REF_PREFIX, "(", ")"], key=len, reverse=True)
+_REF_TOKEN_RE = re.compile(
+    r"({}|{}|[{}])|(\S)".format(
+        _REF_NAME_RE.pattern,
+        "|".join(map(re.escape, _REF_SYMBOLS)),
+        re.escape("".join(_REF_ALIASES)),
+    )
+)
+_REF_OPEN = (None, -1, 0)
+
+
+def _reference_tokens(text):
+    tokens = []
+    for m in _REF_TOKEN_RE.finditer(text):
+        token, bad = m.groups()
+        if bad is not None:
+            raise ParseError(f"unexpected character {bad!r}", SourceSpan(*m.span()))
+        tokens.append((_REF_ALIASES.get(token, token), *m.span()))
+    tokens.append(("<end>", len(text), len(text)))
+    return tokens
+
+
+def _reference_parse_formula(text):
+    operands = []
+    pending = []
+    after_operand = False
+    for kind, start, end in _reference_tokens(text):
+        if not after_operand:
+            if kind in _REF_PREFIX:
+                pending.append((_REF_PREFIX[kind], 3, 3))
+            elif kind == "(":
+                pending.append(_REF_OPEN)
+            elif kind == "false" or _REF_NAME_RE.fullmatch(kind):
+                operands.append(Bottom() if kind == "false" else Atom(kind))
+                after_operand = True
+            else:
+                raise ParseError(
+                    f"expected an atom, 'false' or '(', found {kind!r}", SourceSpan(start, end)
+                )
+            continue
+        build, level, left, right = _REF_BINARY.get(kind, (None, 0, 0, 0))
+        while pending and pending[-1][1] >= left:
+            fn, fn_level, _ = pending.pop()
+            arg = operands.pop()
+            operands.append(fn(arg) if fn_level == 3 else fn(operands.pop(), arg))
+        if build is not None:
+            if pending and pending[-1][2] > level:
+                raise ParseError(
+                    "'<->' is non-associative; parenthesize to chain", SourceSpan(start, end)
+                )
+            pending.append((build, level, right))
+            after_operand = False
+        elif pending:
+            if kind != ")":
+                raise ParseError(f"expected ')', found {kind!r}", SourceSpan(start, end))
+            pending.pop()
+        elif kind != "<end>":
+            raise ParseError(f"unexpected {kind!r} after formula", SourceSpan(start, end))
+    return operands[0]
+
+
+def _outcome(parse, text):
+    """The node parse(text) returns, or the message and span it raises."""
+    try:
+        return parse(text)
+    except ParseError as err:
+        return err.message, err.span
+
+
+def _assert_same_outcome(text):
+    got, want = _outcome(parse_formula, text), _outcome(_reference_parse_formula, text)
+    assert got is want if isinstance(want, Formula) else got == want, text
+    return want
+
+
+# Pieces of fuzzed text: every ASCII operator and alias, the words the
+# scanner must keep whole, bad characters, and runs that unbalance
+# parentheses or chain '<->'.
+_FUZZ_PIECES = (
+    ["->", "<->", "|", "&", "~", "O", "<>", "[]", "[*]", "(", ")"]
+    + list(_REF_ALIASES)
+    + ["false", "O", "Op", "p'", "p", "q", "r_1"]
+    + ["$", "é", "<", "*", "-", "#"]
+    + ["((", "))", "(p", "q)", "p <-> q <->", "<-> r"]
+)
+_FUZZ_GAPS = ["", " ", " ", "  ", "\t"]
+_TO_ALIAS = [("false", "⊥"), ("->", "→"), ("|", "∨"), ("&", "∧"), ("O ", "○"),
+             ("<>", "◇"), ("[*]", "⊡"), ("[]", "□")]
+
+
+def _fuzz_text(rng):
+    if rng.random() < 0.4:
+        return "".join(
+            rng.choice(_FUZZ_GAPS) + rng.choice(_FUZZ_PIECES) for _ in range(rng.randrange(1, 10))
+        )
+    text = print_formula(_rand_formula(rng, 4))
+    for ascii_token, alias in _TO_ALIAS:
+        if rng.random() < 0.3:
+            text = text.replace(ascii_token, alias)
+    if rng.random() < 0.3:
+        text = text.replace(" ", rng.choice(_FUZZ_GAPS))
+    if rng.random() < 0.4:
+        at = rng.randrange(len(text) + 1)
+        text = text[:at] + rng.choice(_FUZZ_PIECES + [""]) + text[at + rng.randrange(2):]
+    return text
+
+
+def test_reader_matches_the_reference_on_fuzzed_text():
+    rng = random.Random(20_000)
+    kinds = ["unexpected character", "expected an atom", "expected ')'", "after formula",
+             "non-associative"]
+    parsed, raised = 0, set()
+    for _ in range(20_000):
+        outcome = _assert_same_outcome(_fuzz_text(rng))
+        if isinstance(outcome, Formula):
+            parsed += 1
+        else:
+            raised.add(next(kind for kind in kinds if kind in outcome[0]))
+    # Both branches are exercised, and every kind of error is raised.
+    assert 5_000 < parsed < 15_000
+    assert raised == set(kinds)
+
+
+_CORPUS = Path(itlmc.__file__).parent / "corpus"
+
+
+def test_reader_matches_the_reference_on_the_bundled_files(monkeypatch):
+    seen = []
+    read = itlmc.parser.parse_formula
+
+    def recording(text, base=0):
+        seen.append(text)
+        return read(text, base)
+
+    monkeypatch.setattr(itlmc.parser, "parse_formula", recording)
+    for path in sorted(_CORPUS.glob("deriv/*.drv")):
+        parse_derivation(path.read_text())
+    for path in sorted(_CORPUS.glob("edge/*.edg")):
+        parse_edges(path.read_text())
+    monkeypatch.undo()
+    # every line formula and every substitution of every bundled file
+    assert len(seen) > 200
+    for text in seen:
+        assert isinstance(_assert_same_outcome(text), Formula), text
 
 
 # -- poset model files ------------------------------------------------------
@@ -454,6 +624,9 @@ _MALFORMED_REAL_SYSTEMS = [
     ('map: piecewise x<=0 : 0 ;; x>0 : x\n', "expected 'guard : expression'", 25, 25),
     ('map:piecewise x<=0:0;x>0:x;x>1:x\n', 'pieces must tile the whole line', 0, 32),
     ('   map :  piecewise  x <= 0 : 0  ;  x > 0 : 2 * x  $\n', "unexpected character '$' in expression", 51, 52),
+    # numbers are ASCII digits: an Arabic-Indic one is a decimal digit to \d
+    ('map: \u0663*x\n', "unexpected character '\u0663' in expression", 5, 6),
+    ('map: x\nval p: (\u0663, 4)\n', "expected an interval like '(a, b)'", 13, 20),
 ]
 _MALFORMED_DERIVATIONS = [
     ('p ; ipc-taut\n', "expected '<n>. <formula> ; <justification>'", 0, 12),
@@ -484,6 +657,10 @@ _MALFORMED_DERIVATIONS = [
     ('1. p ; ipc-taut ; more\n', "premise reference must be a line number, found ';'", 7, 22),
     ('1.p;mp 1\n', 'line 1 references line 1, which does not precede it', 4, 8),
     ('1. p ; axiom ix {phi:=p} x\n', "bad schema name 'ix {phi:=p} x'", 7, 26),
+    # numbers are ASCII digits: an Arabic-Indic one is a decimal digit to \d
+    ('\u0661. p -> p ; ipc-taut\n', "expected '<n>. <formula> ; <justification>'", 0, 20),
+    ('1. p -> p ; ipc-taut\n2. p ; mp \u0661\n',
+     "premise reference must be a line number, found '\u0661'", 28, 32),
 ]
 
 _MALFORMED_FILES = (
