@@ -125,6 +125,7 @@ from .corpus import (
     FACTS,
     Fact,
     FactResult,
+    MalformedCorpus,
     UnknownEntry,
     paper_suite,
 )

@@ -12,7 +12,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .corpus import Corpus, UnknownEntry, paper_suite
+from .corpus import Corpus, MalformedCorpus, UnknownEntry, paper_suite
 from .formula import FRAGMENTS
 from .hilbert import UnknownLogic, check, get_logic
 from .parser import (
@@ -63,10 +63,12 @@ INPUT_ERRORS = (
     DomainNotInvariant,
     UnknownLogic,
     UnknownEntry,
+    MalformedCorpus,
     CorpusMissing,
     BoundTooLarge,
     FileNotFoundError,
     IsADirectoryError,
+    UnicodeDecodeError,
 )
 
 

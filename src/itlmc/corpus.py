@@ -31,6 +31,10 @@ from .search import EdgeSpec, build_separation_matrix
 
 
 class UnknownEntry(KeyError):
+    __str__ = Exception.__str__
+
+
+class MalformedCorpus(ValueError):
     pass
 
 
@@ -43,6 +47,34 @@ class CorpusEntry:
     logic: Optional[str] = None
 
 
+_FIELDS = ("id", "kind", "path", "anchor")
+
+
+def _read_index(path: Path) -> dict[str, CorpusEntry]:
+    """The entries of an index file: a JSON list of objects of strings."""
+    try:
+        raw = json.loads(path.read_text())
+    except FileNotFoundError:
+        raise UnknownEntry(f"no corpus index at {path}") from None
+    except json.JSONDecodeError as err:
+        raise MalformedCorpus(f"corpus index {path} is not JSON: {err}") from None
+    if not isinstance(raw, list):
+        raise MalformedCorpus(f"corpus index {path} is not a list of entries")
+    entries = {}
+    for n, item in enumerate(raw, 1):
+        where = f"entry {n} of corpus index {path}"
+        if not isinstance(item, dict) or not all(isinstance(v, str) for v in item.values()):
+            raise MalformedCorpus(f"{where} is not an object of strings")
+        missing = [name for name in _FIELDS if name not in item]
+        if missing:
+            raise MalformedCorpus(f"{where} lacks {', '.join(missing)}")
+        unknown = sorted(set(item) - {*_FIELDS, "logic"})
+        if unknown:
+            raise MalformedCorpus(f"{where} has unknown field(s) {', '.join(unknown)}")
+        entries[item["id"]] = CorpusEntry(**item)
+    return entries
+
+
 class Corpus:
     """Loader for the bundled (or an externally supplied) corpus tree."""
 
@@ -50,12 +82,7 @@ class Corpus:
         if root is None:
             root = os.environ.get("ITL_CORPUS") or Path(__file__).parent / "corpus"
         self.root = Path(root)
-        index_path = self.root / "index.json"
-        try:
-            raw = json.loads(index_path.read_text())
-        except FileNotFoundError:
-            raise UnknownEntry(f"no corpus index at {index_path}") from None
-        self._entries = {item["id"]: CorpusEntry(**item) for item in raw}
+        self._entries = _read_index(self.root / "index.json")
         self._cache: dict[str, object] = {}
 
     def entries(self) -> list[CorpusEntry]:

@@ -39,6 +39,7 @@ dia-mono and dia-ind.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Optional, Union
 
 from .formula import (
@@ -65,7 +66,6 @@ from .formula import (
     fold,
     fs_next,
     operators,
-    translate_strong,
     walk,
     wh,
 )
@@ -79,7 +79,8 @@ class MissingMetavariable(ValueError):
 
 
 class UnknownLogic(KeyError):
-    pass
+    # a message, not a key: print it without the quotes of KeyError
+    __str__ = Exception.__str__
 
 
 # --------------------------------------------------------------------------
@@ -92,7 +93,7 @@ class Schema:
     name: str
     template: Formula
 
-    @property
+    @cached_property
     def metavars(self) -> tuple[str, ...]:
         return tuple(atoms(self.template))
 
@@ -109,19 +110,22 @@ class LogicSpec:
     """A named axiomatic system over one language fragment.
 
     Weak-rendered logics (suffixes .dw and .w) store their schemas over
-    the strong box; derivations in them are written with the weak box and
-    are checked after translation.
+    the strong box; derivations in them are written with the weak box, and
+    the checker matches a schema's strong box against the line's weak box.
     """
 
     name: str
     fragment_code: str
     axioms: dict[str, Schema]
     rules: dict[str, Rule]
-    weak_rendered: bool = False
 
     @property
     def fragment(self) -> LanguageFragment:
         return FRAGMENTS[self.fragment_code]
+
+    @property
+    def weak_rendered(self) -> bool:
+        return self.fragment.weak_box
 
     @property
     def base_name(self) -> str:
@@ -179,43 +183,52 @@ class CheckResult:
 # --------------------------------------------------------------------------
 # matching and instantiation
 
-def _match_into(template: Formula, target: Formula, binding: dict) -> bool:
-    """Extend binding so that template, its atoms bound, equals target."""
+def _match_into(template: Formula, target: Formula, binding: dict, weak: bool = False) -> bool:
+    """Extend binding so that template, its atoms bound, equals target.
+
+    With weak set, a strong box of the template matches a weak box of the
+    target: the template is read in the weak rendering.
+    """
     todo = [(template, target)]
     while todo:
         t, f = todo.pop()
-        if type(t) is Atom:
+        op = type(t)
+        if op is Atom:
             if binding.setdefault(t.name, f) is not f:
                 return False
-        elif type(t) is not type(f):
+        elif (WeakBox if weak and op is StrongBox else op) is not type(f):
             return False
         else:
             todo.extend(zip(children(t), children(f)))
     return True
 
 
-def _substitute(template: Formula, binding: dict[str, Formula]) -> Formula:
-    def put(f: Formula, args: tuple) -> Formula:
-        if type(f) is Atom:
-            return binding[f.name]
-        return type(f)(*args) if args else f
+def _check_subst(schema: Schema, subst: dict[str, Formula]) -> None:
+    """Raise unless subst assigns exactly the schema's metavariables.
 
-    return fold(template, put)
-
-
-def instantiate(schema: Schema, subst: dict[str, Formula]) -> Formula:
-    metavars = set(schema.metavars)
+    An unknown name is reported before a missing one, and of several
+    missing ones the first in sorted order.
+    """
+    metavars = schema.metavars
     for name in subst:
         if name not in metavars:
-            raise ValueError(
-                f"axiom {schema.name!r} has no metavariable {name!r}"
-            )
+            raise ValueError(f"axiom {schema.name!r} has no metavariable {name!r}")
     for name in metavars:
         if name not in subst:
             raise MissingMetavariable(
                 f"metavariable {name!r} of axiom {schema.name!r} is not assigned"
             )
-    return _substitute(schema.template, subst)
+
+
+def instantiate(schema: Schema, subst: dict[str, Formula]) -> Formula:
+    _check_subst(schema, subst)
+
+    def put(f: Formula, args: tuple) -> Formula:
+        if type(f) is Atom:
+            return subst[f.name]
+        return type(f)(*args) if args else f
+
+    return fold(schema.template, put)
 
 
 # --------------------------------------------------------------------------
@@ -421,11 +434,11 @@ def _drop_henceforth(names: tuple[str, ...]) -> tuple[str, ...]:
     return tuple(n for n in names if StrongBox not in operators(ALL_SCHEMAS[n].template))
 
 
-def _spec(name: str, code: str, axiom_names: tuple[str, ...], rules, weak=False):
+def _spec(name: str, code: str, axiom_names: tuple[str, ...], rules):
     axioms = {n: ALL_SCHEMAS[n] for n in axiom_names}
     for n in IPC_BASIS_NAMES:
         axioms[n] = ALL_SCHEMAS[n]
-    return LogicSpec(name, code, axioms, dict(rules), weak)
+    return LogicSpec(name, code, axioms, dict(rules))
 
 
 def build_logics() -> dict[str, LogicSpec]:
@@ -433,14 +446,12 @@ def build_logics() -> dict[str, LogicSpec]:
     for base, names in _BASE_AXIOMS.items():
         weak_names = _weak_base(names)
         logics[f"{base}.db"] = _spec(f"{base}.db", "db", names, _BOX_RULES)
-        logics[f"{base}.dw"] = _spec(
-            f"{base}.dw", "dw", weak_names, _BOX_RULES, weak=True
-        )
+        logics[f"{base}.dw"] = _spec(f"{base}.dw", "dw", weak_names, _BOX_RULES)
         logics[f"{base}.b"] = _spec(
             f"{base}.b", "b", _drop_eventually(names), _BOX_RULES
         )
         logics[f"{base}.w"] = _spec(
-            f"{base}.w", "w", _drop_eventually(weak_names), _BOX_RULES, weak=True
+            f"{base}.w", "w", _drop_eventually(weak_names), _BOX_RULES
         )
         logics[f"{base}.d"] = _spec(
             f"{base}.d", "d", _drop_henceforth(names), _DIA_RULES
@@ -463,116 +474,62 @@ def get_logic(name: str) -> LogicSpec:
 # --------------------------------------------------------------------------
 # checking
 
-def _check_core(
-    lines: tuple[DerivationLine, ...],
-    logic: LogicSpec,
-    fragment: LanguageFragment,
-) -> CheckResult:
-    total = len(lines)
-
-    def reject(number: int, reason: str) -> CheckResult:
-        return CheckResult(False, number, reason, total)
-
-    expected = 1
-    for line in lines:
-        if line.number != expected:
-            return reject(line.number, f"expected line number {expected}")
-        expected += 1
-
-    for line in lines:
-        phi = line.formula
-        if not fragment.allows(phi):
-            return reject(line.number, "formula outside the logic's language")
-        just = line.justification
-        if isinstance(just, IpcTaut):
-            if not is_ipc_tautology(phi):
-                return reject(line.number, "not an intuitionistic tautology")
-        elif isinstance(just, AxiomJust):
-            schema = logic.axioms.get(just.schema)
-            if schema is None:
-                return reject(
-                    line.number,
-                    f"axiom {just.schema!r} is not part of {logic.name}",
-                )
-            if just.subst is not None:
-                try:
-                    instance = instantiate(schema, just.subst)
-                except (MissingMetavariable, ValueError) as err:
-                    return reject(line.number, str(err))
-                if instance is not phi:
-                    return reject(
-                        line.number,
-                        f"formula is not the stated instance of axiom {just.schema!r}",
-                    )
-            elif not _match_into(schema.template, phi, {}):
-                return reject(
-                    line.number, f"formula does not match axiom {just.schema!r}"
-                )
-        elif isinstance(just, RuleJust):
-            rule = logic.rules.get(just.rule)
-            if rule is None:
-                return reject(
-                    line.number, f"rule {just.rule!r} is not part of {logic.name}"
-                )
-            if len(just.premises) != len(rule.premises):
-                return reject(
-                    line.number,
-                    f"rule {just.rule!r} takes {len(rule.premises)} premise(s)",
-                )
-            if any(i < 1 or i >= line.number for i in just.premises):
-                return reject(
-                    line.number, "premise references must point at earlier lines"
-                )
-            binding: dict[str, Formula] = {}
-            matched = all(
-                _match_into(template, lines[i - 1].formula, binding)
-                for template, i in zip(rule.premises, just.premises)
-            )
-            if not matched or _substitute(rule.conclusion, binding) is not phi:
-                return reject(
-                    line.number,
-                    f"rule {just.rule!r} does not derive this line "
-                    "from the cited premises",
-                )
-        else:
-            return reject(line.number, "unknown justification")
-    return CheckResult(True, None, None, total)
-
-
-def check_weak(derivation: Derivation, logic: LogicSpec) -> CheckResult:
-    """Check a weak-box derivation against a weak-rendered logic."""
-    if not logic.weak_rendered:
-        raise ValueError(f"{logic.name} is not weak-rendered")
-    total = len(derivation.lines)
-    fragment = logic.fragment
-    for line in derivation.lines:
-        if not fragment.allows(line.formula):
-            return CheckResult(
-                False, line.number, "formula outside the logic's language", total
-            )
-
-    translated = []
-    for line in derivation.lines:
+def _justify(line: DerivationLine, lines: tuple, logic: LogicSpec) -> Optional[str]:
+    """Why the line's justification fails, or None when it holds."""
+    phi, just, weak = line.formula, line.justification, logic.weak_rendered
+    if isinstance(just, IpcTaut):
+        return None if is_ipc_tautology(phi) else "not an intuitionistic tautology"
+    if isinstance(just, AxiomJust):
+        schema = logic.axioms.get(just.schema)
+        if schema is None:
+            return f"axiom {just.schema!r} is not part of {logic.name}"
+        if just.subst is None:
+            if _match_into(schema.template, phi, {}, weak):
+                return None
+            return f"formula does not match axiom {just.schema!r}"
         try:
-            phi = translate_strong(line.formula)
-            just = line.justification
-            if isinstance(just, AxiomJust) and just.subst is not None:
-                just = AxiomJust(
-                    just.schema,
-                    {k: translate_strong(v) for k, v in just.subst.items()},
-                )
+            _check_subst(schema, just.subst)
         except ValueError as err:
-            return CheckResult(False, line.number, str(err), total)
-        translated.append(DerivationLine(line.number, phi, just, line.span))
-
-    strong_code = "db" if logic.fragment_code == "dw" else "b"
-    return _check_core(tuple(translated), logic, FRAGMENTS[strong_code])
+            return str(err)
+        if _match_into(schema.template, phi, dict(just.subst), weak):
+            return None
+        return f"formula is not the stated instance of axiom {just.schema!r}"
+    if isinstance(just, RuleJust):
+        rule = logic.rules.get(just.rule)
+        if rule is None:
+            return f"rule {just.rule!r} is not part of {logic.name}"
+        if len(just.premises) != len(rule.premises):
+            return f"rule {just.rule!r} takes {len(rule.premises)} premise(s)"
+        if any(i < 1 or i >= line.number for i in just.premises):
+            return "premise references must point at earlier lines"
+        # Every metavariable of a conclusion occurs in its premises, so
+        # matching the conclusion under their binding only compares.
+        binding: dict[str, Formula] = {}
+        templates = (*rule.premises, rule.conclusion)
+        targets = (*(lines[i - 1].formula for i in just.premises), phi)
+        if all(_match_into(t, f, binding, weak) for t, f in zip(templates, targets)):
+            return None
+        return f"rule {just.rule!r} does not derive this line from the cited premises"
+    return "unknown justification"
 
 
 def check(derivation: Derivation, logic: LogicSpec) -> CheckResult:
-    """Check a derivation; returns the first failing line on rejection."""
-    if not derivation.lines:
+    """Check a derivation line by line and reject at the first failing line.
+
+    Each line is checked for its number, then for the logic's language as
+    written, then for its justification.
+    """
+    lines = derivation.lines
+    total = len(lines)
+    if not lines:
         return CheckResult(False, None, "empty derivation", 0)
-    if logic.weak_rendered:
-        return check_weak(derivation, logic)
-    return _check_core(derivation.lines, logic, logic.fragment)
+    for expected, line in enumerate(lines, 1):
+        if line.number != expected:
+            reason = f"expected line number {expected}"
+        elif not logic.fragment.allows(line.formula):
+            reason = "formula outside the logic's language"
+        else:
+            reason = _justify(line, lines, logic)
+        if reason is not None:
+            return CheckResult(False, line.number, reason, total)
+    return CheckResult(True, None, None, total)

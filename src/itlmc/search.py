@@ -71,6 +71,8 @@ class BoundTooLarge(ValueError):
 class CorpusMissing(KeyError):
     """A corpus entry referenced by the separation matrix is unavailable."""
 
+    __str__ = Exception.__str__
+
 
 @dataclass(frozen=True)
 class SemanticClass:

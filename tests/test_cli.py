@@ -1,3 +1,4 @@
+import json
 import os
 import shutil
 import subprocess
@@ -16,6 +17,12 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _env(seed):
+    env = dict(os.environ, PYTHONHASHSEED=seed)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
 
 
 def test_parse(capsys):
@@ -129,14 +136,10 @@ def test_validate_output_matches_readme(capsys):
 def test_countermodel_output_is_independent_of_hash_seed():
     outputs = []
     for seed in ("1", "4"):
-        env = dict(os.environ, PYTHONHASHSEED=seed)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
-        )
         done = subprocess.run(
             [sys.executable, "-m", "itlmc.cli", "validate", "--class", "e",
              "--bound", "3", "(p -> q) | (q -> p)"],
-            env=env, capture_output=True, text=True, timeout=60,
+            env=_env(seed), capture_output=True, text=True, timeout=60,
         )
         assert done.returncode == 1
         outputs.append(done.stdout)
@@ -244,7 +247,7 @@ def test_prove_unknown_logic_exits_3(capsys):
     code, _, err = run(
         capsys, "prove", "--logic", "QTL.db", str(CORPUS / "deriv/d-wh.drv")
     )
-    assert code == 3 and "unknown logic" in err
+    assert code == 3 and err.startswith("error: unknown logic 'QTL.db'; available: CDTL+.b, ")
 
 
 def test_paper_suite_filtered(capsys):
@@ -341,3 +344,85 @@ def test_separate_fails_edges_whose_point_is_not_in_the_witness(capsys, tmp_path
     assert "point 'zzz' is not a world of fig4-fs" in out
     assert "point 'abc' is not a rational number" in out
     assert out.endswith("16/18 edges verified\n")
+
+
+def _corpus_with_index(tmp_path, edit):
+    root = tmp_path / "corpus"
+    shutil.copytree(CORPUS, root)
+    index = root / "index.json"
+    index.write_text(edit(index.read_text()))
+    return root
+
+
+def test_unknown_entry_message_is_unquoted(capsys, tmp_path):
+    root = tmp_path / "empty"
+    root.mkdir()
+    code, out, err = run(capsys, "paper-suite", "--corpus", str(root))
+    assert code == 3 and out == ""
+    assert err == f"error: no corpus index at {root / 'index.json'}\n"
+
+
+def test_corpus_missing_message_is_unquoted(capsys, tmp_path):
+    from itlmc import Corpus, CorpusMissing, build_separation_matrix
+
+    def drop(text):
+        entries = json.loads(text)
+        return json.dumps([e for e in entries if e["id"] != "d-ax-cd"])
+
+    root = _corpus_with_index(tmp_path, drop)
+    with pytest.raises(CorpusMissing):
+        build_separation_matrix(Corpus(root))
+    code, out, err = run(capsys, "separate", "--corpus", str(root))
+    assert code == 3 and out == ""
+    assert err == "error: no corpus entry named 'd-ax-cd'\n"
+
+
+@pytest.mark.parametrize("command", ["paper-suite", "separate"])
+@pytest.mark.parametrize("text, message", [
+    ("[{", "is not JSON: Expecting property name enclosed in double quotes"),
+    ('{"id": "x"}', "is not a list of entries"),
+    ('[{"id": "x", "kind": 3}]', "entry 1 of corpus index {} is not an object of strings"),
+    ('[{"id": "x", "anchor": "a"}]', "entry 1 of corpus index {} lacks kind, path"),
+    (
+        '[{"id": "x", "kind": "edge", "path": "p", "anchor": "a", "color": "red"}]',
+        "entry 1 of corpus index {} has unknown field(s) color",
+    ),
+])
+def test_malformed_corpus_index_exits_3(capsys, tmp_path, command, text, message):
+    root = _corpus_with_index(tmp_path, lambda _: text)
+    code, out, err = run(capsys, command, "--corpus", str(root))
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and message.format(root / "index.json") in err
+
+
+def test_prove_non_utf8_file_exits_3(capsys, tmp_path):
+    path = tmp_path / "bytes.drv"
+    path.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, "prove", "--logic", "ITL.db", str(path))
+    assert code == 3 and out == ""
+    assert err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+
+
+def test_missing_metavariable_message_is_independent_of_hash_seed(tmp_path):
+    path = tmp_path / "s.drv"
+    path.write_text("1. p -> p ; axiom ipc-s {}\n")
+    for seed in ("1", "2"):
+        done = subprocess.run(
+            [sys.executable, "-m", "itlmc.cli", "prove", "--logic", "ITL.db", str(path)],
+            env=_env(seed), capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 1
+        assert done.stdout == (
+            "rejected at line 1: metavariable 'chi' of axiom 'ipc-s' is not assigned\n"
+        )
+
+
+def test_run_sweeps_script_at_bound_2():
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_sweeps.py"), "--bound", "2"],
+        env=_env("0"), capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == 5
+    assert all("bound 2: " in line and ", clean (" in line for line in lines), lines

@@ -1,4 +1,6 @@
+import random
 import re
+from dataclasses import replace
 from functools import lru_cache
 
 import hypothesis.strategies as st
@@ -10,6 +12,7 @@ from itlmc import (
     And,
     Atom,
     Bottom,
+    Corpus,
     Derivation,
     DerivationLine,
     Eventually,
@@ -29,10 +32,12 @@ from itlmc import (
     is_ipc_tautology,
     parse_derivation,
     parse_formula,
+    translate_strong,
+    translate_weak,
     validity,
 )
-from itlmc.formula import walk
-from itlmc.hilbert import IPC_BASIS_NAMES, IpcTaut
+from itlmc.formula import FRAGMENTS, atoms, children, fold, walk
+from itlmc.hilbert import IPC_BASIS_NAMES, AxiomJust, CheckResult, IpcTaut, RuleJust
 from conftest import formulas
 
 P, Q = Atom("p"), Atom("q")
@@ -360,7 +365,7 @@ def test_uniform_atom_renaming_preserves_acceptance():
 
 # -- weak-rendered logics ------------------------------------------------------
 
-def test_weak_rendering_translates_then_checks():
+def test_weak_rendering_reads_schemas_with_the_weak_box():
     strong_step = "1. [*]p -> O [*]p ; axiom ix {phi:=p}\n"
     assert check(parse_derivation(strong_step), get_logic("CDTL.dw")).ok
     result = check(parse_derivation(strong_step), get_logic("ITL.dw"))
@@ -389,7 +394,7 @@ def test_mixed_box_flavors_are_rejected_at_the_first_strong_box_line():
         assert "language" in result.reason
 
 
-def test_substitution_values_are_translated_too():
+def test_substitution_values_are_read_in_the_weak_rendering():
     # cites the forward axiom at a weak-box instance
     deriv = parse_derivation("1. [*][*]p -> O [*][*]p ; axiom ix {phi:=[*]p}\n")
     assert check(deriv, get_logic("CDTL.dw")).ok
@@ -407,3 +412,303 @@ def test_instantiate_requires_all_metavariables():
         instantiate(schema, {"phi": P, "psi": Q, "chi": P})
     inst = instantiate(schema, {"phi": P, "psi": Q})
     assert inst == parse_formula("[](p -> q) -> ([]p -> []q)")
+    # of several missing metavariables, the first in sorted order is named
+    with pytest.raises(MissingMetavariable, match="'chi' of axiom 'ipc-s'"):
+        instantiate(ALL_SCHEMAS["ipc-s"], {})
+
+
+# -- the first failing line ------------------------------------------------------
+
+def test_weak_logic_reports_the_first_failing_line():
+    deriv = parse_derivation("1. p ; ipc-taut\n2. []p -> p ; axiom viii\n")
+    for name in ("ITL.db", "ITL.dw"):
+        result = check(deriv, get_logic(name))
+        assert (result.failed_line, result.reason) == (1, "not an intuitionistic tautology")
+    assert _reference_check(deriv, get_logic("ITL.dw")).failed_line == 2
+
+
+def test_a_strong_substitution_in_a_weak_logic_is_not_the_stated_instance():
+    deriv = parse_derivation("1. [*]p -> O [*]p ; axiom ix {phi:=[]p}\n")
+    result = check(deriv, get_logic("CDTL.dw"))
+    assert (result.failed_line, result.reason) == (
+        1, "formula is not the stated instance of axiom 'ix'"
+    )
+    assert _reference_check(deriv, get_logic("CDTL.dw")).reason == _MIXED
+
+
+def test_rule_conclusions_use_only_premise_metavariables():
+    # this is what makes matching a conclusion under the premises' binding
+    # the same as comparing the line with the substituted conclusion
+    for logic in LOGICS.values():
+        for rule in logic.rules.values():
+            used = {name for premise in rule.premises for name in atoms(premise)}
+            assert set(atoms(rule.conclusion)) <= used, (logic.name, rule.name)
+
+
+# -- reference checker -----------------------------------------------------------
+#
+# The checker the library used before it matched weak renderings directly:
+# strong-rendered logics run one pass for line numbers, then one for language
+# and justification; weak-rendered logics first check every line's language,
+# then translate every line and substitution to the strong box and run the
+# strong checker under the strong fragment. A missing metavariable is named
+# in sorted order here as in the library; the old code named whichever a set
+# gave first.
+
+_MIXED = "formula mixes both henceforth flavors"
+
+
+# Nodes are interned and immutable, so the reference may memoize per node.
+@lru_cache(maxsize=None)
+def _allows(fragment, phi) -> bool:
+    return fragment.allows(phi)
+
+
+@lru_cache(maxsize=None)
+def _to_strong(phi):
+    try:
+        return translate_strong(phi)
+    except ValueError as err:
+        return err
+
+
+def _reference_match(template, target, binding) -> bool:
+    todo = [(template, target)]
+    while todo:
+        t, f = todo.pop()
+        if type(t) is Atom:
+            if binding.setdefault(t.name, f) is not f:
+                return False
+        elif type(t) is not type(f):
+            return False
+        else:
+            todo.extend(zip(children(t), children(f)))
+    return True
+
+
+def _reference_substitute(template, binding):
+    def put(f, args):
+        if type(f) is Atom:
+            return binding[f.name]
+        return type(f)(*args) if args else f
+
+    return fold(template, put)
+
+
+def _reference_instantiate(schema, subst):
+    for name in subst:
+        if name not in schema.metavars:
+            raise ValueError(f"axiom {schema.name!r} has no metavariable {name!r}")
+    for name in schema.metavars:
+        if name not in subst:
+            raise ValueError(
+                f"metavariable {name!r} of axiom {schema.name!r} is not assigned"
+            )
+    return _reference_substitute(schema.template, subst)
+
+
+def _reference_core(lines, logic, fragment) -> CheckResult:
+    total = len(lines)
+
+    def reject(number, reason):
+        return CheckResult(False, number, reason, total)
+
+    for expected, line in enumerate(lines, 1):
+        if line.number != expected:
+            return reject(line.number, f"expected line number {expected}")
+    for line in lines:
+        phi, just = line.formula, line.justification
+        if not _allows(fragment, phi):
+            return reject(line.number, "formula outside the logic's language")
+        if isinstance(just, IpcTaut):
+            if not is_ipc_tautology(phi):
+                return reject(line.number, "not an intuitionistic tautology")
+        elif isinstance(just, AxiomJust):
+            schema = logic.axioms.get(just.schema)
+            if schema is None:
+                return reject(line.number, f"axiom {just.schema!r} is not part of {logic.name}")
+            if just.subst is not None:
+                try:
+                    instance = _reference_instantiate(schema, just.subst)
+                except ValueError as err:
+                    return reject(line.number, str(err))
+                if instance is not phi:
+                    return reject(
+                        line.number,
+                        f"formula is not the stated instance of axiom {just.schema!r}",
+                    )
+            elif not _reference_match(schema.template, phi, {}):
+                return reject(line.number, f"formula does not match axiom {just.schema!r}")
+        else:
+            rule = logic.rules.get(just.rule)
+            if rule is None:
+                return reject(line.number, f"rule {just.rule!r} is not part of {logic.name}")
+            if len(just.premises) != len(rule.premises):
+                return reject(
+                    line.number, f"rule {just.rule!r} takes {len(rule.premises)} premise(s)"
+                )
+            if any(i < 1 or i >= line.number for i in just.premises):
+                return reject(line.number, "premise references must point at earlier lines")
+            binding = {}
+            matched = all(
+                _reference_match(template, lines[i - 1].formula, binding)
+                for template, i in zip(rule.premises, just.premises)
+            )
+            if not matched or _reference_substitute(rule.conclusion, binding) is not phi:
+                return reject(
+                    line.number,
+                    f"rule {just.rule!r} does not derive this line from the cited premises",
+                )
+    return CheckResult(True, None, None, total)
+
+
+def _reference_check(derivation, logic) -> CheckResult:
+    lines, total = derivation.lines, len(derivation.lines)
+    if not lines:
+        return CheckResult(False, None, "empty derivation", 0)
+    if not logic.weak_rendered:
+        return _reference_core(lines, logic, logic.fragment)
+    for line in lines:
+        if not _allows(logic.fragment, line.formula):
+            return CheckResult(False, line.number, "formula outside the logic's language", total)
+    translated = []
+    for line in lines:
+        just = line.justification
+        values = [line.formula]
+        if isinstance(just, AxiomJust) and just.subst is not None:
+            values += just.subst.values()
+        strong = [_to_strong(v) for v in values]
+        error = next((v for v in strong if isinstance(v, ValueError)), None)
+        if error is not None:
+            return CheckResult(False, line.number, str(error), total)
+        if isinstance(just, AxiomJust) and just.subst is not None:
+            just = AxiomJust(just.schema, dict(zip(just.subst, strong[1:])))
+        translated.append(DerivationLine(line.number, strong[0], just))
+    strong = FRAGMENTS["db" if logic.fragment_code == "dw" else "b"]
+    return _reference_core(tuple(translated), logic, strong)
+
+
+# Seeded mutants of the bundled derivations and of their weak renderings:
+# each rewrites one or two lines, in formula, justification or number.
+
+_RULE_NAMES = ("mp", "nec-next", "nec-box", "dia-mono", "dia-ind")
+
+
+def _rerender(phi):
+    for translate in (translate_weak, translate_strong):
+        try:
+            other = translate(phi)
+        except ValueError:
+            continue
+        if other is not phi:
+            return other
+    return Implies(phi, Bottom())
+
+
+def _mutate_formula(rng, line, lines):
+    phi = line.formula
+    return rng.choice((
+        lambda: rng.choice(lines).formula,
+        lambda: _rerender(phi),
+        lambda: Next(phi),
+        lambda: Implies(phi, Bottom()),
+        lambda: fold(phi, lambda f, args: Atom("q" if f.name == "p" else "p")
+                     if type(f) is Atom else type(f)(*args) if args else f),
+    ))()
+
+
+def _mutate_justification(rng, line):
+    just = line.justification
+    if isinstance(just, AxiomJust):
+        subst = dict(just.subst or {})
+        if subst and rng.random() < 0.5:
+            name = rng.choice(sorted(subst))
+            subst[name] = rng.choice((
+                lambda: _rerender(subst[name]), lambda: And(subst[name], Bottom())
+            ))()
+            return replace(just, subst=subst)
+        return rng.choice((
+            lambda: replace(just, schema=rng.choice(sorted(ALL_SCHEMAS))),
+            lambda: replace(just, subst=None),
+            lambda: replace(just, subst={**subst, "chi": P}),
+            lambda: replace(just, subst={k: v for k, v in list(subst.items())[1:]}),
+            lambda: IpcTaut(),
+        ))()
+    if isinstance(just, RuleJust):
+        return rng.choice((
+            lambda: replace(just, rule=rng.choice(_RULE_NAMES)),
+            lambda: replace(just, premises=just.premises[::-1]),
+            lambda: replace(just, premises=(line.number,) + just.premises[1:]),
+            lambda: IpcTaut(),
+        ))()
+    return AxiomJust(rng.choice(sorted(ALL_SCHEMAS)), None)
+
+
+def _mutant(rng, derivation):
+    lines = list(derivation.lines)
+    for _ in range(rng.choice((1, 1, 2))):
+        i = rng.randrange(len(lines))
+        line = lines[i]
+        choice = rng.random()
+        if choice < 0.4:
+            line = replace(line, formula=_mutate_formula(rng, line, lines))
+        elif choice < 0.9:
+            line = replace(line, justification=_mutate_justification(rng, line))
+        else:
+            line = replace(line, number=line.number + 100)
+        lines[i] = line
+    return Derivation(tuple(lines))
+
+
+def _checker_inputs():
+    corpus, rng = Corpus(), random.Random(20261019)
+    out = []
+    for entry in corpus.entries():
+        if entry.kind != "derivation":
+            continue
+        text = corpus.text_of(entry.id)
+        for rendered in (text, text.replace("[]", "[*]")):
+            derivation = parse_derivation(rendered)
+            out.append(derivation)
+            out.extend(_mutant(rng, derivation) for _ in range(40))
+    return out
+
+
+# (reference reason, new reason without its last word) on the same line
+_REASON_CHANGES = (
+    (_MIXED, "formula is not the stated instance of axiom"),
+    ("formula outside the logic's language", "expected line number"),
+)
+
+
+def test_checker_matches_the_reference_up_to_the_first_failing_line():
+    inputs = _checker_inputs()
+    assert len(inputs) == 13 * 2 * 41
+    seen = {"accepted": 0, "same": 0, "earlier": 0, **dict.fromkeys(dict(_REASON_CHANGES), 0)}
+    for derivation in inputs:
+        position = {line.number: i for i, line in enumerate(derivation.lines)}
+        for logic in LOGICS.values():
+            got, want = check(derivation, logic), _reference_check(derivation, logic)
+            assert got.ok == want.ok, (logic.name, derivation)
+            if got.ok:
+                seen["accepted"] += 1
+                continue
+            if (want.failed_line, want.reason) == (got.failed_line, got.reason):
+                seen["same"] += 1
+                continue
+            # the reference on the lines up to the new failing line fails
+            # there, and for the same reason, except in a weak logic when
+            # a substitution is written in the other rendering, or when a
+            # misnumbered line is also outside the language, which the
+            # reference checked first
+            first = position[got.failed_line]
+            prefix = _reference_check(Derivation(derivation.lines[: first + 1]), logic)
+            assert prefix.failed_line == got.failed_line, (logic.name, derivation)
+            if prefix.reason != got.reason:
+                assert logic.weak_rendered, (logic.name, got)
+                assert (prefix.reason, got.reason.rsplit(" ", 1)[0]) in _REASON_CHANGES
+                seen[prefix.reason] += 1
+            else:
+                assert position[want.failed_line] > first, (logic.name, got, want)
+                seen["earlier"] += 1
+    assert min(seen.values()) > 0, seen
