@@ -35,11 +35,11 @@ from .formula import (
     fs_dia,
     fs_next,
     subformulas,
-    translate_strong,
     translate_weak,
     wh,
 )
 from .parser import (
+    MalformedEncoding,
     ParseError,
     SourceSpan,
     parse_derivation,
@@ -114,8 +114,6 @@ from .search import (
     Undetermined,
     ValidUpTo,
     build_separation_matrix,
-    count_posets,
-    enumerate_models,
     soundness_sweep,
     validity,
 )

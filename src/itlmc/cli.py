@@ -16,6 +16,7 @@ from .corpus import Corpus, MalformedCorpus, UnknownEntry, paper_suite
 from .formula import FRAGMENTS
 from .hilbert import UnknownLogic, check, get_logic
 from .parser import (
+    MalformedEncoding,
     ParseError,
     SourceSpan,
     parse_caps,
@@ -25,6 +26,7 @@ from .parser import (
     parse_real_system,
     print_formula,
     print_poset_model,
+    read_input,
 )
 from .poset import (
     ContinuityRequired,
@@ -68,7 +70,7 @@ INPUT_ERRORS = (
     BoundTooLarge,
     FileNotFoundError,
     IsADirectoryError,
-    UnicodeDecodeError,
+    MalformedEncoding,
 )
 
 
@@ -101,7 +103,7 @@ def _cmd_parse(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    model, valuation = parse_poset_model(_resolve(args.model).read_text())
+    model, valuation = parse_poset_model(read_input(_resolve(args.model)))
     phi = parse_formula(args.formula)
     extension = eval_formula(model, valuation, phi)
     listed = "{" + ", ".join(w for w in model.worlds if w in extension) + "}"
@@ -118,7 +120,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_real_check(args) -> int:
-    system = parse_real_system(_resolve(args.system).read_text())
+    system = parse_real_system(read_input(_resolve(args.system)))
     if args.caps:
         items = [item.strip() for item in args.caps.split(",") if item.strip()]
         caps = parse_caps(items, SourceSpan(0, len(args.caps)), system.caps)
@@ -167,7 +169,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_prove(args) -> int:
     logic = get_logic(args.logic)
-    derivation = parse_derivation(_resolve(args.path).read_text())
+    derivation = parse_derivation(read_input(_resolve(args.path)))
     result = check(derivation, logic)
     if result.ok:
         theorem = print_formula(derivation.theorem)

@@ -24,6 +24,7 @@ from .parser import (
     parse_formula,
     parse_poset_model,
     parse_real_system,
+    read_input,
 )
 from .poset import eval_formula
 from .realline import EMPTY, REALS, Status, eval_real, interval
@@ -53,7 +54,7 @@ _FIELDS = ("id", "kind", "path", "anchor")
 def _read_index(path: Path) -> dict[str, CorpusEntry]:
     """The entries of an index file: a JSON list of objects of strings."""
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(read_input(path))
     except FileNotFoundError:
         raise UnknownEntry(f"no corpus index at {path}") from None
     except json.JSONDecodeError as err:
@@ -98,7 +99,7 @@ class Corpus:
         return self.get(entry_id).kind
 
     def text_of(self, entry_id: str) -> str:
-        return (self.root / self.get(entry_id).path).read_text()
+        return read_input(self.root / self.get(entry_id).path)
 
     def load(self, entry_id: str):
         if entry_id in self._cache:

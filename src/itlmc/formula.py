@@ -266,24 +266,16 @@ FRAGMENTS: dict[str, LanguageFragment] = {
 }
 
 
-def _swap_boxes(phi: Formula, src: type, dst: type, forbidden: type) -> Formula:
-    def swap(f: Formula, args: tuple) -> Formula:
-        op = type(f)
-        if op is forbidden:
-            raise ValueError("formula mixes both henceforth flavors")
-        return (dst if op is src else op)(*args) if args else f
-
-    return fold(phi, swap)
-
-
 def translate_weak(phi: Formula) -> Formula:
     """Replace every strong box by a weak box. Rejects mixed input."""
-    return _swap_boxes(phi, StrongBox, WeakBox, WeakBox)
 
+    def swap(f: Formula, args: tuple) -> Formula:
+        op = type(f)
+        if op is WeakBox:
+            raise ValueError("formula mixes both henceforth flavors")
+        return (WeakBox if op is StrongBox else op)(*args) if args else f
 
-def translate_strong(phi: Formula) -> Formula:
-    """Replace every weak box by a strong box. Rejects mixed input."""
-    return _swap_boxes(phi, WeakBox, StrongBox, StrongBox)
+    return fold(phi, swap)
 
 
 # Named schema builders. These are the standard separation schemas used

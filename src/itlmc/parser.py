@@ -24,6 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
+from pathlib import Path
 
 from .formula import (
     And,
@@ -55,7 +56,7 @@ from .search import EdgeSpec
 
 @dataclass(frozen=True)
 class SourceSpan:
-    """Byte offsets [start, end) into the parsed text."""
+    """Character offsets [start, end) into the parsed text."""
 
     start: int
     end: int
@@ -66,6 +67,21 @@ class ParseError(ValueError):
         super().__init__(f"{message} (at {span.start}..{span.end})")
         self.message = message
         self.span = span
+
+
+class MalformedEncoding(ValueError):
+    """An input file whose bytes are not UTF-8."""
+
+
+def read_input(path) -> str:
+    """The text of an input file, read as `open` reads UTF-8; bad bytes name the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise MalformedEncoding(
+            f"{path} is not UTF-8: byte {err.object[err.start]:#04x}"
+            f" at byte offset {err.start} ({err.reason})"
+        ) from None
 
 
 # --------------------------------------------------------------------------

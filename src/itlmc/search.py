@@ -1,23 +1,22 @@
 """Bounded countermodel search over finite dynamic posets.
 
-Models are enumerated exhaustively up to a world bound: all partial orders
-on labeled carriers, the monotone step maps found by backtracking (open ones
-only for class p), and all up-set valuations of the requested atoms. The
-model tables depend only on the class and the size: each is built once per
-process, when a scan first reaches it, and shared by every later query.
-Only a reported countermodel becomes a `DynamicPoset`. The order is
-deterministic, so the first countermodel is stable across runs.
+A scan goes by size up to a world bound and, at each size, over one model
+per isomorphism class of (poset, step) pairs under all up-set valuations of
+the formula's atoms. The tables depend only on the class and the size: each
+is built once per process, when a scan first reaches it. Only a reported
+countermodel becomes a `DynamicPoset`.
 
-Validity does not change under isomorphism, so `validity` scans only a
-reduced table per size (isomorph rejection, as in McKay and Brinkmann's
-"Posets on up to 16 points", Order 2002):
-the first carrier of each isomorphism class in `_orders` order, with the
-class steps that are lexicographically least in their orbit under
-conjugation by the carrier's automorphisms. Every (carrier, step) pair it
-drops is isomorphic to an earlier pair it keeps, so a dropped pair fails
-only after a kept one has failed: the reduced scan meets the same first
-countermodel as a scan of every labeled model. The labeled tables serve
-`enumerate_models`, and the tests as the reference.
+The posets are generated directly, one per isomorphism class (isomorph
+rejection, as in McKay and Brinkmann's "Posets on up to 16 points", Order
+2002). Label pair i < j has state 0 (incomparable), 1 (i below j) or 2 (j
+below i); a class is kept as its labeling with the least state vector, and
+the classes are sorted by it: the order in which a walk of all labeled
+posets by state vector meets each class first. Each poset keeps the
+monotone step maps (open ones only for class p) least in their orbit under
+conjugation by its automorphisms. Every labeled (poset, step) pair dropped
+is isomorphic to an earlier one kept, so it fails only after a kept one has
+failed: the scan meets the first countermodel of a scan of every labeled
+model in that order.
 
 `validity` evaluates the step maps of a carrier together: a world's row has
 bit v * S + s for valuation v under the chunk's step s, valuation-major and
@@ -40,9 +39,9 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
-from itertools import chain, islice, permutations, product
+from itertools import islice, permutations, product
 from operator import and_
-from typing import Iterator, NamedTuple, Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .formula import Atom, Formula, compile_formula, translate_weak
 from .hilbert import LogicSpec, Schema, check, get_logic, instantiate
@@ -57,7 +56,7 @@ CHUNK_BITS = 1 << 16
 # Chunk plans are kept for formulas of at most this many atoms.
 PLANNED_ATOMS = 3
 
-# Kept chunk plans of the reduced tables by (class, size, atoms, chunk width),
+# Kept chunk plans of the model tables by (class, size, atoms, chunk width),
 # then (carrier index, first step).
 _PLANS: dict[tuple[str, int, int, int], dict[tuple[int, int], tuple]] = {}
 
@@ -114,39 +113,48 @@ Verdict = Union[ValidUpTo, Countermodel, Undetermined]
 
 
 # --------------------------------------------------------------------------
-# enumeration
+# model tables
 
-def _orders(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
-    """All partial orders on n labeled points, as strict pair lists.
-
-    Each unordered index pair independently takes one of three states
-    (incomparable, i below j, j below i); non-transitive combinations are
-    filtered out.
-    """
-    index_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    for states in product((0, 1, 2), repeat=len(index_pairs)):
-        leq = [1 << i for i in range(n)]  # row i = mask of j with i <= j
-        for (i, j), s in zip(index_pairs, states):
-            if s == 1:
-                leq[i] |= 1 << j
-            elif s == 2:
-                leq[j] |= 1 << i
-        # Transitive: every world above a world above i is above i.
-        if all(leq[k] & ~leq[i] == 0 for i in range(n) for k in range(n) if leq[i] >> k & 1):
-            yield tuple((i, j) for i in range(n) for j in range(n) if i != j and leq[i] >> j & 1)
+@cache
+def _relabelings(n: int) -> list[list[int]]:
+    """Per relabeling p of n points, in `permutations` order: p[i] * n + p[j] for i < j."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return [[p[i] * n + p[j] for i, j in pairs] for p in permutations(range(n))]
 
 
-def count_posets(n: int) -> int:
-    """Number of partial orders on n labeled points (enumeration oracle)."""
-    return sum(1 for _ in _orders(n))
+def _state_vectors(up_masks: Sequence[int]) -> list[tuple[int, ...]]:
+    """The poset's state vector under each relabeling, in `permutations` order."""
+    n = len(up_masks)
+    state = [up_masks[a] >> b & 1 | (up_masks[b] >> a & 1) << 1 for a in range(n) for b in range(n)]
+    return [tuple(map(state.__getitem__, key)) for key in _relabelings(n)]
+
+
+def _upsets(up_masks: Sequence[int]) -> tuple[int, ...]:
+    bits = list(enumerate(up_masks))
+    return tuple(m for m in range(1 << len(bits)) if all(m | u == m for i, u in bits if m >> i & 1))
+
+
+@cache
+def _classes(n: int) -> tuple[tuple[int, ...], ...]:
+    """One poset of n points per isomorphism class, as up-masks, in scan order: an (n-1)-class
+    with a new minimal point below one of its up-sets, relabeled to its least state vector."""
+    if n == 0:
+        return ((),)
+    least = {}
+    for up_masks in _classes(n - 1):
+        for upset in _upsets(up_masks):
+            masks = (*up_masks, upset | 1 << (n - 1))
+            vector, p = min(zip(_state_vectors(masks), permutations(range(n))))
+            least[vector] = tuple(sum(1 << j for j in range(n) if masks[a] >> p[j] & 1) for a in p)
+    return tuple(least[vector] for vector in sorted(least))
 
 
 class _Carrier(NamedTuple):
-    """One labeled poset of a model table: its strict order as index pairs,
-    the worlds above each world as lists, its up-set masks in
-    increasing order, the class's step maps in `itertools.product` order,
-    and per world its membership mask over the up-sets and its moves: each
-    target j of a step, with the mask of the indices of the steps to j."""
+    """One poset of a model table: its strict order as index pairs, the
+    worlds above each world as lists, its up-set masks in increasing order,
+    its step maps in `itertools.product` order, and per world its membership
+    mask over the up-sets and its moves: each target j of a step, with the
+    mask of the indices of the steps to j."""
 
     pairs: tuple[tuple[int, int], ...]
     ups: tuple[tuple[int, ...], ...]
@@ -156,15 +164,31 @@ class _Carrier(NamedTuple):
     moves: tuple[tuple[tuple[int, int], ...], ...]
 
 
-def _class_steps(up_masks, ups, kind: str, interned: list) -> tuple[tuple[int, ...], ...]:
-    """Monotone step maps of one carrier (open ones for class p), in product order.
+def _carrier(up_masks: Sequence[int], steps: tuple[tuple[int, ...], ...]) -> _Carrier:
+    """The table entry of a poset given as up-masks, with these step maps."""
+    n = len(up_masks)
+    ups = tuple(tuple(j for j in range(n) if m >> j & 1) for m in up_masks)
+    pairs = tuple((i, j) for i in range(n) for j in ups[i] if j != i)
+    upsets = _upsets(up_masks)
+    members = tuple(sum(1 << d for d, up in enumerate(upsets) if up >> i & 1) for i in range(n))
+    masks = [[0] * n for _ in range(n)]
+    for s, step in enumerate(steps):
+        for i, j in enumerate(step):
+            masks[i][j] |= 1 << s
+    moves = tuple(tuple((j, m) for j, m in enumerate(row) if m) for row in masks)
+    return _Carrier(pairs, ups, upsets, steps, members, moves)
+
+
+def _class_steps(up_masks, kind: str, interned: list) -> tuple[tuple[int, ...], ...]:
+    """Monotone step maps of one poset (open ones for class p), in product order.
 
     Backtracks over worlds 0..n-1, trying for each world only the values
     that fit the steps of the earlier worlds comparable with it, and in
     class p checking each world's lift condition once its up-set has steps.
     Maps are taken from ``interned``, the product list, so carriers share them.
     """
-    n = len(ups)
+    n = len(up_masks)
+    ups = [[j for j in range(n) if up_masks[i] >> j & 1] for i in range(n)]
     down_masks = [sum(1 << j for j in range(n) if (up_masks[j] >> i) & 1) for i in range(n)]
     # World i is constrained by each earlier comparable j: S(i) lies above
     # S(j) when j is below i, and below S(j) when j is above i.
@@ -216,38 +240,19 @@ def _orbit_minima(steps, automorphisms) -> tuple[tuple[int, ...], ...]:
 
 
 @cache
-def _table(kind: str, n: int, reduced: bool) -> tuple[_Carrier, ...]:
-    """The class's carriers of n worlds in `_orders` order, built once per process.
+def _table(kind: str, n: int) -> tuple[_Carrier, ...]:
+    """The class's models on n worlds, one per isomorphism class, built once per process.
 
-    The labeled table holds every carrier with all its class steps. The
-    reduced one holds the first carrier of each isomorphism class with the
-    steps `_orbit_minima` keeps under its automorphisms: one model per
-    isomorphism class of (poset, step) pairs.
+    Each poset of `_classes` keeps the steps `_orbit_minima` keeps under its
+    automorphisms, the relabelings that fix its state vector.
     """
     interned = list(product(range(n), repeat=n))
-    one = [b"0" * j + b"1" + b"0" * (255 - j) for j in range(n)]  # byte j to "1"
-    relabelings = list(permutations(range(n))) if reduced else []
-    seen = set()  # the relabeled pair lists of the isomorphism classes met so far
     table = []
-    for pairs in _orders(n):
-        if pairs in seen:
-            continue
-        base = _poset(n, pairs)
-        upsets = tuple(m for m in range(1 << n) if base.is_up_set_mask(m))
-        steps = _class_steps(base.up_masks, base.ups, kind, interned)
-        if reduced:
-            images = [tuple(sorted((s[i], s[j]) for i, j in pairs)) for s in relabelings]
-            seen.update(images)
-            automorphisms = [s for s, image in zip(relabelings, images) if image == pairs]
-            steps = _orbit_minima(steps, automorphisms)
-        members = tuple(sum(1 << d for d, up in enumerate(upsets) if up >> i & 1) for i in range(n))
-        # Each world's column of targets, last step first, as one binary numeral per target.
-        flat = bytes(chain.from_iterable(steps[::-1]))
-        columns = [flat[i::n] for i in range(n)]
-        moves = tuple(
-            tuple((j, int(c.translate(one[j]), 2)) for j in range(n) if j in c) for c in columns
-        )
-        table.append(_Carrier(pairs, base.ups, upsets, steps, members, moves))
+    for up_masks in _classes(n):
+        vectors = _state_vectors(up_masks)
+        automorphisms = [p for p, v in zip(permutations(range(n)), vectors) if v == vectors[0]]
+        steps = _orbit_minima(_class_steps(up_masks, kind, interned), automorphisms)
+        table.append(_carrier(up_masks, steps))
     return tuple(table)
 
 
@@ -260,24 +265,6 @@ def _poset(n: int, pairs: tuple[tuple[int, int], ...]) -> DynamicPoset:
 
 def _with_step(base: DynamicPoset, step: tuple[int, ...]) -> DynamicPoset:
     return base.replace_step({w: base.worlds[s] for w, s in zip(base.worlds, step)})
-
-
-def enumerate_models(
-    semclass: SemanticClass, atom_names: tuple[str, ...] = ()
-) -> Iterator[tuple[DynamicPoset, Valuation]]:
-    """All (model, valuation) pairs of the class, up to the bound.
-
-    Carriers come by size, then in `_orders` order; steps in product order.
-    Valuations of a model come in `itertools.product` order over its
-    up-sets, the first atom varying slowest.
-    """
-    for n in range(1, semclass.bound + 1):
-        for carrier in _table(semclass.kind, n, False):
-            base = _poset(n, carrier.pairs)
-            for step in carrier.steps:
-                model = _with_step(base, step)
-                for assignment in product(carrier.upsets, repeat=len(atom_names)):
-                    yield model, {a: model.worlds_of(m) for a, m in zip(atom_names, assignment)}
 
 
 # --------------------------------------------------------------------------
@@ -295,7 +282,7 @@ def _atom_rows(members: Sequence[int], m: int, k: int, slots: int) -> tuple[list
     """Rows of k atoms over a carrier's (valuation, step slot) pairs, and the full row.
 
     Bit v * slots + s of ``rows[t][i]`` says whether world i is in the up-set
-    d that valuation v (in `enumerate_models` order) gives atom t: digit t
+    d that valuation v (in `itertools.product` order) gives atom t: digit t
     of v in base m, most significant first. So bit d of world i's membership
     mask fills block d of ``stride`` bits in each period of m blocks. A mask
     times a comb with teeth stride - 1 apart puts bit d at d * stride (no two
@@ -329,7 +316,7 @@ def _plan(carrier: _Carrier, k: int, first: int, slots: int) -> tuple:
 def validity(phi: Formula, semclass: SemanticClass) -> Verdict:
     """First falsifying model in enumeration order, or validity up to bound.
 
-    Each size's reduced table is scanned a chunk of steps at a time under
+    Each size's table is scanned a chunk of steps at a time under
     all valuations (see the module docstring). Only the first countermodel
     becomes a `DynamicPoset`, and `eval_formula` re-checks it on that one
     valuation.
@@ -338,7 +325,7 @@ def validity(phi: Formula, semclass: SemanticClass) -> Verdict:
     k = len(names)
     for n in range(1, semclass.bound + 1):
         plans = _PLANS.setdefault((semclass.kind, n, k, CHUNK_BITS), {})
-        for index, carrier in enumerate(_table(semclass.kind, n, True)):
+        for index, carrier in enumerate(_table(semclass.kind, n)):
             size = max(1, CHUNK_BITS // len(carrier.upsets) ** k)
             for first in range(0, len(carrier.steps), size):
                 slots = min(size, len(carrier.steps) - first)

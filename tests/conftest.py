@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cache
+from itertools import permutations, product
 
 import hypothesis.strategies as st
 
@@ -22,6 +24,7 @@ from itlmc import (
     WeakBox,
     make_interval,
 )
+from itlmc import search
 
 
 def formulas(
@@ -66,6 +69,76 @@ def random_poset(rng: random.Random, n: int) -> list[tuple[int, int]]:
                 if leq[a][i] and leq[j][b]:
                     leq[a][b] = True
     return [(i, j) for i in range(n) for j in range(n) if i != j and leq[i][j]]
+
+
+def orders(n: int):
+    """All partial orders on n labeled points, as strict pair lists.
+
+    Each index pair i < j independently takes one of three states
+    (incomparable, i below j, j below i), the state vectors in
+    lexicographic order; non-transitive combinations are filtered out.
+    """
+    index_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for states in product((0, 1, 2), repeat=len(index_pairs)):
+        leq = [1 << i for i in range(n)]  # row i = mask of j with i <= j
+        for (i, j), s in zip(index_pairs, states):
+            if s == 1:
+                leq[i] |= 1 << j
+            elif s == 2:
+                leq[j] |= 1 << i
+        # Transitive: every world above a world above i is above i.
+        if all(leq[k] & ~leq[i] == 0 for i in range(n) for k in range(n) if leq[i] >> k & 1):
+            yield tuple((i, j) for i in range(n) for j in range(n) if i != j and leq[i] >> j & 1)
+
+
+def count_posets(n: int) -> int:
+    """Number of partial orders on n labeled points."""
+    return sum(1 for _ in orders(n))
+
+
+@cache
+def oracle_table(kind: str, n: int, reduced: bool):
+    """The model table of a class on n worlds, built by walking `orders`.
+
+    The labeled table holds every labeled poset with all its class steps.
+    The reduced one holds the first poset of each isomorphism class that
+    the walk meets, with the steps `search._orbit_minima` keeps under its
+    automorphisms: what `search._table` must equal.
+    """
+    interned = list(product(range(n), repeat=n))
+    relabelings = list(permutations(range(n))) if reduced else []
+    seen = set()  # the relabeled pair lists of the isomorphism classes met so far
+    table = []
+    for pairs in orders(n):
+        if pairs in seen:
+            continue
+        up_masks = [1 << i for i in range(n)]
+        for i, j in pairs:
+            up_masks[i] |= 1 << j
+        steps = search._class_steps(up_masks, kind, interned)
+        if reduced:
+            images = [tuple(sorted((s[i], s[j]) for i, j in pairs)) for s in relabelings]
+            seen.update(images)
+            automorphisms = [s for s, image in zip(relabelings, images) if image == pairs]
+            steps = search._orbit_minima(steps, automorphisms)
+        table.append(search._carrier(up_masks, steps))
+    return tuple(table)
+
+
+def enumerate_models(semclass, atom_names=()):
+    """All (model, valuation) pairs of the class up to its bound, labeled.
+
+    Carriers come by size, then in `orders` order; steps in product order.
+    Valuations of a model come in `itertools.product` order over its
+    up-sets, the first atom varying slowest.
+    """
+    for n in range(1, semclass.bound + 1):
+        for carrier in oracle_table(semclass.kind, n, False):
+            base = search._poset(n, carrier.pairs)
+            for step in carrier.steps:
+                model = search._with_step(base, step)
+                for assignment in product(carrier.upsets, repeat=len(atom_names)):
+                    yield model, {a: model.worlds_of(m) for a, m in zip(atom_names, assignment)}
 
 
 def random_model(

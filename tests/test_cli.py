@@ -395,12 +395,41 @@ def test_malformed_corpus_index_exits_3(capsys, tmp_path, command, text, message
     assert err.startswith("error: ") and message.format(root / "index.json") in err
 
 
-def test_prove_non_utf8_file_exits_3(capsys, tmp_path):
-    path = tmp_path / "bytes.drv"
-    path.write_bytes(b"\xff\xfe")
-    code, out, err = run(capsys, "prove", "--logic", "ITL.db", str(path))
+# "é" is two bytes, so the bad byte is at byte offset 5 and character offset 4.
+_NOT_UTF8 = "# é\n".encode() + b"\xff\xfe"
+
+
+def _not_utf8_error(path):
+    return f"error: {path} is not UTF-8: byte 0xff at byte offset 5 (invalid start byte)\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--model", "{}", "p"],
+    ["real-check", "--system", "{}", "p"],
+    ["prove", "--logic", "ITL.db", "{}"],
+], ids=lambda argv: argv[0])
+def test_non_utf8_input_file_is_named_and_exits_3(capsys, tmp_path, argv):
+    path = tmp_path / "bytes.txt"
+    path.write_bytes(_NOT_UTF8)
+    code, out, err = run(capsys, *(arg.format(path) for arg in argv))
     assert code == 3 and out == ""
-    assert err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+    assert err == _not_utf8_error(path)
+
+
+@pytest.mark.parametrize("name", ["index.json", "deriv/d-wh.drv"])
+def test_non_utf8_corpus_file_is_named_and_exits_3(capsys, tmp_path, name):
+    root = _corpus_with_index(tmp_path, lambda text: text)
+    (root / name).write_bytes(_NOT_UTF8)
+    code, out, err = run(capsys, "paper-suite", "--corpus", str(root), "--filter", "d-wh")
+    assert code == 3 and out == ""
+    assert err == _not_utf8_error(root / name)
+
+
+def test_input_files_keep_reading_line_ends_as_text_mode_does(capsys, tmp_path):
+    # A lone carriage return ends a line, as in a file read through `open`.
+    path = tmp_path / "cr.drv"
+    path.write_bytes((CORPUS / "deriv" / "d-wh.drv").read_bytes().replace(b"\n", b"\r"))
+    assert run(capsys, "prove", "--logic", "ITL.db", str(path))[0] == 0
 
 
 def test_missing_metavariable_message_is_independent_of_hash_seed(tmp_path):
@@ -426,3 +455,19 @@ def test_run_sweeps_script_at_bound_2():
     lines = done.stdout.splitlines()
     assert len(lines) == 5
     assert all("bound 2: " in line and ", clean (" in line for line in lines), lines
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--logics", "NOPE"], "error: unknown logic 'NOPE'; available: CDTL+.b, "),
+    (["--bound", "9"], "error: bound 9 exceeds the configured maximum 5\n"),
+    (["--bound", "x"], "usage: "),
+])
+def test_run_sweeps_script_reports_bad_input_and_exits_3(argv, message):
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_sweeps.py"), *argv],
+        env=_env("0"), capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 3 and done.stdout == ""
+    assert done.stderr.startswith(message), done.stderr
+    if message.startswith("error: "):
+        assert done.stderr.count("\n") == 1, done.stderr

