@@ -8,7 +8,8 @@ start included, on a 2-core Intel Xeon under Python 3.11.7. The model
 tables are built once per process and shared by every schema of every logic.
 
 Exit status: 0 when every sweep is clean, 1 when a schema is falsified, 3
-for a usage error, an unknown logic or a bound out of range.
+for a usage error (such as --logics with no names), an unknown logic or a
+bound out of range.
 """
 
 import argparse
@@ -37,6 +38,9 @@ def main() -> int:
     except SystemExit as stop:
         # argparse exits 2 on a usage error, and 2 reads as "undetermined".
         return 3 if stop.code == 2 else stop.code
+    if not args.logics:
+        print("error: --logics needs at least one logic name", file=sys.stderr)
+        return 3
 
     try:
         logics = [(name, get_logic(name)) for name in args.logics]

@@ -4,8 +4,10 @@ Everything is exact: endpoints are fractions.Fraction, infinities are None
 endpoints, and no floating point is used anywhere. Numbers from outside
 become Fraction where they enter: `make_interval` (and so `interval` and
 `point`), the `PiecewiseAffineMap` constructor, `apply` and
-`IntervalSet.contains`. The set algebra and the maps compute on those
-Fractions and never convert again. Interval sets are kept in a canonical
+`IntervalSet.contains`. The maps compute on those Fractions and never
+convert again. Each interval also keeps its ends as integer (numerator,
+denominator) pairs, made once when it is built, and the set algebra
+compares ends by integer cross-multiplication. Interval sets are kept in a canonical
 form (sorted, pairwise disjoint, never adjacent) by linear sweeps; only
 `IntervalSet.of` sorts. So structural equality is set equality. Each map
 keeps the preimage of every component it has pulled back for its lifetime.
@@ -23,7 +25,6 @@ import enum
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from heapq import merge
 
 from .formula import (
     And,
@@ -43,16 +44,35 @@ from .formula import (
 @dataclass(frozen=True, slots=True)
 class Interval:
     """Nonempty interval with exact endpoints; a None endpoint is an infinity
-    and is never closed."""
+    and is never closed. ``_lo`` and ``_hi`` are the ends as integer pairs,
+    which `==` and `hash` read; pickles carry the four public fields."""
 
     lo: Fraction | None
     lo_closed: bool
     hi: Fraction | None
     hi_closed: bool
+    _lo: tuple[int, int] = field(init=False, repr=False, compare=False)
+    _hi: tuple[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not _is_interval(self.lo, self.lo_closed, self.hi, self.hi_closed):
+        lo = _NEG_INF if self.lo is None else (self.lo.numerator, self.lo.denominator)
+        hi = _INF if self.hi is None else (self.hi.numerator, self.hi.denominator)
+        if not _obeys_rule(lo, self.lo_closed, hi, self.hi_closed):
             raise ValueError(f"empty or closed at an infinity: {self}")
+        object.__setattr__(self, "_lo", lo)
+        object.__setattr__(self, "_hi", hi)
+
+    def __eq__(self, other):
+        if other.__class__ is not Interval:
+            return NotImplemented
+        return (self._lo == other._lo and self._hi == other._hi
+                and self.lo_closed == other.lo_closed and self.hi_closed == other.hi_closed)
+
+    def __hash__(self):
+        return hash((self._lo, self._hi, self.lo_closed, self.hi_closed))
+
+    def __reduce__(self):
+        return Interval, (self.lo, self.lo_closed, self.hi, self.hi_closed)
 
     def contains(self, x: Fraction) -> bool:
         if self.lo is not None and (x < self.lo or (x == self.lo and not self.lo_closed)):
@@ -71,18 +91,25 @@ class Interval:
         )
 
 
-def _is_interval(lo, lo_closed, hi, hi_closed) -> bool:
-    """The interval rule: an infinite endpoint is open, and the set is nonempty."""
-    if lo is None or hi is None:
-        return not (lo is None and lo_closed) and not (hi is None and hi_closed)
-    return lo < hi or (lo == hi and lo_closed and hi_closed)
+# Integer ends are (numerator, denominator); -inf is (-1, 0) and inf is (1, 0).
+_NEG_INF, _INF = (-1, 0), (1, 0)
+_SET = [getattr(Interval, f).__set__ for f in "lo lo_closed _lo hi hi_closed _hi".split()]
 
 
-def _interval(lo, lo_closed, hi, hi_closed) -> Interval | None:
-    """Interval of exact endpoints, or None where the interval rule fails."""
-    if _is_interval(lo, lo_closed, hi, hi_closed):
-        return Interval(lo, lo_closed, hi, hi_closed)
-    return None
+def _make(lo, lo_closed, lo_end, hi, hi_closed, hi_end) -> Interval:
+    """Interval of ends the caller knows to obey the interval rule."""
+    iv = object.__new__(Interval)
+    for put, value in zip(_SET, (lo, lo_closed, lo_end, hi, hi_closed, hi_end)):
+        put(iv, value)
+    return iv
+
+
+def _obeys_rule(lo, lo_closed, hi, hi_closed) -> bool:
+    """The interval rule on integer ends: an infinite end is open, and the set is nonempty."""
+    (p, q), (r, s) = lo, hi
+    if not (q and s):
+        return not (lo_closed and not q or hi_closed and not s)
+    return p * s < r * q or p * s == r * q and lo_closed and hi_closed
 
 
 def make_interval(lo, lo_closed, hi, hi_closed) -> Interval | None:
@@ -93,34 +120,29 @@ def make_interval(lo, lo_closed, hi, hi_closed) -> Interval | None:
     """
     lo = None if lo is None else Fraction(lo)
     hi = None if hi is None else Fraction(hi)
-    return _interval(lo, lo_closed and lo is not None, hi, hi_closed and hi is not None)
-
-
-def _lo_key(iv: Interval):
-    if iv.lo is None:
-        return (0,)
-    return (1, iv.lo, 0 if iv.lo_closed else 1)
-
-
-def _hi_key(iv: Interval):
-    if iv.hi is None:
-        return (1,)
-    return (0, iv.hi, 1 if iv.hi_closed else 0)
+    try:
+        return Interval(lo, lo_closed and lo is not None, hi, hi_closed and hi is not None)
+    except ValueError:
+        return None
 
 
 def _touches(a: Interval, b: Interval) -> bool:
     """Whether a and b (with a's lower bound first) overlap or are adjacent."""
-    if a.hi is None or b.lo is None:
-        return True
-    if b.lo < a.hi:
-        return True
-    return b.lo == a.hi and (a.hi_closed or b.lo_closed)
+    (p, q), (r, s) = b._lo, a._hi
+    return not (q and s) or p * s < r * q or p * s == r * q and (a.hi_closed or b.lo_closed)
 
 
 def _intersect(a: Interval, b: Interval) -> Interval | None:
-    lo, lo_closed = (a.lo, a.lo_closed) if _lo_key(a) >= _lo_key(b) else (b.lo, b.lo_closed)
-    hi, hi_closed = (a.hi, a.hi_closed) if _hi_key(a) <= _hi_key(b) else (b.hi, b.hi_closed)
-    return _interval(lo, lo_closed, hi, hi_closed)
+    # The later lower end and the earlier upper end, the open one on a tie.
+    (p, q), (r, s) = a._lo, b._lo
+    lo = a if p * s > r * q or p * s == r * q and not a.lo_closed else b
+    (p, q), (r, s) = a._hi, b._hi
+    hi = a if p * s < r * q or p * s == r * q and not a.hi_closed else b
+    if lo is hi:
+        return lo
+    if _obeys_rule(lo._lo, lo.lo_closed, hi._hi, hi.hi_closed):
+        return _make(lo.lo, lo.lo_closed, lo._lo, hi.hi, hi.hi_closed, hi._hi)
+    return None
 
 
 @dataclass(frozen=True, slots=True)
@@ -135,7 +157,9 @@ class IntervalSet:
 
     @staticmethod
     def of(intervals) -> "IntervalSet":
-        return _coalesce(sorted((iv for iv in intervals if iv is not None), key=_lo_key))
+        # By lower end: -inf first, and a closed end before an open one.
+        ivs = (iv for iv in intervals if iv is not None)
+        return _coalesce(sorted(ivs, key=lambda iv: (iv.lo is not None, iv.lo, not iv.lo_closed)))
 
     def is_empty(self) -> bool:
         return not self.components
@@ -145,7 +169,15 @@ class IntervalSet:
         return any(iv.contains(x) for iv in self.components)
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
-        return _coalesce(merge(self.components, other.components, key=_lo_key))
+        # Merge by lower end, the closed one first on a tie, then coalesce.
+        a, b, merged = self.components, other.components, []
+        i = j = 0
+        while i < len(a) and j < len(b):
+            (p, q), (r, s) = a[i]._lo, b[j]._lo
+            first = p * s < r * q or p * s == r * q and a[i].lo_closed
+            merged.append(a[i] if first else b[j])
+            i, j = i + first, j + (not first)
+        return _coalesce(merged + list(a[i:] + b[j:]))
 
     def intersection(self, other: "IntervalSet") -> "IntervalSet":
         # Advance the side that ends first, both on a tie. Two pieces lie in
@@ -154,27 +186,20 @@ class IntervalSet:
         i = j = 0
         while i < len(a) and j < len(b):
             out.append(_intersect(a[i], b[j]))
-            key_a, key_b = _hi_key(a[i]), _hi_key(b[j])
-            i, j = i + (key_a <= key_b), j + (key_b <= key_a)
+            (p, q), (r, s) = a[i]._hi, b[j]._hi
+            i, j = i + (p * s <= r * q), j + (p * s >= r * q)
         return IntervalSet(tuple(filter(None, out)))
 
     def complement(self) -> "IntervalSet":
-        gaps = []
-        cur_lo: Fraction | None = None
-        cur_lo_closed = False
-        open_ended = True
+        # Components are apart, so each gap before, between and after them is nonempty.
+        gaps, lo = [], (None, False, _NEG_INF)
         for iv in self.components:
             if iv.lo is not None:
-                gaps.append(
-                    _interval(cur_lo, cur_lo_closed, iv.lo, not iv.lo_closed)
-                )
+                gaps.append(_make(*lo, iv.lo, not iv.lo_closed, iv._lo))
             if iv.hi is None:
-                open_ended = False
-                break
-            cur_lo, cur_lo_closed = iv.hi, not iv.hi_closed
-        if open_ended:
-            gaps.append(_interval(cur_lo, cur_lo_closed, None, False))
-        return IntervalSet.of(gaps)
+                return IntervalSet(tuple(gaps))
+            lo = (iv.hi, not iv.hi_closed, iv._hi)
+        return IntervalSet((*gaps, _make(*lo, None, False, _INF)))
 
     def difference(self, other: "IntervalSet") -> "IntervalSet":
         return self.intersection(other.complement())
@@ -183,12 +208,16 @@ class IntervalSet:
         return self.difference(other).is_empty()
 
     def interior(self) -> "IntervalSet":
-        # The interval rule drops the open version of a single point.
-        return IntervalSet.of(_interval(iv.lo, False, iv.hi, False) for iv in self.components)
+        # A single point has no interior; the open rest stay apart.
+        return IntervalSet(tuple(
+            _make(iv.lo, False, iv._lo, iv.hi, False, iv._hi)
+            for iv in self.components if iv._lo != iv._hi
+        ))
 
     def closure(self) -> "IntervalSet":
-        return IntervalSet.of(
-            Interval(iv.lo, iv.lo is not None, iv.hi, iv.hi is not None) for iv in self.components
+        return _coalesce(
+            _make(iv.lo, iv.lo is not None, iv._lo, iv.hi, iv.hi is not None, iv._hi)
+            for iv in self.components
         )
 
     def is_open(self) -> bool:
@@ -206,8 +235,9 @@ def _coalesce(comps) -> IntervalSet:
     for iv in comps:
         if merged and _touches(merged[-1], iv):
             last = merged[-1]
-            if _hi_key(iv) > _hi_key(last):
-                merged[-1] = Interval(last.lo, last.lo_closed, iv.hi, iv.hi_closed)
+            (p, q), (r, s) = iv._hi, last._hi
+            if p * s > r * q or p * s == r * q and iv.hi_closed and not last.hi_closed:
+                merged[-1] = _make(last.lo, last.lo_closed, last._lo, iv.hi, iv.hi_closed, iv._hi)
         else:
             merged.append(iv)
     return IntervalSet(tuple(merged))
@@ -237,13 +267,13 @@ class PiecewiseAffineMap:
     ``breakpoints`` are strictly increasing; ``pieces`` hold one
     (slope, intercept) pair per region, one more than the breakpoints.
     Both become Fraction here. Continuity across every breakpoint is
-    validated. Each piece's inverse (slope, intercept) is computed here
-    too, None for a flat piece.
+    validated. Each piece's inverse (slope, intercept), None for a flat
+    piece, and its closed domain are computed here too.
 
     ``_memo`` lives as long as the map and maps each component interval
     ever pre-imaged to one entry per piece: its preimage clipped to the
     piece's domain, or None. `preimage` sweeps the pieces in domain order,
-    so it merges without a sort. Both fields stay out of eq, hash and repr.
+    so it merges without a sort. These fields stay out of eq, hash and repr.
     """
 
     breakpoints: tuple[Fraction, ...]
@@ -251,6 +281,7 @@ class PiecewiseAffineMap:
     _inverses: tuple[tuple[Fraction, Fraction] | None, ...] = field(
         init=False, repr=False, compare=False
     )
+    _domains: tuple[Interval, ...] = field(init=False, repr=False, compare=False)
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -269,6 +300,9 @@ class PiecewiseAffineMap:
         # y = a*x + c inverts to x = y/a - c/a, exact in Fraction.
         inverses = tuple((1 / a, -c / a) if a else None for a, c in pieces)
         object.__setattr__(self, "_inverses", inverses)
+        ends = (None, *self.breakpoints, None)
+        object.__setattr__(self, "_domains", tuple(
+            Interval(lo, lo is not None, hi, hi is not None) for lo, hi in zip(ends, ends[1:])))
 
     @staticmethod
     def affine(slope, intercept) -> "PiecewiseAffineMap":
@@ -290,15 +324,9 @@ class PiecewiseAffineMap:
         a, c = self.pieces[bisect_left(self.breakpoints, x)]
         return a * x + c
 
-    def _domain(self, i: int) -> Interval:
-        lo = self.breakpoints[i - 1] if i > 0 else None
-        hi = self.breakpoints[i] if i < len(self.breakpoints) else None
-        return Interval(lo, lo is not None, hi, hi is not None)
-
     def image(self, s: IntervalSet) -> IntervalSet:
         out = []
-        for i, (a, c) in enumerate(self.pieces):
-            dom = self._domain(i)
+        for (a, c), dom in zip(self.pieces, self._domains):
             for comp in s.components:
                 clip = _intersect(comp, dom)
                 if clip is not None:
@@ -316,9 +344,9 @@ class PiecewiseAffineMap:
 
     def _pull_back(self, comp: Interval) -> tuple[Interval | None, ...]:
         row = self._memo[comp] = tuple(
-            _intersect(_affine(comp, *inverse), self._domain(i)) if inverse
-            else self._domain(i) if comp.contains(c) else None
-            for i, ((_, c), inverse) in enumerate(zip(self.pieces, self._inverses))
+            _intersect(_affine(comp, *inverse), dom) if inverse
+            else dom if comp.contains(c) else None
+            for (_, c), inverse, dom in zip(self.pieces, self._inverses, self._domains)
         )
         return row
 
@@ -346,12 +374,18 @@ def worst_status(*statuses: Status) -> Status:
 
 @dataclass(frozen=True, slots=True)
 class EvalCaps:
-    """Iteration budgets for the fixpoint chains."""
+    """Budgets for the fixpoint chains; one that runs out gives Undetermined.
+
+    ``components`` bounds how many components an iterate may have beyond its
+    operand's own count. The caps count steps and components, not numbers:
+    endpoints enter as Fraction and compare as integer pairs.
+    """
 
     iter: int = 64
     restart: int = 8
     orbit: int = 128
     window: int = 8
+    components: int = 64
 
 
 class MalformedSystem(ValueError):
@@ -443,11 +477,13 @@ def _chain_limit(
     and reported as Extrapolated. Anything else is Undetermined.
     """
     history = [target]
-    v = target
+    v, most = target, len(target.components) + caps.components
     for _ in range(caps.iter):
         nv = target.intersection(pwmap.preimage(v))
         if nv == v:
             return v, Status.EXACT
+        if len(nv.components) > most:
+            return None, Status.UNDETERMINED
         history.append(nv)
         v = nv
 
@@ -475,7 +511,7 @@ def _chain_limit(
         closed = [e is not None and _orbit_stays_in(pwmap, e, target, caps.orbit) for e in (lo, hi)]
         if None in closed:
             return None, Status.UNDETERMINED
-        out.append(_interval(lo, closed[0], hi, closed[1]))
+        out.append(make_interval(lo, closed[0], hi, closed[1]))
 
     limit = IntervalSet.of(out)
     if limit != target.intersection(pwmap.preimage(limit)):
@@ -504,11 +540,13 @@ def _strong_box(pwmap: PiecewiseAffineMap, child: IntervalSet, caps: EvalCaps):
 
 
 def _eventually(pwmap: PiecewiseAffineMap, child: IntervalSet, caps: EvalCaps):
-    v = child
+    v, most = child, len(child.components) + caps.components
     for _ in range(caps.iter):
         nv = v.union(pwmap.preimage(v))
         if nv == v:
             return v, Status.EXACT
+        if len(nv.components) > most:
+            return None, Status.UNDETERMINED
         v = nv
     return None, Status.UNDETERMINED
 

@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -88,6 +89,29 @@ def test_real_check_undetermined_exits_2(capsys):
     )
     assert code == 2
     assert "undetermined" in out
+
+
+def test_real_check_component_cap_ends_a_blow_up(capsys, tmp_path):
+    # The box chain doubles its component count at every step; without the
+    # component cap this ran for more than 20 s.
+    path = tmp_path / "blow-up.rds"
+    path.write_text("map: piecewise x<=2 : -2*x + 3 ; x>2 : 2*x - 5\nval q: (-18, 17/2)\n")
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "real-check", "--system", str(path), "[]q")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == "status: undetermined\nundetermined\n"
+
+
+def test_real_check_component_cap_from_file_and_flag(capsys, tmp_path):
+    # Under x -> -x, <>q is q with its mirror image: four components beyond q.
+    path = tmp_path / "mirror.rds"
+    text = "map: -x\nval q: (1, 2) u (3, 4) u (5, 6) u (7, 8)\n"
+    path.write_text(text)
+    for caps, code in ((), 1), (("--caps", "components=3"), 2), (("--caps", "components=4"), 1):
+        assert run(capsys, "real-check", "--system", str(path), *caps, "<>q")[0] == code, caps
+    path.write_text(text + "caps: components=0\n")
+    for caps, code in ((), 2), (("--caps", "components=4"), 1):
+        assert run(capsys, "real-check", "--system", str(path), *caps, "<>q")[0] == code, caps
 
 
 def test_real_check_bad_caps_exits_3(capsys):
@@ -461,6 +485,7 @@ def test_run_sweeps_script_at_bound_2():
     (["--logics", "NOPE"], "error: unknown logic 'NOPE'; available: CDTL+.b, "),
     (["--bound", "9"], "error: bound 9 exceeds the configured maximum 5\n"),
     (["--bound", "x"], "usage: "),
+    (["--logics"], "error: --logics needs at least one logic name\n"),
 ])
 def test_run_sweeps_script_reports_bad_input_and_exits_3(argv, message):
     done = subprocess.run(

@@ -457,6 +457,12 @@ def test_caps_are_ascii_digits_zero_allowed():
             parse_real_system(f"map: x\ncaps: {bad}\n")
 
 
+def test_caps_line_reads_the_component_cap():
+    system = parse_real_system("map: x\ncaps: components=0 iter=5\n")
+    assert (system.caps.components, system.caps.iter, system.caps.window) == (0, 5, 8)
+    assert parse_real_system("map: x\n").caps.components == 64
+
+
 def test_parse_real_system_affine_forms():
     for text, x, want in [
         ("x + 1", 2, 3),

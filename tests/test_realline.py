@@ -1,7 +1,9 @@
 import copy
 import pickle
 import random
+import time
 from fractions import Fraction
+from heapq import merge
 
 import pytest
 from hypothesis import given, settings
@@ -132,8 +134,109 @@ def _unsorted_preimage(f: PiecewiseAffineMap, s: IntervalSet) -> IntervalSet:
         if a == 0:
             out += [dom] if s.contains(c) else []
         else:
-            out += [_intersect(_affine(comp, 1 / a, -c / a), dom) for comp in s.components]
-    return IntervalSet.of(out)
+            out += [
+                _reference_intersect(_affine(comp, 1 / a, -c / a), dom) for comp in s.components
+            ]
+    return _reference_of(out)
+
+
+# The set algebra before integer ends: Fraction endpoints compared through
+# tuple keys, the oracle for the cross-multiplied comparisons of the module.
+def _reference_interval(lo, lo_closed, hi, hi_closed):
+    if lo is None or hi is None:
+        ok = not (lo is None and lo_closed) and not (hi is None and hi_closed)
+    else:
+        ok = lo < hi or (lo == hi and lo_closed and hi_closed)
+    return Interval(lo, lo_closed, hi, hi_closed) if ok else None
+
+
+def _reference_lo_key(iv):
+    if iv.lo is None:
+        return (0,)
+    return (1, iv.lo, 0 if iv.lo_closed else 1)
+
+
+def _reference_hi_key(iv):
+    if iv.hi is None:
+        return (1,)
+    return (0, iv.hi, 1 if iv.hi_closed else 0)
+
+
+def _reference_intersect(a, b):
+    lo, lo_closed = (
+        (a.lo, a.lo_closed) if _reference_lo_key(a) >= _reference_lo_key(b) else (b.lo, b.lo_closed)
+    )
+    hi, hi_closed = (
+        (a.hi, a.hi_closed) if _reference_hi_key(a) <= _reference_hi_key(b) else (b.hi, b.hi_closed)
+    )
+    return _reference_interval(lo, lo_closed, hi, hi_closed)
+
+
+def _reference_coalesce(comps) -> IntervalSet:
+    merged = []
+    for iv in comps:
+        last = merged[-1] if merged else None
+        if last is not None and (
+            last.hi is None or iv.lo is None or iv.lo < last.hi
+            or iv.lo == last.hi and (last.hi_closed or iv.lo_closed)
+        ):
+            if _reference_hi_key(iv) > _reference_hi_key(last):
+                merged[-1] = Interval(last.lo, last.lo_closed, iv.hi, iv.hi_closed)
+        else:
+            merged.append(iv)
+    return IntervalSet(tuple(merged))
+
+
+def _reference_of(intervals) -> IntervalSet:
+    return _reference_coalesce(
+        sorted((iv for iv in intervals if iv is not None), key=_reference_lo_key)
+    )
+
+
+def _reference_union(a, b) -> IntervalSet:
+    return _reference_coalesce(merge(a.components, b.components, key=_reference_lo_key))
+
+
+def _reference_intersection(a, b) -> IntervalSet:
+    a, b, out = a.components, b.components, []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        out.append(_reference_intersect(a[i], b[j]))
+        key_a, key_b = _reference_hi_key(a[i]), _reference_hi_key(b[j])
+        i, j = i + (key_a <= key_b), j + (key_b <= key_a)
+    return IntervalSet(tuple(filter(None, out)))
+
+
+def _reference_complement(a) -> IntervalSet:
+    gaps, lo, lo_closed = [], None, False
+    for iv in a.components:
+        if iv.lo is not None:
+            gaps.append(_reference_interval(lo, lo_closed, iv.lo, not iv.lo_closed))
+        if iv.hi is None:
+            return _reference_of(gaps)
+        lo, lo_closed = iv.hi, not iv.hi_closed
+    return _reference_of(gaps + [_reference_interval(lo, lo_closed, None, False)])
+
+
+def _reference_interior(a) -> IntervalSet:
+    return _reference_of(_reference_interval(iv.lo, False, iv.hi, False) for iv in a.components)
+
+
+def _reference_closure(a) -> IntervalSet:
+    return _reference_of(
+        Interval(iv.lo, iv.lo is not None, iv.hi, iv.hi is not None) for iv in a.components
+    )
+
+
+def _assert_same_set(got: IntervalSet, want: IntervalSet):
+    """Same components, ==, hash and text; each component's integer ends
+    are those of its Fraction ends."""
+    assert got.components == want.components and got == want
+    assert hash(got) == hash(want) and str(got) == str(want)
+    for iv, ref in zip(got.components, want.components):
+        assert iv == ref and hash(iv) == hash(ref)
+        for end, pair in ((iv.lo, iv._lo), (iv.hi, iv._hi)):
+            assert end is None or pair == (Fraction(end).numerator, Fraction(end).denominator)
 
 
 @st.composite
@@ -155,6 +258,44 @@ def wide_interval_sets(draw, extra_ends=()):
     if pieces and draw(st.booleans()):
         pieces[-1][2] = None
     return IntervalSet.of(make_interval(*piece) for piece in pieces)
+
+
+@st.composite
+def int_ended(draw, sets):
+    """Sets of `sets` with some whole-number ends given as int, not Fraction."""
+    s = draw(sets)
+    as_int = lambda x: int(x) if x is not None and x.denominator == 1 and draw(st.booleans()) else x
+    return IntervalSet(tuple(
+        Interval(as_int(iv.lo), iv.lo_closed, as_int(iv.hi), iv.hi_closed) for iv in s.components
+    ))
+
+
+def test_int_and_fraction_ends_are_one_interval():
+    for lo, hi in ((1, 2), (None, -3), (0, None), (None, None)):
+        ints = Interval(lo, lo is not None, hi, False)
+        fracs = make_interval(lo, lo is not None, hi, False)
+        assert ints == fracs and hash(ints) == hash(fracs) and str(ints) == str(fracs)
+    assert Interval(1, True, 2, False) != Interval(1, False, 2, False)
+    assert Interval(1, True, 2, False) != Interval(Fraction(2, 2), True, Fraction(5, 2), False)
+    assert Interval(None, False, 0, False) != Interval(0, False, None, False)
+    for iv in (Interval(Fraction(-3, 4), True, None, False), Interval(None, False, 2, True)):
+        for clone in (pickle.loads(pickle.dumps(iv)), copy.copy(iv), copy.deepcopy(iv)):
+            assert clone == iv and hash(clone) == hash(iv) and repr(clone) == repr(iv)
+            assert (clone._lo, clone._hi) == (iv._lo, iv._hi)
+
+
+@settings(max_examples=200)
+@given(int_ended(wide_interval_sets()), int_ended(wide_interval_sets()))
+def test_integer_algebra_matches_the_fraction_reference(a, b):
+    # Complements and closures share every end with their set, with the
+    # opposite or the same closedness, and the ends are half-integers, so
+    # the sweeps meet equal ends of either closedness and infinite ends.
+    for x, y in ((a, b), (a, b.complement()), (a, a), (a, a.closure()), (b.interior(), b)):
+        _assert_same_set(x.union(y), _reference_union(x, y))
+        _assert_same_set(x.intersection(y), _reference_intersection(x, y))
+        _assert_same_set(x.complement(), _reference_complement(x))
+        _assert_same_set(x.interior(), _reference_interior(x))
+        _assert_same_set(x.closure(), _reference_closure(x))
 
 
 @settings(max_examples=200)
@@ -248,14 +389,14 @@ def test_preimage_matches_the_unsorted_reference_cold_and_warm(f, data):
     # Ends at the values of breakpoints and flat pieces pull back exactly
     # onto a breakpoint or a whole domain.
     ends = {f.apply(b) for b in f.breakpoints} | {c for a, c in f.pieces if a == 0}
-    sets = [data.draw(wide_interval_sets(tuple(sorted(ends)))) for _ in range(2)]
+    sets = [data.draw(int_ended(wide_interval_sets(tuple(sorted(ends))))) for _ in range(2)]
     # The first pass misses and partly hits the memo, the second only hits.
     for _ in range(2):
         for s in sets:
-            want = _unsorted_preimage(f, s).components
-            assert f.preimage(s).components == want
+            want = _unsorted_preimage(f, s)
+            _assert_same_set(f.preimage(s), want)
             assert all(comp in f._memo for comp in s.components)
-            assert PiecewiseAffineMap(f.breakpoints, f.pieces).preimage(s).components == want
+            _assert_same_set(PiecewiseAffineMap(f.breakpoints, f.pieces).preimage(s), want)
 
 
 def test_preimage_memo_is_invisible():
@@ -412,3 +553,55 @@ def test_check_pointwise_raises_when_undetermined():
     )
     with pytest.raises(UndeterminedExtension):
         check_pointwise(system, parse_formula("[]p"), [Fraction(0)])
+
+
+# -- the component cap --------------------------------------------------------
+
+# A folding expanding map on which the box chain of q doubles its component
+# count at every step; without the cap it ran for more than 20 s.
+def _blow_up() -> PiecewiseAffineMap:
+    return PiecewiseAffineMap.from_pieces([2], [(-2, 3), (2, -5)])
+
+
+def test_component_cap_ends_a_doubling_chain():
+    f = _blow_up()
+    start = time.perf_counter()
+    out = eval_real(_system(f, q=interval(-18, Fraction(17, 2))), parse_formula("[]q"))
+    assert time.perf_counter() - start < 1
+    assert out.status is Status.UNDETERMINED and out.value is None
+    # The cap bounds the preimage memo with the chain.
+    assert len(f._memo) < 1000
+
+
+def _mirrored(*pieces):
+    """Each open interval (lo, hi) together with (-hi, -lo)."""
+    return IntervalSet.of(
+        make_interval(lo, False, hi, False) for a, b in pieces for lo, hi in ((a, b), (-b, -a))
+    )
+
+
+MIRROR = PiecewiseAffineMap.affine(-1, 0)
+
+
+def test_component_cap_counts_beyond_the_operand():
+    # Under x -> -x, <>q is q with its mirror image: one component beyond q.
+    q = interval(1, 2)
+    for cap, status in ((0, Status.UNDETERMINED), (1, Status.EXACT), (64, Status.EXACT)):
+        out = eval_real(RealSystem(MIRROR, {"q": q}, EvalCaps(components=cap)), parse_formula("<>q"))
+        assert out.status is status, cap
+    assert out.value == _mirrored((1, 2))
+
+
+def test_many_components_stay_exact_under_the_default_cap():
+    halves = [(k, k + Fraction(1, 2)) for k in range(1, 41)]
+    # p has 70 components and is its own mirror image: each chain stops at once.
+    p = _mirrored(*halves[:35])
+    q = IntervalSet.of(make_interval(lo, False, hi, False) for lo, hi in halves)
+    system = _system(MIRROR, p=p, q=q)
+    for text in ("[]p", "[*]p", "<>p"):
+        out = eval_real(system, parse_formula(text))
+        assert out.status is Status.EXACT and out.value == p, text
+    # <>q has 80 components, 40 beyond its operand.
+    out = eval_real(system, parse_formula("<>q"))
+    assert out.status is Status.EXACT and out.value == _mirrored(*halves)
+    assert len(p.components) == 70 and len(out.value.components) == 80
