@@ -3,9 +3,10 @@
 
 The default configuration mirrors the acceptance run (bound 3).  Pass
 --bound 4 or 5 for the heavier sweeps: the five default logics take about
-0.3 s in all at bound 4 and 1.8 s at bound 5 (peak RSS 117 MB), process
-start included, on a 2-core Intel Xeon under Python 3.11.7. The model
-tables are built once per process and shared by every schema of every logic.
+0.2 s in all at bound 4 and 0.8-1.4 s at bound 5 (peak RSS 115 MiB),
+process start included, on a shared 2-core Intel Xeon under Python 3.11.7.
+The model tables are built once per process and shared by every schema of
+every logic.
 
 Exit status: 0 when every sweep is clean, 1 when a schema is falsified, 3
 for a usage error (such as --logics with no names), an unknown logic or a

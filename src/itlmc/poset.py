@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
 from functools import reduce
+from itertools import zip_longest
 from operator import and_
 
 from .formula import (
@@ -252,16 +253,26 @@ def eval_sliced(
 ) -> list[int]:
     """Evaluate a compiled formula on a family of models and valuations at once.
 
-    The models share their poset's up-lists: ``ups[i]`` lists the worlds
-    above world i, itself included. A world's row has one bit per
+    The models share their up-lists: ``ups[i]`` lists the worlds above
+    world i, itself included. A world's row has one bit per model lane, a
     (valuation, step) pair, set where the subformula holds; ``full`` sets
     them all and ``atom_rows[t][i]`` is atom t's row at world i. ``moves[i]``
-    pairs each target j of world i with the bits whose step sends i to j;
-    these masks are disjoint, so a sum joins them. Steps must be monotone
-    (callers check continuity). Returns the formula's rows.
+    pairs each target j of world i with the lanes whose step sends i to j;
+    these masks are disjoint, and every world has at least one target. Each
+    lane is read on its own, so the worlds of several posets can sit side by
+    side as a disjoint union, each lane meaningful only in the worlds of the
+    models it stands for. Steps must be monotone (callers check continuity).
+    Returns the formula's rows.
     """
+    # Rank r holds each world's r-th target, (0, 0) where it has fewer, so a
+    # step is applied one rank at a time across all worlds.
+    first, *rest = zip_longest(*moves, fillvalue=(0, 0))
+
     def after(rows: list[int]) -> list[int]:
-        return [sum([rows[j] & mask for j, mask in targets]) for targets in moves]
+        out = [rows[j] & mask for j, mask in first]
+        for rank in rest:
+            out = [x | rows[j] & mask for x, (j, mask) in zip(out, rank)]
+        return out
 
     table: list[list[int]] = []
     for op, a, b in program:

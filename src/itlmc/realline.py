@@ -268,7 +268,8 @@ class PiecewiseAffineMap:
     (slope, intercept) pair per region, one more than the breakpoints.
     Both become Fraction here. Continuity across every breakpoint is
     validated. Each piece's inverse (slope, intercept), None for a flat
-    piece, and its closed domain are computed here too.
+    piece, its direction (rising, flat counted as rising) and its closed
+    domain are computed here too.
 
     ``_memo`` lives as long as the map and maps each component interval
     ever pre-imaged to one entry per piece: its preimage clipped to the
@@ -281,6 +282,7 @@ class PiecewiseAffineMap:
     _inverses: tuple[tuple[Fraction, Fraction] | None, ...] = field(
         init=False, repr=False, compare=False
     )
+    _rising: tuple[bool, ...] = field(init=False, repr=False, compare=False)
     _domains: tuple[Interval, ...] = field(init=False, repr=False, compare=False)
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -300,6 +302,7 @@ class PiecewiseAffineMap:
         # y = a*x + c inverts to x = y/a - c/a, exact in Fraction.
         inverses = tuple((1 / a, -c / a) if a else None for a, c in pieces)
         object.__setattr__(self, "_inverses", inverses)
+        object.__setattr__(self, "_rising", tuple(a >= 0 for a, _ in pieces))
         ends = (None, *self.breakpoints, None)
         object.__setattr__(self, "_domains", tuple(
             Interval(lo, lo is not None, hi, hi is not None) for lo, hi in zip(ends, ends[1:])))
@@ -338,8 +341,8 @@ class PiecewiseAffineMap:
         # Pieces come in domain order. A rising piece keeps the order of the
         # components, a falling one reverses it, a flat one has one at most.
         return _coalesce(
-            row[i] for i, (a, _) in enumerate(self.pieces)
-            for row in (rows if a >= 0 else rows[::-1]) if row[i] is not None
+            row[i] for i, rising in enumerate(self._rising)
+            for row in (rows if rising else rows[::-1]) if row[i] is not None
         )
 
     def _pull_back(self, comp: Interval) -> tuple[Interval | None, ...]:

@@ -18,19 +18,28 @@ is isomorphic to an earlier one kept, so it fails only after a kept one has
 failed: the scan meets the first countermodel of a scan of every labeled
 model in that order.
 
-`validity` evaluates the step maps of a carrier together: a world's row has
-bit v * S + s for valuation v under the chunk's step s, valuation-major and
-step-minor, for S = CHUNK_BITS // V steps (at least one) and V valuations,
-so no row is wider than CHUNK_BITS = 2^16 bits unless one step's valuations
-are. Reading the lowest failing step slot, then the lowest valuation at that
-slot, then the lowest world, gives the countermodel a scan of one step at a
-time would meet first.
+`validity` evaluates the step maps of a carrier a chunk at a time: a
+world's row has bit v * S + s for valuation v under the chunk's step s,
+valuation-major and step-minor, for S = CHUNK_BITS // V steps (at least
+one) and V valuations, so no chunk is wider than CHUNK_BITS = 2^16 bits
+unless one step's valuations are. Reading the lowest failing step slot,
+then the lowest valuation at that slot, then the lowest world, gives the
+countermodel a scan of one step at a time would meet first.
 
-A chunk's plan (its atom rows, full row, repunit and move masks) depends
-only on the carrier, the atom count and the chunk width, so the plans are
-kept per process for formulas of at most PLANNED_ATOMS = 3 atoms. At five
-worlds in class e they take about 5 MB for two atoms and 71 MB for three;
-four atoms would take about 1 GB.
+Consecutive chunks of one size, across carriers, are packed into a batch
+while their widths sum to at most CHUNK_BITS, and a batch is one
+`eval_sliced` call: their posets side by side as a disjoint union of
+worlds, with rows as wide as the widest chunk's. Each bit is a model lane
+of its own, so the chunks do not mix; each reads only its own worlds and
+the lanes below its own width, in table order, and the scan stops at the
+first batch with a failing chunk.
+
+A batch (its atom rows, full rows, repunits and move masks) depends only
+on the table, the atom count and the chunk width, so batches are kept per
+process for formulas of at most PLANNED_ATOMS = 3 atoms, each built when a
+scan first reaches it. At five worlds in class e they take about 5 MB for
+two atoms and 70 MB for three (tracemalloc); four atoms would take about
+1 GB.
 """
 
 from __future__ import annotations
@@ -53,12 +62,12 @@ MAX_BOUND = 5
 # Widest row of a query, in bits: CHUNK_BITS // V step maps share a row of V valuations.
 CHUNK_BITS = 1 << 16
 
-# Chunk plans are kept for formulas of at most this many atoms.
+# Batches are kept for formulas of at most this many atoms.
 PLANNED_ATOMS = 3
 
-# Kept chunk plans of the model tables by (class, size, atoms, chunk width),
-# then (carrier index, first step).
-_PLANS: dict[tuple[str, int, int, int], dict[tuple[int, int], tuple]] = {}
+# Batches of the model tables by (class, size, atoms, chunk width): each
+# batch's chunks, and the batches built so far, a prefix since scans go in order.
+_PLANS: dict[tuple[str, int, int, int], tuple[list[list[tuple[int, int, int]]], list[tuple]]] = {}
 
 _FRESH = ("p", "q", "r", "s")
 
@@ -303,20 +312,49 @@ def _atom_rows(members: Sequence[int], m: int, k: int, slots: int) -> tuple[list
     return rows, (1 << total) - 1
 
 
-def _plan(carrier: _Carrier, k: int, first: int, slots: int) -> tuple:
-    """Atom rows, full row, repunit and move masks of the chunk's steps under k atoms."""
-    rows, full = _atom_rows(carrier.members, len(carrier.upsets), k, slots)
-    # A move mask holds the chunk's slots of its steps once per valuation.
-    repunit, low = _repeat(1, slots, full.bit_length()), (1 << slots) - 1
-    chunk = [[(j, mask >> first & low) for j, mask in ts] for ts in carrier.moves]
-    moves = [[(j, mask * repunit) for j, mask in ts if mask] for ts in chunk]
-    return rows, full, repunit, moves
+def _groups(
+    carriers: Sequence[_Carrier], k: int, chunk_bits: int
+) -> list[list[tuple[int, int, int]]]:
+    """The table's chunks in scan order as (carrier index, first step, slot count), in runs
+    whose widths sum to at most ``chunk_bits`` unless a run holds one chunk: the batches."""
+    groups, width = [[]], 0
+    for index, carrier in enumerate(carriers):
+        valuations = len(carrier.upsets) ** k
+        size = max(1, chunk_bits // valuations)
+        for first in range(0, len(carrier.steps), size):
+            slots = min(size, len(carrier.steps) - first)
+            if groups[-1] and width + valuations * slots > chunk_bits:
+                groups.append([])
+                width = 0
+            groups[-1].append((index, first, slots))
+            width += valuations * slots
+    return groups
+
+
+def _batch(carriers: Sequence[_Carrier], k: int, group: list[tuple[int, int, int]]) -> tuple:
+    """Moves, up-lists, atom rows and widest full row of the chunks' disjoint union, and per
+    chunk its world offset, full row, repunit, carrier index, first step and slot count."""
+    moves, ups, rows, chunks = [], [], [[] for _ in range(k)], []
+    for index, first, slots in group:
+        carrier, off = carriers[index], len(ups)
+        chunk_rows, full = _atom_rows(carrier.members, len(carrier.upsets), k, slots)
+        # A move mask holds the chunk's slots of its steps once per valuation;
+        # where all of them go to one target, it is the full row itself.
+        repunit, low = _repeat(1, slots, full.bit_length()), (1 << slots) - 1
+        for targets in carrier.moves:
+            chunk = [(off + j, mask >> first & low) for j, mask in targets]
+            moves.append([(j, full if m == low else m * repunit) for j, m in chunk if m])
+        ups += [tuple(off + j for j in up) for up in carrier.ups]
+        for row, chunk_row in zip(rows, chunk_rows):
+            row += chunk_row
+        chunks.append((off, full, repunit, index, first, slots))
+    return moves, ups, rows, max(chunk[1] for chunk in chunks), chunks
 
 
 def validity(phi: Formula, semclass: SemanticClass) -> Verdict:
     """First falsifying model in enumeration order, or validity up to bound.
 
-    Each size's table is scanned a chunk of steps at a time under
+    Each size's table is scanned a batch of chunks of steps at a time under
     all valuations (see the module docstring). Only the first countermodel
     becomes a `DynamicPoset`, and `eval_formula` re-checks it on that one
     valuation.
@@ -324,24 +362,30 @@ def validity(phi: Formula, semclass: SemanticClass) -> Verdict:
     program, names = compile_formula(phi)
     k = len(names)
     for n in range(1, semclass.bound + 1):
-        plans = _PLANS.setdefault((semclass.kind, n, k, CHUNK_BITS), {})
-        for index, carrier in enumerate(_table(semclass.kind, n)):
-            size = max(1, CHUNK_BITS // len(carrier.upsets) ** k)
-            for first in range(0, len(carrier.steps), size):
-                slots = min(size, len(carrier.steps) - first)
-                plan = plans.get((index, first)) or _plan(carrier, k, first, slots)
+        table = _table(semclass.kind, n)
+        key = (semclass.kind, n, k, CHUNK_BITS)
+        groups, built = _PLANS.get(key) or (_groups(table, k, CHUNK_BITS), [])
+        if k <= PLANNED_ATOMS:
+            _PLANS[key] = groups, built
+        for b, group in enumerate(groups):
+            if b < len(built):
+                moves, ups, rows, widest, chunks = built[b]
+            else:
+                moves, ups, rows, widest, chunks = batch = _batch(table, k, group)
                 if k <= PLANNED_ATOMS:
-                    plans[index, first] = plan
-                rows, full, repunit, moves = plan
-                top = eval_sliced(moves, carrier.ups, program, rows, full)
-                failing = full ^ reduce(and_, top)
+                    built.append(batch)
+            top = eval_sliced(moves, ups, program, rows, widest)
+            # Lanes above a chunk's own width belong to no model of it.
+            for off, full, repunit, index, first, slots in chunks:
+                failing = full & ~reduce(and_, top[off:off + n])
                 if not failing:
                     continue
+                carrier = table[index]
                 slot = next(s for s in range(slots) if failing >> s & repunit)
                 at_slot = failing >> slot & repunit
                 bit = (at_slot & -at_slot).bit_length() - 1 + slot
                 model = _with_step(_poset(n, carrier.pairs), carrier.steps[first + slot])
-                world = next(w for w, row in zip(model.worlds, top) if not (row >> bit) & 1)
+                world = next(w for w, row in zip(model.worlds, top[off:]) if not (row >> bit) & 1)
                 assignment = next(islice(product(carrier.upsets, repeat=k), bit // slots, None))
                 valuation = {a: model.worlds_of(up) for a, up in zip(names, assignment)}
                 if world in eval_formula(model, valuation, phi):

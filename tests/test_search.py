@@ -1,5 +1,8 @@
 import random
+from functools import reduce
 from itertools import permutations, product
+from operator import and_
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -24,6 +27,7 @@ from itlmc import (
     cem,
     eval_formula,
     parse_formula,
+    print_poset_model,
     soundness_sweep,
     validity,
     Atom,
@@ -499,3 +503,151 @@ def test_reduced_scan_keeps_the_labeled_first_countermodel(text, kind, size, chu
     assert isinstance(verdict, Countermodel) and verdict.model.n == size
     assert _model_key(verdict.model) == _model_key(expected.model)
     assert verdict.valuation == expected.valuation and verdict.world == expected.world
+
+
+def _last_batch(phi, semclass, chunk_bits):
+    """The countermodel under this chunk width, with the last batch the scan evaluated: its
+    chunks' widths, the positions of its failing chunks and its chunk records."""
+    tops = []
+    with pytest.MonkeyPatch.context() as mp:
+        _narrow_chunks(mp, chunk_bits)
+        mp.setattr(search, "_PLANS", {})
+        evaluate = search.eval_sliced
+
+        def record(*args):
+            tops.append(evaluate(*args))
+            return tops[-1]
+
+        mp.setattr(search, "eval_sliced", record)
+        verdict = validity(phi, semclass)
+        n = verdict.model.n
+        _, built = search._PLANS[semclass.kind, n, len(atoms(phi)), chunk_bits]
+    chunks = built[-1][-1]
+    failing = [
+        c for c, (off, full, *_) in enumerate(chunks) if full & ~reduce(and_, tops[-1][off:off + n])
+    ]
+    return verdict, [full.bit_length() for _, full, *_ in chunks], failing, chunks
+
+
+def _assert_packed_scan_matches(phi, semclass, chunk_bits):
+    """The packed scan agrees with the reference search and with the labeled scan."""
+    with pytest.MonkeyPatch.context() as mp:
+        _narrow_chunks(mp, chunk_bits)
+        verdict = _assert_matches_reference(phi, semclass)
+    expected = _labeled_scan(phi, semclass)
+    if isinstance(verdict, Countermodel):
+        assert _model_key(verdict.model) == _model_key(expected.model)
+        assert verdict.valuation == expected.valuation and verdict.world == expected.world
+    else:
+        assert verdict == expected
+
+
+# Refuted in a chunk of a batch of several chunks, at 40 and 200 bits: the
+# positions of the failing chunks in that batch.
+_PACKED = [
+    ("p | ~p", "e", 40, [1]),
+    ("~p | ~~p", "e", 200, [3]),
+    ("<>(O O p -> p)", "p", 200, [1]),
+    ("O p -> p", "e", 40, [0, 1]),
+    ("O O p -> p | O p", "p", 200, [0, 1, 2, 4]),
+    ("<>q | ([]O q -> q)", "p", 200, [0, 1]),
+]
+
+
+@pytest.mark.parametrize("text, kind, chunk_bits, failing", _PACKED)
+def test_first_failing_chunk_of_a_batch_gives_the_countermodel(text, kind, chunk_bits, failing):
+    phi, semclass = parse_formula(text), SemanticClass(kind, 4)
+    verdict, widths, found, chunks = _last_batch(phi, semclass, chunk_bits)
+    assert len(widths) > 1 and found == failing
+    # The countermodel's step lies in the first failing chunk, not in a later one.
+    index, first, slots = chunks[failing[0]][3:]
+    carrier = search._table(kind, verdict.model.n)[index]
+    assert verdict.model.order_pairs == search._poset(verdict.model.n, carrier.pairs).order_pairs
+    assert tuple(verdict.model.step_arr) in carrier.steps[first:first + slots]
+    _assert_packed_scan_matches(phi, semclass, chunk_bits)
+
+
+@pytest.mark.parametrize("text", ["O(p -> p)", "O(~p | ~~p)"])
+def test_lanes_above_a_chunks_width_are_never_read(text):
+    # Under `->`, the lanes of a narrow chunk above its own width hold the
+    # complement of its atoms' zero rows; `O` then clears them. A chunk that
+    # read them would fail where no model of it does, and the re-check would
+    # disagree. Both formulas meet a batch whose first chunk is narrower than
+    # the next at three worlds.
+    phi, semclass = parse_formula(text), SemanticClass("e", 3)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "CHUNK_BITS", 200)
+        mp.setattr(search, "_PLANS", {})
+        validity(phi, semclass)
+        _, built = search._PLANS["e", 3, 1, 200]
+    widths = [full.bit_length() for _, full, *_ in built[0][-1]]
+    assert widths[0] < max(widths)
+    _assert_packed_scan_matches(phi, semclass, 200)
+
+
+@pytest.mark.parametrize("chunk_bits", [40, 200, search.CHUNK_BITS])
+@pytest.mark.parametrize("text, kind", [(t, k) for t, k, size in _REFUTED_AT if size == 4])
+def test_scan_stops_at_the_first_failing_batch(text, kind, chunk_bits):
+    phi, semclass = parse_formula(text), SemanticClass(kind, 4)
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        _narrow_chunks(mp, chunk_bits)
+        mp.setattr(search, "_PLANS", {})
+        evaluate = search.eval_sliced
+        mp.setattr(search, "eval_sliced", lambda *args: calls.append(args) or evaluate(*args))
+        verdict = validity(phi, semclass)
+        plans = dict(search._PLANS)
+    k = len(atoms(phi))
+    assert isinstance(verdict, Countermodel) and verdict.model.n == 4
+    # Sizes 1-3 pass every batch; size 4 stops at the batch that fails, the
+    # last one built, and its chunk is the one the verdict came from.
+    smaller = sum(len(plans[kind, n, k, chunk_bits][0]) for n in (1, 2, 3))
+    _, built = plans[kind, 4, k, chunk_bits]
+    assert len(calls) == smaller + len(built)
+    assert _last_batch(phi, semclass, chunk_bits)[2]
+
+
+def test_kept_batches_fit_the_chunk_width_and_four_atoms_keep_none():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "_PLANS", {})
+        for chunk_bits in (40, 200, search.CHUNK_BITS):
+            mp.setattr(search, "CHUNK_BITS", chunk_bits)
+            for text in ("[](p | q) -> []p | <>q", "r | (r -> q | (q -> p | ~p))", "O O p -> p | O p"):
+                for kind in "ep":
+                    validity(parse_formula(text), SemanticClass(kind, 4))
+        plans = dict(search._PLANS)
+        assert {bits for *_, bits in plans} == {40, 200, search.CHUNK_BITS}
+        for (kind, n, k, chunk_bits), (groups, built) in plans.items():
+            assert len(built) <= len(groups)
+            for batch, group in zip(built, groups):
+                widths = [full.bit_length() for _, full, *_ in batch[-1]]
+                assert len(widths) == len(group)
+                assert len(widths) == 1 or sum(widths) <= chunk_bits
+        search._PLANS.clear()
+        assert validity(parse_formula("p & q & r & s -> p"), SemanticClass("e", 3)) == ValidUpTo(3)
+        assert isinstance(validity(parse_formula("p | q | r | ~s"), SemanticClass("e", 3)), Countermodel)
+        assert search._PLANS == {}
+
+
+def _sweep_digest(bound):
+    """Every soundness sweep verdict at the bound, one line each, countermodels in full."""
+    lines = []
+    for name in sorted(LOGICS):
+        for kind in "ep":
+            for schema, verdict in sorted(soundness_sweep(LOGICS[name], SemanticClass(kind, bound)).items()):
+                if isinstance(verdict, Countermodel):
+                    lines.append(f"{name} {kind} {schema}: countermodel at {verdict.world}")
+                    text = print_poset_model(verdict.model, verdict.valuation)
+                    lines += ["  " + line for line in text.splitlines()]
+                else:
+                    lines.append(f"{name} {kind} {schema}: {type(verdict).__name__} {verdict.bound}")
+    return "\n".join(lines) + "\n"
+
+
+def test_bound_4_soundness_sweeps_of_every_logic_are_frozen():
+    # 40 logics x 2 classes: 1,524 verdicts, 20 of them countermodels.
+    frozen = (Path(__file__).parent / "sweep_bound4.txt").read_text()
+    got = _sweep_digest(4)
+    verdicts = [line for line in got.splitlines() if not line.startswith(" ")]
+    assert len(verdicts) == 1524 and sum("countermodel" in line for line in verdicts) == 20
+    assert got == frozen
