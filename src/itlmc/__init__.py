@@ -60,7 +60,6 @@ from .poset import (
     MalformedValuation,
     Valuation,
     check_morphism,
-    eval_box_by_orbit,
     eval_formula,
     interior,
     is_up_set,
@@ -79,8 +78,6 @@ from .realline import (
     RealOutcome,
     RealSystem,
     Status,
-    UndeterminedExtension,
-    check_pointwise,
     eval_real,
     interval,
     make_interval,

@@ -1,14 +1,16 @@
 """Command line front end.
 
-Exit codes: 0 for a positive verdict, 1 when a formula is falsified or
-a derivation rejected, 2 when the evaluator cannot determine an answer
-within its caps, 3 for malformed input, 4 for an internal error.
+Exit codes: 0 for a positive verdict, 1 when a formula or an axiom
+schema is falsified or a derivation rejected, 2 when the evaluator cannot
+determine an answer within its caps, 3 for malformed input, 4 for an
+internal error.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -44,6 +46,7 @@ from .realline import (
     eval_real,
 )
 from .search import (
+    SOUND_STRUCTURES,
     BoundTooLarge,
     Countermodel,
     CorpusMissing,
@@ -51,6 +54,7 @@ from .search import (
     Undetermined,
     ValidUpTo,
     build_separation_matrix,
+    soundness_sweep,
     validity,
 )
 
@@ -72,6 +76,8 @@ INPUT_ERRORS = (
     IsADirectoryError,
     MalformedEncoding,
 )
+
+SWEEP_LOGICS = ("ITL.db", "ITL.dw", "CDTL.db", "CDTL.b", "CDTL+.db")
 
 
 def _resolve(path: str) -> Path:
@@ -233,6 +239,36 @@ def _cmd_separate(args) -> int:
     return 1 if bad else 0
 
 
+def _cmd_sweep(args) -> int:
+    logics = [(name, get_logic(name)) for name in args.logics or SWEEP_LOGICS]
+    classes = {kind: SemanticClass(kind, args.bound) for kind in "ep"}
+    failures = 0
+    for name, logic in logics:
+        kind = args.semclass or ("e" if "poset-e" in SOUND_STRUCTURES[logic.base_name] else "p")
+        start = time.perf_counter()
+        results = soundness_sweep(logic, classes[kind])
+        elapsed = time.perf_counter() - start
+        bad = sorted(k for k, v in results.items() if isinstance(v, Countermodel))
+        failures += len(bad)
+        if args.format == "records":
+            print(
+                f"logic={name}; class={kind}; bound={args.bound}; schemas={len(results)}; "
+                f"falsified={len(bad)}; seconds={elapsed:.3f}"
+            )
+        else:
+            verdict = f"{len(bad)} FAILING: {', '.join(bad)}" if bad else "clean"
+            print(f"{name:10s} class {kind} bound {args.bound}: "
+                  f"{len(results)} schemas, {verdict} ({elapsed:.1f}s)")
+        for schema in bad:
+            cm = results[schema]
+            rendered = print_poset_model(cm.model, cm.valuation)
+            if args.format == "records":
+                print(f"schema={schema}; world={cm.world}; model={rendered!r}")
+            else:
+                print(f"-- {schema} falsified at {cm.world}:\n{rendered}")
+    return 1 if failures else 0
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="itlmc",
@@ -281,6 +317,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("separate", help="verify the logic-separation edge certificates")
     p.add_argument("--corpus", help="corpus directory (default: bundled)")
     p.set_defaults(func=_cmd_separate)
+
+    p = sub.add_parser("sweep", help="check every axiom schema of logics over bounded posets")
+    p.add_argument(
+        "--class", dest="semclass", choices=("e", "p"),
+        help="force one class; default: e where the base logic is sound for it, else p",
+    )
+    p.add_argument("--bound", type=int, default=3)
+    p.add_argument(
+        "logics", nargs="*", metavar="LOGIC", help=f"default: {' '.join(SWEEP_LOGICS)}"
+    )
+    p.set_defaults(func=_cmd_sweep)
     return parser
 
 

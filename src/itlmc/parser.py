@@ -585,7 +585,7 @@ def parse_real_system(text: str) -> RealSystem:
                 raise ParseError("duplicate map section", span)
             pwmap = _parse_map(rest, base, span)
         elif head == "caps":
-            caps = parse_caps(rest.split(), span)
+            caps = parse_caps(rest.split(), span, caps)
         else:
             raise ParseError(f"unknown section {head!r}", span)
 
@@ -631,8 +631,8 @@ def _parse_justification(text: str, base: int, line_no: int):
     if not stripped:
         raise ParseError("missing justification", SourceSpan(base, base))
     span = _line_span(base, text)
-    head, _, rest = stripped.partition(" ")
-    rest = rest.strip()
+    head, *tail = stripped.split(None, 1)
+    rest = "".join(tail)
     if head == "axiom":
         if not rest:
             raise ParseError("axiom justification needs a schema name", span)
@@ -641,7 +641,7 @@ def _parse_justification(text: str, base: int, line_no: int):
         if m is not None:
             name = rest[: m.start()].strip()
             subst = _parse_subst(m.group(1), span.end - len(rest) + m.start(1), span)
-        if not name or " " in name:
+        if len(name.split()) != 1:
             raise ParseError(f"bad schema name {name!r}", span)
         return AxiomJust(name, subst)
     # anything else is a rule name followed by premise line numbers

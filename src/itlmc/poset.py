@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence
 from functools import reduce
 from itertools import zip_longest
-from operator import and_
+from operator import and_, or_
 
 from .formula import (
     And,
@@ -289,26 +289,17 @@ def eval_sliced(
             rows = [reduce(and_, map(holds.__getitem__, up)) for up in ups]
         elif op is Next:
             rows = after(table[a])
-        elif op is Eventually:
-            # Increasing chain to the least fixpoint above the child rows:
-            # after k rounds a world holds what its first k successors hold.
+        elif op is Eventually or op is StrongBox or op is WeakBox:
+            # Eventually: increasing chain to the least fixpoint above the
+            # child rows; after k rounds a world holds what its first k
+            # successors hold. The boxes: decreasing chain to the greatest
+            # fixpoint below them, the worlds whose whole forward orbit stays
+            # in the child set. On a continuous step the box of an up-set is
+            # an up-set, so the weak box needs no interior.
+            join = or_ if op is Eventually else and_
             child = rows = table[a]
-            while True:
-                grown = [x | y for x, y in zip(child, after(rows))]
-                if grown == rows:
-                    break
-                rows = grown
-        elif op is StrongBox or op is WeakBox:
-            # Decreasing chain to the greatest fixpoint below the child rows:
-            # the worlds whose whole forward orbit stays in the child set. On
-            # a continuous step the box of an up-set is an up-set, so the weak
-            # box needs no interior.
-            child = rows = table[a]
-            while True:
-                shrunk = [x & y for x, y in zip(child, after(rows))]
-                if shrunk == rows:
-                    break
-                rows = shrunk
+            while (again := list(map(join, child, after(rows)))) != rows:
+                rows = again
         else:
             raise TypeError(f"unknown formula op {op!r}")
         table.append(rows)
@@ -322,33 +313,6 @@ def eval_formula(
 ) -> frozenset[str]:
     """Extension of phi: the set of worlds where phi holds."""
     return model.worlds_of(eval_masks(model, _valuation_masks(model, valuation), phi))
-
-
-def eval_box_by_orbit(
-    model: DynamicPoset,
-    valuation: Mapping[str, Iterable[str]],
-    phi: Formula,
-) -> frozenset[str]:
-    """Henceforth phi computed by walking orbits, not by the fixpoint chain.
-
-    Independent oracle: a world satisfies the box iff its entire forward
-    orbit (finite, detected by revisit) stays inside the extension of phi.
-    """
-    child = eval_masks(model, _valuation_masks(model, valuation), phi)
-    out = 0
-    for i in range(model.n):
-        j = i
-        seen: set[int] = set()
-        ok = True
-        while j not in seen:
-            if not (child >> j) & 1:
-                ok = False
-                break
-            seen.add(j)
-            j = model.step_arr[j]
-        if ok:
-            out |= 1 << i
-    return model.worlds_of(out)
 
 
 def check_morphism(

@@ -395,10 +395,6 @@ class MalformedSystem(ValueError):
     """Real system with a non-open valuation or similar defect."""
 
 
-class UndeterminedExtension(ValueError):
-    """Raised when a pointwise query lands on an undetermined extension."""
-
-
 @dataclass(frozen=True, slots=True)
 class RealSystem:
     map: PiecewiseAffineMap
@@ -594,12 +590,3 @@ def eval_real(system: RealSystem, phi: Formula) -> RealOutcome:
     top = table[-1]
     return RealOutcome(top.value, top.status, dict(enumerate(table)))
 
-
-def check_pointwise(system: RealSystem, phi: Formula, points) -> list[tuple[Fraction, bool]]:
-    """Membership of each sample point in the extension of phi."""
-    outcome = eval_real(system, phi)
-    if outcome.value is None:
-        raise UndeterminedExtension(
-            "extension is undetermined; pointwise membership unavailable"
-        )
-    return [(Fraction(x), outcome.value.contains(x)) for x in points]

@@ -22,6 +22,7 @@ from itlmc import (
     Or,
     StrongBox,
     WeakBox,
+    eval_formula,
     make_interval,
 )
 from itlmc import search
@@ -224,6 +225,24 @@ def kripke_extension(model, valuation, phi) -> frozenset[str]:
         raise TypeError(f"unknown formula {f!r}")
 
     return ext(phi)
+
+
+def eval_box_by_orbit(model, valuation, phi) -> frozenset[str]:
+    """Henceforth phi computed by walking orbits, not by the fixpoint chain.
+
+    Independent oracle: a world satisfies the box iff its entire forward
+    orbit (finite, detected by revisit) stays inside the extension of phi.
+    """
+    child = eval_formula(model, valuation, phi)
+    out = set()
+    for w in model.worlds:
+        v, seen = w, set()
+        while v not in seen and v in child:
+            seen.add(v)
+            v = model.step[v]
+        if v in seen:
+            out.add(w)
+    return frozenset(out)
 
 
 def random_interval_set(rng: random.Random, max_pieces: int = 4) -> IntervalSet:

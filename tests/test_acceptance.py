@@ -29,7 +29,6 @@ from itlmc import (
     cd,
     cem,
     check,
-    eval_box_by_orbit,
     eval_formula,
     eval_real,
     fs_dia,
@@ -43,7 +42,9 @@ from itlmc import (
     validity,
 )
 from itlmc.cli import main as cli_main
-from conftest import enumerate_models, random_interval_set, random_model, random_point
+from conftest import (
+    enumerate_models, eval_box_by_orbit, random_interval_set, random_model, random_point,
+)
 
 P, Q = Atom("p"), Atom("q")
 CORPUS = Corpus()

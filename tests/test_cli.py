@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from itlmc import SemanticClass, parse_formula, print_poset_model, validity
 from itlmc.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -470,29 +471,54 @@ def test_missing_metavariable_message_is_independent_of_hash_seed(tmp_path):
         )
 
 
-def test_run_sweeps_script_at_bound_2():
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "run_sweeps.py"), "--bound", "2"],
-        env=_env("0"), capture_output=True, text=True, timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
-    lines = done.stdout.splitlines()
-    assert len(lines) == 5
+def test_sweep_at_bound_2(capsys):
+    code, out, err = run(capsys, "sweep", "--bound", "2")
+    assert code == 0, err
+    lines = out.splitlines()
+    names = [line.split()[0] for line in lines]
+    assert names == ["ITL.db", "ITL.dw", "CDTL.db", "CDTL.b", "CDTL+.db"]
     assert all("bound 2: " in line and ", clean (" in line for line in lines), lines
 
 
+def test_sweep_prints_each_countermodel_and_exits_1(capsys):
+    cm = validity(parse_formula("(O p -> O q) -> O (p -> q)"), SemanticClass("e", 2))
+    rendered = print_poset_model(cm.model, cm.valuation)
+    code, out, _ = run(capsys, "sweep", "--class", "e", "--bound", "2", "CDTL+.db")
+    assert code == 1
+    head, rest = out.split("\n", 1)
+    assert head.startswith("CDTL+.db   class e bound 2: 23 schemas, 1 FAILING: fs-next (")
+    assert rest == f"-- fs-next falsified at {cm.world}:\n{rendered}\n"
+
+    code, out, _ = run(capsys, "--format", "records", "sweep", "--class", "e", "--bound", "2",
+                       "CDTL+.db", "ITL.db")
+    assert code == 1
+    lines = out.splitlines()
+    assert len(lines) == 3
+    assert lines[0].startswith("logic=CDTL+.db; class=e; bound=2; schemas=23; falsified=1; ")
+    assert lines[1] == f"schema=fs-next; world={cm.world}; model={rendered!r}"
+    assert lines[2].startswith("logic=ITL.db; class=e; bound=2; schemas=21; falsified=0; ")
+
+
 @pytest.mark.parametrize("argv, message", [
-    (["--logics", "NOPE"], "error: unknown logic 'NOPE'; available: CDTL+.b, "),
+    (["NOPE"], "error: unknown logic 'NOPE'; available: CDTL+.b, "),
+    (["ITL.db", "NOPE"], "error: unknown logic 'NOPE'; available: CDTL+.b, "),
     (["--bound", "9"], "error: bound 9 exceeds the configured maximum 5\n"),
     (["--bound", "x"], "usage: "),
-    (["--logics"], "error: --logics needs at least one logic name\n"),
 ])
-def test_run_sweeps_script_reports_bad_input_and_exits_3(argv, message):
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "run_sweeps.py"), *argv],
-        env=_env("0"), capture_output=True, text=True, timeout=120,
-    )
-    assert done.returncode == 3 and done.stdout == ""
-    assert done.stderr.startswith(message), done.stderr
+def test_sweep_reports_bad_input_and_exits_3(capsys, argv, message):
+    code, out, err = run(capsys, "sweep", *argv)
+    assert code == 3 and out == ""
+    assert err.startswith(message), err
     if message.startswith("error: "):
-        assert done.stderr.count("\n") == 1, done.stderr
+        assert err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("gap", [" ", "\t"])
+def test_justification_head_ends_at_any_whitespace(capsys, tmp_path, gap):
+    path = tmp_path / "gap.drv"
+    path.write_text(
+        f"1. p -> p ; ipc-taut\n2. O(p -> p) ; nec-next{gap}1\n3. []p -> p ; axiom{gap}viii\n"
+    )
+    code, out, err = run(capsys, "prove", "--logic", "ITL.db", str(path))
+    assert (code, err) == (0, "")
+    assert out == "accepted (3 lines)\ntheorem: []p -> p\n"

@@ -101,7 +101,7 @@ def _reads(tree: ast.Module) -> set[str]:
 
 def test_every_module_level_name_is_read():
     read = set()
-    for folder in ("src", "tests", "scripts", "perfbench"):
+    for folder in ("src", "tests", "perfbench"):
         for path in (ROOT / folder).rglob("*.py"):
             read |= _reads(ast.parse(path.read_text()))
     unread = [

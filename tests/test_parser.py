@@ -463,6 +463,11 @@ def test_caps_line_reads_the_component_cap():
     assert parse_real_system("map: x\n").caps.components == 64
 
 
+def test_caps_lines_accumulate():
+    system = parse_real_system("map: 2*x\ncaps: iter=3\ncaps: restart=2\n")
+    assert (system.caps.iter, system.caps.restart, system.caps.orbit) == (3, 2, 128)
+
+
 def test_parse_real_system_affine_forms():
     for text, x, want in [
         ("x + 1", 2, 3),

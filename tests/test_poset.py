@@ -10,7 +10,6 @@ from itlmc import (
     MalformedOrder,
     MalformedStep,
     check_morphism,
-    eval_box_by_orbit,
     eval_formula,
     interior,
     is_up_set,
@@ -18,7 +17,7 @@ from itlmc import (
     pull_back_valuation,
     validate_valuation,
 )
-from conftest import random_model
+from conftest import eval_box_by_orbit, random_model
 
 FIG4 = DynamicPoset(
     ("w", "v", "u"),

@@ -20,8 +20,6 @@ from itlmc import (
     REALS,
     RealSystem,
     Status,
-    UndeterminedExtension,
-    check_pointwise,
     eval_real,
     interval,
     make_interval,
@@ -535,24 +533,6 @@ def test_status_propagates_worst():
     system = _system(PiecewiseAffineMap.affine(2, 0), p=interval(None, 1))
     out = eval_real(system, parse_formula("[]p | p"))
     assert out.status is Status.EXTRAPOLATED
-
-
-def test_check_pointwise():
-    system = _system(PiecewiseAffineMap.affine(2, 0), p=interval(None, 1))
-    got = check_pointwise(
-        system, parse_formula("[]p"), [Fraction(-1), Fraction(0), Fraction(1)]
-    )
-    assert got == [(Fraction(-1), True), (Fraction(0), False), (Fraction(1), False)]
-
-
-def test_check_pointwise_raises_when_undetermined():
-    system = RealSystem(
-        PiecewiseAffineMap.affine(2, 0),
-        {"p": interval(None, 1)},
-        EvalCaps(iter=2, restart=1, window=2),
-    )
-    with pytest.raises(UndeterminedExtension):
-        check_pointwise(system, parse_formula("[]p"), [Fraction(0)])
 
 
 # -- the component cap --------------------------------------------------------
