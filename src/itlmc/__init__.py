@@ -20,6 +20,7 @@ from .formula import (
     FRAGMENTS,
     Iff,
     Implies,
+    InputError,
     LanguageFragment,
     Next,
     Not,
@@ -102,7 +103,6 @@ from .hilbert import (
 from .search import (
     BoundTooLarge,
     Countermodel,
-    CorpusMissing,
     EdgeReport,
     EdgeSpec,
     MAX_BOUND,

@@ -2,8 +2,9 @@
 
 Exit codes: 0 for a positive verdict, 1 when a formula or an axiom
 schema is falsified or a derivation rejected, 2 when the evaluator cannot
-determine an answer within its caps, 3 for malformed input, 4 for an
-internal error.
+determine an answer within its caps, 3 for malformed input (an
+`InputError`, an OS error reading an input path, or a usage error), 4 for
+an internal error. `main` maps exceptions to 3 and 4 in one place.
 """
 
 from __future__ import annotations
@@ -14,12 +15,10 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-from .corpus import Corpus, MalformedCorpus, UnknownEntry, paper_suite
-from .formula import FRAGMENTS
-from .hilbert import UnknownLogic, check, get_logic
+from .corpus import Corpus, paper_suite
+from .formula import FRAGMENTS, InputError
+from .hilbert import check, get_logic
 from .parser import (
-    MalformedEncoding,
-    ParseError,
     SourceSpan,
     parse_caps,
     parse_derivation,
@@ -30,26 +29,11 @@ from .parser import (
     print_poset_model,
     read_input,
 )
-from .poset import (
-    ContinuityRequired,
-    DomainNotInvariant,
-    MalformedOrder,
-    MalformedStep,
-    MalformedValuation,
-    eval_formula,
-)
-from .realline import (
-    MalformedMap,
-    MalformedSystem,
-    REALS,
-    Status,
-    eval_real,
-)
+from .poset import eval_formula
+from .realline import REALS, eval_real
 from .search import (
     SOUND_STRUCTURES,
-    BoundTooLarge,
     Countermodel,
-    CorpusMissing,
     SemanticClass,
     Undetermined,
     ValidUpTo,
@@ -58,24 +42,8 @@ from .search import (
     validity,
 )
 
-INPUT_ERRORS = (
-    ParseError,
-    MalformedOrder,
-    MalformedStep,
-    MalformedValuation,
-    MalformedMap,
-    MalformedSystem,
-    ContinuityRequired,
-    DomainNotInvariant,
-    UnknownLogic,
-    UnknownEntry,
-    MalformedCorpus,
-    CorpusMissing,
-    BoundTooLarge,
-    FileNotFoundError,
-    IsADirectoryError,
-    MalformedEncoding,
-)
+# Malformed input, and an input path that cannot be read, exit 3.
+INPUT_ERRORS = (InputError, OSError)
 
 SWEEP_LOGICS = ("ITL.db", "ITL.dw", "CDTL.db", "CDTL.b", "CDTL+.db")
 
@@ -128,13 +96,12 @@ def _cmd_check(args) -> int:
 def _cmd_real_check(args) -> int:
     system = parse_real_system(read_input(_resolve(args.system)))
     if args.caps:
-        items = [item.strip() for item in args.caps.split(",") if item.strip()]
-        caps = parse_caps(items, SourceSpan(0, len(args.caps)), system.caps)
+        caps = parse_caps(args.caps, SourceSpan(0, len(args.caps)), system.caps)
         system = replace(system, caps=caps)
     phi = parse_formula(args.formula)
     outcome = eval_real(system, phi)
     status = outcome.status.name.lower()
-    if outcome.status is Status.UNDETERMINED or outcome.value is None:
+    if outcome.value is None:
         _emit(
             args,
             f"status: {status}\nundetermined",

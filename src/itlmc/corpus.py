@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
 
-from .formula import Atom, cem, fs_dia, fs_next
+from .formula import Atom, InputError, cem, fs_dia, fs_next
 from .hilbert import LOGICS, check, get_logic, instantiate
 from .parser import (
     parse_derivation,
@@ -31,12 +31,12 @@ from .realline import EMPTY, REALS, Status, eval_real, interval
 from .search import EdgeSpec, build_separation_matrix
 
 
-class UnknownEntry(KeyError):
-    __str__ = Exception.__str__
+class UnknownEntry(InputError, KeyError):
+    """No corpus entry, or no corpus index, by the name given."""
 
 
-class MalformedCorpus(ValueError):
-    pass
+class MalformedCorpus(InputError):
+    """A corpus index that is not a JSON list of well-formed entries."""
 
 
 @dataclass(frozen=True)
@@ -243,7 +243,7 @@ def _axiom_spot_fact(entry_id: str) -> Callable[[Corpus], FactResult]:
             subst = {mv: Atom(rng.choice(names)) for mv in schema.metavars}
             phi = instantiate(schema, subst)
             outcome = eval_real(system, phi)
-            if outcome.status is Status.UNDETERMINED or outcome.value != REALS:
+            if outcome.value != REALS:
                 return FactResult(
                     False,
                     f"draw {i}: axiom {schema.name} gave {outcome.value} "

@@ -16,6 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from weakref import KeyedRef
 
+
+class InputError(ValueError):
+    """Malformed input: the base of every input error of the package."""
+
+    __str__ = Exception.__str__  # a message, not a key, in KeyError subclasses too
+
+
 # Every live node, as a weak reference keyed by its class and fields.
 # Children are interned already, so the key hashes them by identity. A
 # plain dict read from C is what keeps a hit cheap.
@@ -205,20 +212,6 @@ def operators(phi: Formula) -> set[type]:
 def atoms(phi: Formula) -> list[str]:
     """Atom names occurring in phi, sorted."""
     return sorted(a for op, a, _ in walk(phi)[1] if op is Atom)
-
-
-def compile_formula(phi: Formula) -> tuple[Program, list[str]]:
-    """Postorder op program of phi and its atom names, as `atoms(phi)`.
-
-    The program is the one `walk(phi)` builds, one entry per entry of
-    `subformulas(phi)`, with each atom's name replaced by its index in the
-    names.
-    """
-    program = walk(phi)[1]
-    names = sorted(a for op, a, _ in program if op is Atom)
-    slot = {name: i for i, name in enumerate(names)}
-    program = [(op, slot[a], 0) if op is Atom else (op, a, b) for op, a, b in program]
-    return program, names
 
 
 def fold(phi: Formula, fn):

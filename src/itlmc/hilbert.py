@@ -51,6 +51,7 @@ from .formula import (
     Formula,
     Iff,
     Implies,
+    InputError,
     LanguageFragment,
     Next,
     Not,
@@ -74,13 +75,12 @@ if TYPE_CHECKING:
     from .parser import SourceSpan
 
 
-class MissingMetavariable(ValueError):
-    pass
+class MissingMetavariable(InputError):
+    """An axiom justification that leaves a metavariable of its schema unassigned."""
 
 
-class UnknownLogic(KeyError):
-    # a message, not a key: print it without the quotes of KeyError
-    __str__ = Exception.__str__
+class UnknownLogic(InputError, KeyError):
+    """No axiom system by the name given."""
 
 
 # --------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from .formula import (
     Formula,
     Iff,
     Implies,
+    InputError,
     Next,
     Not,
     Or,
@@ -62,14 +63,14 @@ class SourceSpan:
     end: int
 
 
-class ParseError(ValueError):
+class ParseError(InputError):
     def __init__(self, message: str, span: SourceSpan):
         super().__init__(f"{message} (at {span.start}..{span.end})")
         self.message = message
         self.span = span
 
 
-class MalformedEncoding(ValueError):
+class MalformedEncoding(InputError):
     """An input file whose bytes are not UTF-8."""
 
 
@@ -552,12 +553,11 @@ def _parse_map(rest: str, base: int, span: SourceSpan) -> PiecewiseAffineMap:
 _CAP_NAMES = tuple(f.name for f in fields(EvalCaps))
 
 
-def parse_caps(
-    items: list[str], span: SourceSpan, base: EvalCaps = EvalCaps()
-) -> EvalCaps:
-    """base with each 'name=value' item set; a value is ASCII digits, 0 allowed."""
+def parse_caps(text: str, span: SourceSpan, base: EvalCaps = EvalCaps()) -> EvalCaps:
+    """base with each 'name=value' item of text set, items parted by commas or
+    whitespace; a value is ASCII digits, 0 allowed."""
     values = {}
-    for item in items:
+    for item in text.replace(",", " ").split():
         key, sep, num = item.partition("=")
         if not sep:
             raise ParseError(f"expected 'name=value', found {item!r}", span)
@@ -585,7 +585,7 @@ def parse_real_system(text: str) -> RealSystem:
                 raise ParseError("duplicate map section", span)
             pwmap = _parse_map(rest, base, span)
         elif head == "caps":
-            caps = parse_caps(rest.split(), span, caps)
+            caps = parse_caps(rest, span, caps)
         else:
             raise ParseError(f"unknown section {head!r}", span)
 

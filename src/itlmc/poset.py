@@ -23,41 +23,42 @@ from .formula import (
     Eventually,
     Formula,
     Implies,
+    InputError,
     Next,
     Or,
     Program,
     StrongBox,
     WeakBox,
-    compile_formula,
+    walk,
 )
 
 
-class MalformedOrder(ValueError):
-    """Order relation fails a poset law; .violations lists every failure."""
+class _Violations(InputError):
+    """An input that breaks several rules at once; .violations lists every failure."""
 
     def __init__(self, violations: list[str]):
         super().__init__("; ".join(violations))
         self.violations = violations
 
 
-class MalformedStep(ValueError):
+class MalformedOrder(_Violations):
+    """Order relation fails a poset law."""
+
+
+class MalformedStep(InputError):
     """Step function is not a total map on the declared worlds."""
 
 
-class ContinuityRequired(ValueError):
+class ContinuityRequired(InputError):
     """Raised when evaluating over a model whose step is not monotone."""
 
 
-class DomainNotInvariant(ValueError):
+class DomainNotInvariant(InputError):
     """Raised when a morphism domain is not closed under the source step."""
 
 
-class MalformedValuation(ValueError):
+class MalformedValuation(_Violations):
     """Valuation assigns a non-up-set or mentions unknown worlds."""
-
-    def __init__(self, violations: list[str]):
-        super().__init__("; ".join(violations))
-        self.violations = violations
 
 
 class DynamicPoset:
@@ -239,30 +240,31 @@ def eval_masks(model: DynamicPoset, val_masks: Mapping[str, int], phi: Formula) 
     """
     if not model.is_continuous:
         raise ContinuityRequired("evaluation requires a continuous (monotone) step")
-    program, names = compile_formula(phi)
-    atom_rows = [
-        [(val_masks.get(name, 0) >> i) & 1 for i in range(model.n)] for name in names
-    ]
+    program = walk(phi)[1]
+    atom_rows = {
+        a: [(val_masks.get(a, 0) >> i) & 1 for i in range(model.n)]
+        for op, a, _ in program if op is Atom
+    }
     top = eval_sliced([((j, 1),) for j in model.step_arr], model.ups, program, atom_rows, 1)
     return sum(row << i for i, row in enumerate(top))
 
 
 def eval_sliced(
     moves: Sequence[Sequence[tuple[int, int]]], ups: Sequence[Sequence[int]],
-    program: Program, atom_rows: list[list[int]], full: int,
+    program: Program, atom_rows: Mapping[str, list[int]], full: int,
 ) -> list[int]:
-    """Evaluate a compiled formula on a family of models and valuations at once.
+    """Evaluate a `walk` program on a family of models and valuations at once.
 
     The models share their up-lists: ``ups[i]`` lists the worlds above
     world i, itself included. A world's row has one bit per model lane, a
     (valuation, step) pair, set where the subformula holds; ``full`` sets
-    them all and ``atom_rows[t][i]`` is atom t's row at world i. ``moves[i]``
-    pairs each target j of world i with the lanes whose step sends i to j;
-    these masks are disjoint, and every world has at least one target. Each
-    lane is read on its own, so the worlds of several posets can sit side by
-    side as a disjoint union, each lane meaningful only in the worlds of the
-    models it stands for. Steps must be monotone (callers check continuity).
-    Returns the formula's rows.
+    them all and ``atom_rows[name][i]`` is that atom's row at world i.
+    ``moves[i]`` pairs each target j of world i with the lanes whose step
+    sends i to j; these masks are disjoint, and every world has at least one
+    target. Each lane is read on its own, so the worlds of several posets can
+    sit side by side as a disjoint union, each lane meaningful only in the
+    worlds of the models it stands for. Steps must be monotone (callers check
+    continuity). Returns the formula's rows.
     """
     # Rank r holds each world's r-th target, (0, 0) where it has fewer, so a
     # step is applied one rank at a time across all worlds.

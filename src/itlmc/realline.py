@@ -33,6 +33,7 @@ from .formula import (
     Eventually,
     Formula,
     Implies,
+    InputError,
     Next,
     Or,
     StrongBox,
@@ -256,7 +257,7 @@ def point(x) -> IntervalSet:
     return interval(x, x, True, True)
 
 
-class MalformedMap(ValueError):
+class MalformedMap(InputError):
     """Piecewise description is not a continuous total map."""
 
 
@@ -391,7 +392,7 @@ class EvalCaps:
     components: int = 64
 
 
-class MalformedSystem(ValueError):
+class MalformedSystem(InputError):
     """Real system with a non-open valuation or similar defect."""
 
 
@@ -411,18 +412,13 @@ class RealSystem:
 
 
 @dataclass(frozen=True, slots=True)
-class RealValue:
-    """Evaluation result: a set with a trust status; None when undetermined."""
-
-    value: IntervalSet | None
-    status: Status
-
-
-@dataclass(frozen=True, slots=True)
 class RealOutcome:
+    """A set with a trust status, None exactly when undetermined; the outcome
+    of `eval_real` also holds in ``table`` the outcome of every subformula."""
+
     value: IntervalSet | None
     status: Status
-    table: dict[int, RealValue] = field(compare=False, hash=False, default_factory=dict)
+    table: dict[int, RealOutcome] = field(compare=False, hash=False, default_factory=dict)
 
 
 def _orbit_stays_in(pwmap: PiecewiseAffineMap, x: Fraction, target: IntervalSet, cap: int) -> bool | None:
@@ -465,6 +461,21 @@ def _fit_endpoint(seq: list[Fraction | None]):
     return ("finite", beta / (1 - alpha))
 
 
+def _chain(pwmap: PiecewiseAffineMap, child: IntervalSet, caps: EvalCaps, join):
+    """The chain V -> join(child, preimage(V)) from child, for at most ``caps.iter`` steps:
+    (fixpoint, []) once an iterate repeats, (None, []) once one has more than
+    ``caps.components`` components beyond child's, else (None, every iterate)."""
+    history, most = [child], len(child.components) + caps.components
+    for _ in range(caps.iter):
+        v = join(child, pwmap.preimage(history[-1]))
+        if v == history[-1]:
+            return v, []
+        if len(v.components) > most:
+            return None, []
+        history.append(v)
+    return None, history
+
+
 def _chain_limit(
     pwmap: PiecewiseAffineMap, target: IntervalSet, caps: EvalCaps
 ) -> tuple[IntervalSet | None, Status]:
@@ -475,17 +486,9 @@ def _chain_limit(
     endpoints; the extrapolated limit is then verified to be a true fixpoint
     and reported as Extrapolated. Anything else is Undetermined.
     """
-    history = [target]
-    v, most = target, len(target.components) + caps.components
-    for _ in range(caps.iter):
-        nv = target.intersection(pwmap.preimage(v))
-        if nv == v:
-            return v, Status.EXACT
-        if len(nv.components) > most:
-            return None, Status.UNDETERMINED
-        history.append(nv)
-        v = nv
-
+    fixpoint, history = _chain(pwmap, target, caps, IntervalSet.intersection)
+    if fixpoint is not None:
+        return fixpoint, Status.EXACT
     window = history[max(0, len(history) - caps.window):]
     if len(window) < 3:
         return None, Status.UNDETERMINED
@@ -539,15 +542,8 @@ def _strong_box(pwmap: PiecewiseAffineMap, child: IntervalSet, caps: EvalCaps):
 
 
 def _eventually(pwmap: PiecewiseAffineMap, child: IntervalSet, caps: EvalCaps):
-    v, most = child, len(child.components) + caps.components
-    for _ in range(caps.iter):
-        nv = v.union(pwmap.preimage(v))
-        if nv == v:
-            return v, Status.EXACT
-        if len(nv.components) > most:
-            return None, Status.UNDETERMINED
-        v = nv
-    return None, Status.UNDETERMINED
+    fixpoint, _ = _chain(pwmap, child, caps, IntervalSet.union)
+    return fixpoint, Status.EXACT if fixpoint is not None else Status.UNDETERMINED
 
 
 # Each operator maps (map, caps, x, y) to (value, status), the value None when
@@ -572,12 +568,12 @@ def eval_real(system: RealSystem, phi: Formula) -> RealOutcome:
     None.
     """
     caps, pwmap = system.caps, system.map
-    table: list[RealValue] = []
+    table: list[RealOutcome] = []
     for op, a, b in walk(phi)[1]:
         if op is Atom:
-            rv = RealValue(system.valuation.get(a, EMPTY), Status.EXACT)
+            rv = RealOutcome(system.valuation.get(a, EMPTY), Status.EXACT)
         elif op is Bottom:
-            rv = RealValue(EMPTY, Status.EXACT)
+            rv = RealOutcome(EMPTY, Status.EXACT)
         else:
             # A unary entry has b = 0: the walk's first node, a leaf, so Exact.
             x, y = table[a], table[b]
@@ -585,8 +581,7 @@ def eval_real(system: RealSystem, phi: Formula) -> RealOutcome:
                 value, status = None, Status.UNDETERMINED
             else:
                 value, status = _OPS[op](pwmap, caps, x.value, y.value)
-            rv = RealValue(value, worst_status(x.status, y.status, status))
+            rv = RealOutcome(value, worst_status(x.status, y.status, status))
         table.append(rv)
     top = table[-1]
     return RealOutcome(top.value, top.status, dict(enumerate(table)))
-

@@ -52,10 +52,10 @@ from itertools import islice, permutations, product
 from operator import and_
 from typing import NamedTuple, Optional, Union
 
-from .formula import Atom, Formula, compile_formula, translate_weak
+from .formula import Atom, Formula, InputError, translate_weak, walk
 from .hilbert import LogicSpec, Schema, check, get_logic, instantiate
 from .poset import DynamicPoset, Valuation, eval_formula, eval_sliced, lift_misses
-from .realline import Status, eval_real
+from .realline import eval_real
 
 MAX_BOUND = 5
 
@@ -72,14 +72,8 @@ _PLANS: dict[tuple[str, int, int, int], tuple[list[list[tuple[int, int, int]]], 
 _FRESH = ("p", "q", "r", "s")
 
 
-class BoundTooLarge(ValueError):
+class BoundTooLarge(InputError):
     """A search bound below 1 or above MAX_BOUND."""
-
-
-class CorpusMissing(KeyError):
-    """A corpus entry referenced by the separation matrix is unavailable."""
-
-    __str__ = Exception.__str__
 
 
 @dataclass(frozen=True)
@@ -359,7 +353,8 @@ def validity(phi: Formula, semclass: SemanticClass) -> Verdict:
     becomes a `DynamicPoset`, and `eval_formula` re-checks it on that one
     valuation.
     """
-    program, names = compile_formula(phi)
+    program = walk(phi)[1]
+    names = sorted(a for op, a, _ in program if op is Atom)
     k = len(names)
     for n in range(1, semclass.bound + 1):
         table = _table(semclass.kind, n)
@@ -374,7 +369,7 @@ def validity(phi: Formula, semclass: SemanticClass) -> Verdict:
                 moves, ups, rows, widest, chunks = batch = _batch(table, k, group)
                 if k <= PLANNED_ATOMS:
                     built.append(batch)
-            top = eval_sliced(moves, ups, program, rows, widest)
+            top = eval_sliced(moves, ups, program, dict(zip(names, rows)), widest)
             # Lanes above a chunk's own width belong to no model of it.
             for off, full, repunit, index, first, slots in chunks:
                 failing = full & ~reduce(and_, top[off:off + n])
@@ -482,7 +477,7 @@ def _verify_witness(edge: EdgeSpec, corpus) -> tuple[str, str]:
     if edge.witness.startswith(OUT_OF_SCOPE_PREFIX):
         return "out-of-scope", edge.witness[len(OUT_OF_SCOPE_PREFIX):]
     kind = corpus.kind_of(edge.witness)
-    sound_for = SOUND_STRUCTURES[edge.source]
+    sound_for = SOUND_STRUCTURES[get_logic(f"{edge.source}.db").base_name]
     if kind == "poset-model":
         model, valuation = corpus.load(edge.witness)
         tag = "poset-p" if model.is_open else "poset-e"
@@ -500,7 +495,7 @@ def _verify_witness(edge: EdgeSpec, corpus) -> tuple[str, str]:
         if tag not in sound_for:
             return "failed", f"witness structure {tag} is not sound for {edge.source}"
         outcome = eval_real(system, edge.formula)
-        if outcome.status is Status.UNDETERMINED or outcome.value is None:
+        if outcome.value is None:
             return "failed", "witness evaluation is undetermined"
         try:
             point = Fraction(edge.point)
@@ -539,16 +534,9 @@ def _verify_inclusion(edge: EdgeSpec, corpus) -> tuple[Optional[bool], str]:
 
 def build_separation_matrix(corpus) -> list[EdgeReport]:
     """Verify every edge certificate of the bundled inclusion diagram."""
-    try:
-        edges = corpus.edges()
-    except (KeyError, FileNotFoundError) as err:
-        raise CorpusMissing(str(err)) from err
     reports = []
-    for edge in edges:
-        try:
-            derivation = corpus.load(edge.derivation)
-        except KeyError as err:
-            raise CorpusMissing(str(err)) from err
+    for edge in corpus.edges():
+        derivation = corpus.load(edge.derivation)
         logic = get_logic(edge.logic)
         result = check(derivation, logic)
         derivation_ok = (
@@ -561,10 +549,7 @@ def build_separation_matrix(corpus) -> list[EdgeReport]:
             details.append(f"derivation rejected: {result.reason}")
         elif not derivation_ok:
             details.append("derivation does not certify this edge")
-        try:
-            witness_status, note = _verify_witness(edge, corpus)
-        except KeyError as err:
-            raise CorpusMissing(str(err)) from err
+        witness_status, note = _verify_witness(edge, corpus)
         if note:
             details.append(note)
         inclusion_ok, inc_note = _verify_inclusion(edge, corpus)

@@ -115,6 +115,19 @@ def test_real_check_component_cap_from_file_and_flag(capsys, tmp_path):
         assert run(capsys, "real-check", "--system", str(path), *caps, "<>q")[0] == code, caps
 
 
+@pytest.mark.parametrize("sep", [" ", ",", ", ", " ,\t"])
+def test_caps_items_part_at_commas_or_spaces_in_a_file_and_the_flag(capsys, tmp_path, sep):
+    # Each setting alone makes <>q undetermined on the mirror system above,
+    # so both items of each pair must be read.
+    path = tmp_path / "mirror.rds"
+    text = "map: -x\nval q: (1, 2) u (3, 4) u (5, 6) u (7, 8)\n"
+    for caps in (f"iter=64{sep}components=3", f"components=64{sep}iter=1"):
+        path.write_text(text)
+        assert run(capsys, "real-check", "--system", str(path), "--caps", caps, "<>q")[0] == 2
+        path.write_text(text + f"caps: {caps}\n")
+        assert run(capsys, "real-check", "--system", str(path), "<>q")[0] == 2
+
+
 def test_real_check_bad_caps_exits_3(capsys):
     for caps in ("iter=soon", "iter=+3", "iter=\u0663", "steps=3"):
         code, _, err = run(
@@ -388,18 +401,40 @@ def test_unknown_entry_message_is_unquoted(capsys, tmp_path):
 
 
 def test_corpus_missing_message_is_unquoted(capsys, tmp_path):
-    from itlmc import Corpus, CorpusMissing, build_separation_matrix
+    from itlmc import Corpus, UnknownEntry, build_separation_matrix
 
     def drop(text):
         entries = json.loads(text)
         return json.dumps([e for e in entries if e["id"] != "d-ax-cd"])
 
     root = _corpus_with_index(tmp_path, drop)
-    with pytest.raises(CorpusMissing):
+    with pytest.raises(UnknownEntry):
         build_separation_matrix(Corpus(root))
     code, out, err = run(capsys, "separate", "--corpus", str(root))
     assert code == 3 and out == ""
     assert err == "error: no corpus entry named 'd-ax-cd'\n"
+
+
+def _single_input_error(code, out, err):
+    return code == 3 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["paper-suite", "separate"])
+def test_corpus_that_is_a_regular_file_exits_3(capsys, monkeypatch, tmp_path, command):
+    path = tmp_path / "corpus"
+    path.write_text("not a directory\n")
+    result = run(capsys, command, "--corpus", str(path))
+    assert _single_input_error(*result), result
+    monkeypatch.setenv("ITL_CORPUS", str(path))
+    result = run(capsys, command)
+    assert _single_input_error(*result), result
+
+
+def test_separate_names_an_unknown_source_logic(capsys, tmp_path):
+    root = _corpus_with_edges(tmp_path, lambda t: t.replace("from=ITL;", "from=FOO;", 1))
+    result = run(capsys, "separate", "--corpus", str(root))
+    assert _single_input_error(*result), result
+    assert result[2].startswith("error: unknown logic 'FOO.db'; available: ")
 
 
 @pytest.mark.parametrize("command", ["paper-suite", "separate"])

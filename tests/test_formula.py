@@ -31,7 +31,7 @@ from itlmc import (
     validity,
 )
 from itlmc import formula
-from itlmc.formula import compile_formula, walk
+from itlmc.formula import walk
 from itlmc.parser import print_formula
 from conftest import formulas
 
@@ -192,16 +192,6 @@ def test_compiled_program_follows_subformulas(phi):
         else:
             kids = [subs[i] for i in (a, b)][: len(children(f))]
             assert tuple(kids) == children(f)
-    program, names = compile_formula(phi)
-    assert names == atoms(phi)
-    assert len(program) == len(subs)
-    for (op, a, b), f in zip(program, subs):
-        assert op is type(f)
-        if op is Atom:
-            assert names[a] == f.name
-        else:
-            kids = [subs[i] for i in (a, b)][: len(children(f))]
-            assert tuple(kids) == children(f)
 
 
 def test_deep_formulas_do_not_recurse():
@@ -210,8 +200,7 @@ def test_deep_formulas_do_not_recurse():
     for _ in range(depth):
         phi = Next(phi)
     assert len(subformulas(phi)) == depth + 2
-    program, names = compile_formula(phi)
-    assert len(program) == depth + 2 and names == ["p"]
+    assert len(walk(phi)[1]) == depth + 2 and atoms(phi) == ["p"]
     assert print_formula(phi) == "O " * depth + "[]p"
     assert print_formula(translate_weak(phi)) == "O " * depth + "[*]p"
 

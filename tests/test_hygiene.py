@@ -1,12 +1,14 @@
 """Source hygiene checks and the design rules they pin."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
 from itlmc import (
     Corpus,
+    InputError,
     SemanticClass,
     ValidUpTo,
     build_separation_matrix,
@@ -145,3 +147,17 @@ def test_engines_answer_on_deep_input(tmp_path, capsys):
         out, err = capsys.readouterr()
         assert (code, err) == (0, ""), err
         assert out.startswith("accepted (")
+
+
+def test_every_exception_class_is_an_input_error():
+    # The CLI maps InputError to exit 3 in one place; any other exception
+    # class of the package would reach users as an internal error.
+    classes = [
+        value
+        for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"
+        for value in vars(importlib.import_module(f"itlmc.{path.stem}")).values()
+        if isinstance(value, type) and issubclass(value, Exception)
+        and value.__module__ == f"itlmc.{path.stem}"
+    ]
+    assert len(classes) > 10
+    assert [c.__name__ for c in classes if not issubclass(c, InputError)] == []

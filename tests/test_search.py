@@ -33,7 +33,7 @@ from itlmc import (
     Atom,
 )
 from itlmc import search
-from itlmc.formula import atoms, compile_formula
+from itlmc.formula import atoms, walk
 from itlmc.hilbert import instantiate
 from itlmc.poset import eval_sliced
 from itlmc.search import _atom_rows
@@ -442,7 +442,7 @@ def test_sliced_rows_match_kripke_extension(phi, seed):
     carrier = next(c for c in oracle_table("e", poset.n, False) if c.pairs == pairs)
     first = rng.randrange(len(carrier.steps))
     slots = rng.randint(1, min(6, len(carrier.steps) - first))
-    program, names = compile_formula(phi)
+    program, names = walk(phi)[1], atoms(phi)
     valuations = len(carrier.upsets) ** len(names)
     rows, full = _atom_rows(carrier.members, len(carrier.upsets), len(names), slots)
     assert full == (1 << valuations * slots) - 1
@@ -452,7 +452,8 @@ def test_sliced_rows_match_kripke_extension(phi, seed):
         bits = sum(1 << (v * slots + s) for v in range(valuations))
         for i, j in enumerate(carrier.steps[first + s]):
             moves[i][j] = moves[i].get(j, 0) | bits
-    top = eval_sliced([list(t.items()) for t in moves], carrier.ups, program, rows, full)
+    by_name = dict(zip(names, rows))
+    top = eval_sliced([list(t.items()) for t in moves], carrier.ups, program, by_name, full)
     assert all(row <= full for row in top)
     for s in range(slots):
         step = carrier.steps[first + s]
