@@ -101,10 +101,13 @@ class Corpus:
     def text_of(self, entry_id: str) -> str:
         return read_input(self.root / self.get(entry_id).path)
 
-    def load(self, entry_id: str):
+    def load(self, entry_id: str, kind: Optional[str] = None):
+        """The parsed entry; a reference that wants some ``kind`` names it."""
+        entry = self.get(entry_id)
+        if kind is not None and entry.kind != kind:
+            raise MalformedCorpus(f"corpus entry {entry_id!r} is a {entry.kind}, not a {kind}")
         if entry_id in self._cache:
             return self._cache[entry_id]
-        entry = self.get(entry_id)
         text = self.text_of(entry_id)
         # Built per call from the module's names, so that a rebinding of
         # those names (by instrumentation, say) reaches these calls too.
@@ -120,7 +123,7 @@ class Corpus:
         return value
 
     def edges(self) -> list[EdgeSpec]:
-        return self.load("fig6-edges")
+        return self.load("fig6-edges", "edge")
 
 
 @dataclass(frozen=True)
@@ -149,7 +152,7 @@ def _expect_real(outcome, want_value, want_status, label: str) -> FactResult:
 
 
 def _fact_fig4_shift(corpus: Corpus) -> FactResult:
-    model, valuation = corpus.load("fig4-fs")
+    model, valuation = corpus.load("fig4-fs", "poset-model")
     want = frozenset({"v", "u"})
     for name, phi in (
         ("eventually-shift", fs_dia(Atom("p"), Atom("q"))),
@@ -164,7 +167,7 @@ def _fact_fig4_shift(corpus: Corpus) -> FactResult:
 
 
 def _fact_fig5_cem(corpus: Corpus) -> FactResult:
-    model, valuation = corpus.load("fig5-cem")
+    model, valuation = corpus.load("fig5-cem", "poset-model")
     got = eval_formula(model, valuation, cem(Atom("p"), Atom("q")))
     want = frozenset({"w1", "v0", "v1", "v2"})
     if got != want:
@@ -173,7 +176,7 @@ def _fact_fig5_cem(corpus: Corpus) -> FactResult:
 
 
 def _fact_fsgap(corpus: Corpus) -> FactResult:
-    model, valuation = corpus.load("fs-gap")
+    model, valuation = corpus.load("fs-gap", "poset-model")
     unboxed = eval_formula(
         model,
         valuation,
@@ -181,7 +184,7 @@ def _fact_fsgap(corpus: Corpus) -> FactResult:
     )
     if unboxed != frozenset({"a", "b", "u"}):
         return FactResult(False, f"unboxed implication: got {set(unboxed)}")
-    boxed = eval_formula(model, valuation, corpus.load("d-fs").theorem)
+    boxed = eval_formula(model, valuation, corpus.load("d-fs", "derivation").theorem)
     if boxed != frozenset(model.worlds):
         return FactResult(False, f"boxed repair: got {set(boxed)}")
     return FactResult(True, "unboxed shift implication fails at x; boxed repair is valid")
@@ -190,7 +193,7 @@ def _fact_fsgap(corpus: Corpus) -> FactResult:
 def _real_fact(entry_id: str, checks, summary: str) -> Callable[[Corpus], FactResult]:
     # Each check is (formula, extension, status or None for any status).
     def run(corpus: Corpus) -> FactResult:
-        system = corpus.load(entry_id)
+        system = corpus.load(entry_id, "real-system")
         for text, want, status in checks:
             res = _expect_real(eval_real(system, parse_formula(text)), want, status, text)
             if not res.ok:
@@ -203,7 +206,7 @@ def _real_fact(entry_id: str, checks, summary: str) -> Callable[[Corpus], FactRe
 def _derivation_fact(entry_id: str) -> Callable[[Corpus], FactResult]:
     def run(corpus: Corpus) -> FactResult:
         entry = corpus.get(entry_id)
-        derivation = corpus.load(entry_id)
+        derivation = corpus.load(entry_id, "derivation")
         result = check(derivation, get_logic(entry.logic))
         if not result.ok:
             return FactResult(
@@ -233,7 +236,7 @@ def _axiom_spot_fact(entry_id: str) -> Callable[[Corpus], FactResult]:
     # Soundness spot check: random axiom instances of the core system
     # must be valid (and determinable) on each bundled real system.
     def run(corpus: Corpus) -> FactResult:
-        system = corpus.load(entry_id)
+        system = corpus.load(entry_id, "real-system")
         names = sorted(system.atoms()) or ["p"]
         logic = LOGICS["ITL.db"]
         rng = random.Random(20260813)

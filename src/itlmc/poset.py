@@ -12,6 +12,7 @@ tuple, which keeps exhaustive search cheap.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
+from copy import copy
 from functools import reduce
 from itertools import zip_longest
 from operator import and_, or_
@@ -76,6 +77,7 @@ class DynamicPoset:
         "order_pairs",
         "up_masks",
         "ups",
+        "up_lanes",
         "step",
         "step_arr",
         "is_continuous",
@@ -121,6 +123,7 @@ class DynamicPoset:
         for a, b in pairs:
             self.up_masks[self.index[a]] |= 1 << self.index[b]
         self.ups = tuple(tuple(j for j in range(self.n) if (up >> j) & 1) for up in self.up_masks)
+        self.up_lanes = tuple(tuple((j, 0) for j in up) for up in self.ups)
 
         self._set_step(step)
 
@@ -150,13 +153,7 @@ class DynamicPoset:
 
     def replace_step(self, step: Mapping[str, str]) -> "DynamicPoset":
         """New model on the same poset with a different step function."""
-        other = object.__new__(DynamicPoset)
-        other.worlds = self.worlds
-        other.index = self.index
-        other.n = self.n
-        other.order_pairs = self.order_pairs
-        other.up_masks = self.up_masks
-        other.ups = self.ups
+        other = copy(self)
         other._set_step(step)
         return other
 
@@ -245,26 +242,26 @@ def eval_masks(model: DynamicPoset, val_masks: Mapping[str, int], phi: Formula) 
         a: [(val_masks.get(a, 0) >> i) & 1 for i in range(model.n)]
         for op, a, _ in program if op is Atom
     }
-    top = eval_sliced([((j, 1),) for j in model.step_arr], model.ups, program, atom_rows, 1)
+    top = eval_sliced([((j, 1),) for j in model.step_arr], model.up_lanes, program, atom_rows, 1)
     return sum(row << i for i, row in enumerate(top))
 
 
 def eval_sliced(
-    moves: Sequence[Sequence[tuple[int, int]]], ups: Sequence[Sequence[int]],
+    moves: Sequence[Sequence[tuple[int, int]]], ups: Sequence[Sequence[tuple[int, int]]],
     program: Program, atom_rows: Mapping[str, list[int]], full: int,
 ) -> list[int]:
     """Evaluate a `walk` program on a family of models and valuations at once.
 
-    The models share their up-lists: ``ups[i]`` lists the worlds above
-    world i, itself included. A world's row has one bit per model lane, a
-    (valuation, step) pair, set where the subformula holds; ``full`` sets
-    them all and ``atom_rows[name][i]`` is that atom's row at world i.
-    ``moves[i]`` pairs each target j of world i with the lanes whose step
-    sends i to j; these masks are disjoint, and every world has at least one
-    target. Each lane is read on its own, so the worlds of several posets can
-    sit side by side as a disjoint union, each lane meaningful only in the
-    worlds of the models it stands for. Steps must be monotone (callers check
-    continuity). Returns the formula's rows.
+    The models share their worlds 0..n-1. A world's row has one bit per
+    model lane, a (poset, valuation, step) triple, set where the subformula
+    holds; ``full`` sets them all and ``atom_rows[name][i]`` is that atom's
+    row at world i. Both the order and the step are lane masks: ``ups[i]``
+    pairs each world j that some lane's poset puts above world i (itself
+    included) with the lanes whose poset does not, 0 where every lane
+    agrees; ``moves[i]`` pairs each target j of world i with the lanes whose
+    step sends i to j. These move masks are disjoint, and every world has at
+    least one target. Steps must be monotone (callers check continuity).
+    Returns the formula's rows.
     """
     # Rank r holds each world's r-th target, (0, 0) where it has fewer, so a
     # step is applied one rank at a time across all worlds.
@@ -288,7 +285,7 @@ def eval_sliced(
             rows = [x | y for x, y in zip(table[a], table[b])]
         elif op is Implies:
             holds = [(full ^ x) | y for x, y in zip(table[a], table[b])]
-            rows = [reduce(and_, map(holds.__getitem__, up)) for up in ups]
+            rows = [reduce(and_, [holds[j] | off for j, off in up]) for up in ups]
         elif op is Next:
             rows = after(table[a])
         elif op is Eventually or op is StrongBox or op is WeakBox:

@@ -28,17 +28,18 @@ countermodel a scan of one step at a time would meet first.
 
 Consecutive chunks of one size, across carriers, are packed into a batch
 while their widths sum to at most CHUNK_BITS, and a batch is one
-`eval_sliced` call: their posets side by side as a disjoint union of
-worlds, with rows as wide as the widest chunk's. Each bit is a model lane
-of its own, so the chunks do not mix; each reads only its own worlds and
-the lanes below its own width, in table order, and the scan stops at the
-first batch with a failing chunk.
+`eval_sliced` call over one row per world position: chunk c takes lanes
+[lane_c, lane_c + width_c) of every row. The order is a lane mask, like
+the step: world i's up-pairs name each j that some chunk's poset puts
+above i, with the lanes whose poset does not. Each bit is a model lane of
+its own, so the chunks do not mix; each reads only its own lanes, in
+table order, and the scan stops at the first batch with a failing chunk.
 
-A batch (its atom rows, full rows, repunits and move masks) depends only
+A batch (its atom rows, full row, up-pairs and move masks) depends only
 on the table, the atom count and the chunk width, so batches are kept per
 process for formulas of at most PLANNED_ATOMS = 3 atoms, each built when a
-scan first reaches it. At five worlds in class e they take about 5 MB for
-two atoms and 70 MB for three (tracemalloc); four atoms would take about
+scan first reaches it. At five worlds in class e they take about 6 MB for
+two atoms and 66 MB for three (tracemalloc); four atoms would take about
 1 GB.
 """
 
@@ -326,23 +327,41 @@ def _groups(
 
 
 def _batch(carriers: Sequence[_Carrier], k: int, group: list[tuple[int, int, int]]) -> tuple:
-    """Moves, up-lists, atom rows and widest full row of the chunks' disjoint union, and per
-    chunk its world offset, full row, repunit, carrier index, first step and slot count."""
-    moves, ups, rows, chunks = [], [], [[] for _ in range(k)], []
+    """Moves, up-pairs, atom rows and full row of the chunks stacked along the lanes, and per
+    chunk its first lane, width, carrier index, first step and slot count."""
+    parts, chunks, lane = [], [], 0
     for index, first, slots in group:
-        carrier, off = carriers[index], len(ups)
-        chunk_rows, full = _atom_rows(carrier.members, len(carrier.upsets), k, slots)
+        carrier = carriers[index]
+        rows, full = _atom_rows(carrier.members, len(carrier.upsets), k, slots)
         # A move mask holds the chunk's slots of its steps once per valuation;
         # where all of them go to one target, it is the full row itself.
         repunit, low = _repeat(1, slots, full.bit_length()), (1 << slots) - 1
-        for targets in carrier.moves:
-            chunk = [(off + j, mask >> first & low) for j, mask in targets]
-            moves.append([(j, full if m == low else m * repunit) for j, m in chunk if m])
-        ups += [tuple(off + j for j in up) for up in carrier.ups]
-        for row, chunk_row in zip(rows, chunk_rows):
-            row += chunk_row
-        chunks.append((off, full, repunit, index, first, slots))
-    return moves, ups, rows, max(chunk[1] for chunk in chunks), chunks
+        moves = [{j: full if m == low else m * repunit for j, mask in targets
+                  if (m := mask >> first & low)} for targets in carrier.moves]
+        parts.append((rows, moves, carrier.ups, full))
+        chunks.append((lane, full.bit_length(), index, first, slots))
+        lane += full.bit_length()
+    rows, moves, ups, fulls = zip(*parts)
+    if len(group) == 1:  # the chunk's own masks, at lane 0
+        moves, ups = [list(m.items()) for m in moves[0]], [[(j, 0) for j in up] for up in ups[0]]
+        return moves, ups, rows[0], fulls[0], chunks
+    lanes, full, worlds = [lane for lane, *_ in chunks[1:]], (1 << lane) - 1, range(len(ups[0]))
+
+    def join(masks: Sequence[int]) -> int:
+        """One mask per chunk, each at its chunk's lanes; a mask of every lane is ``full``."""
+        mask = masks[0]
+        for part, at in zip(masks[1:], lanes):
+            if part:
+                mask |= part << at
+        return full if mask == full else mask
+
+    moves = [[(j, mask) for j in worlds if (mask := join([m[i].get(j, 0) for m in moves]))]
+             for i in worlds]
+    # Up-pairs mask the lanes whose poset does not put j above i; j is left out where none does.
+    ups = [[(j, off) for j in worlds
+            if (off := join([0 if j in up[i] else f for up, f in zip(ups, fulls)])) is not full]
+           for i in worlds]
+    return moves, ups, [[join(world) for world in zip(*atom)] for atom in zip(*rows)], full, chunks
 
 
 def validity(phi: Formula, semclass: SemanticClass) -> Verdict:
@@ -364,23 +383,23 @@ def validity(phi: Formula, semclass: SemanticClass) -> Verdict:
             _PLANS[key] = groups, built
         for b, group in enumerate(groups):
             if b < len(built):
-                moves, ups, rows, widest, chunks = built[b]
+                moves, ups, rows, full, chunks = built[b]
             else:
-                moves, ups, rows, widest, chunks = batch = _batch(table, k, group)
+                moves, ups, rows, full, chunks = batch = _batch(table, k, group)
                 if k <= PLANNED_ATOMS:
                     built.append(batch)
-            top = eval_sliced(moves, ups, program, dict(zip(names, rows)), widest)
-            # Lanes above a chunk's own width belong to no model of it.
-            for off, full, repunit, index, first, slots in chunks:
-                failing = full & ~reduce(and_, top[off:off + n])
+            top = eval_sliced(moves, ups, program, dict(zip(names, rows)), full)
+            missing = full & ~reduce(and_, top)
+            for lane, width, index, first, slots in chunks if missing else ():
+                failing = missing >> lane & (1 << width) - 1
                 if not failing:
                     continue
-                carrier = table[index]
+                carrier, repunit = table[index], _repeat(1, slots, width)
                 slot = next(s for s in range(slots) if failing >> s & repunit)
                 at_slot = failing >> slot & repunit
                 bit = (at_slot & -at_slot).bit_length() - 1 + slot
                 model = _with_step(_poset(n, carrier.pairs), carrier.steps[first + slot])
-                world = next(w for w, row in zip(model.worlds, top[off:]) if not (row >> bit) & 1)
+                world = next(w for w, row in zip(model.worlds, top) if not (row >> lane + bit) & 1)
                 assignment = next(islice(product(carrier.upsets, repeat=k), bit // slots, None))
                 valuation = {a: model.worlds_of(up) for a, up in zip(names, assignment)}
                 if world in eval_formula(model, valuation, phi):
@@ -479,7 +498,7 @@ def _verify_witness(edge: EdgeSpec, corpus) -> tuple[str, str]:
     kind = corpus.kind_of(edge.witness)
     sound_for = SOUND_STRUCTURES[get_logic(f"{edge.source}.db").base_name]
     if kind == "poset-model":
-        model, valuation = corpus.load(edge.witness)
+        model, valuation = corpus.load(edge.witness, kind)
         tag = "poset-p" if model.is_open else "poset-e"
         if tag not in sound_for:
             return "failed", f"witness structure {tag} is not sound for {edge.source}"
@@ -490,7 +509,7 @@ def _verify_witness(edge: EdgeSpec, corpus) -> tuple[str, str]:
             return "failed", f"formula holds at {edge.point}"
         return "verified", f"falsified at {edge.point} on {edge.witness} ({tag})"
     if kind == "real-system":
-        system = corpus.load(edge.witness)
+        system = corpus.load(edge.witness, kind)
         tag = "real-open" if system.map.is_open() else "real"
         if tag not in sound_for:
             return "failed", f"witness structure {tag} is not sound for {edge.source}"
@@ -522,7 +541,7 @@ def _verify_inclusion(edge: EdgeSpec, corpus) -> tuple[Optional[bool], str]:
         deriv_id = evidence.get(name)
         if deriv_id is None:
             return False, f"no evidence that {edge.target} derives axiom {name}"
-        derivation = corpus.load(deriv_id)
+        derivation = corpus.load(deriv_id, "derivation")
         result = check(derivation, dst)
         if not result.ok:
             return False, f"evidence {deriv_id} rejected: {result.reason}"
@@ -536,7 +555,7 @@ def build_separation_matrix(corpus) -> list[EdgeReport]:
     """Verify every edge certificate of the bundled inclusion diagram."""
     reports = []
     for edge in corpus.edges():
-        derivation = corpus.load(edge.derivation)
+        derivation = corpus.load(edge.derivation, "derivation")
         logic = get_logic(edge.logic)
         result = check(derivation, logic)
         derivation_ok = (

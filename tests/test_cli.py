@@ -384,6 +384,30 @@ def test_separate_fails_edges_whose_point_is_not_in_the_witness(capsys, tmp_path
     assert out.endswith("16/18 edges verified\n")
 
 
+_KINDS = {"fig4-fs": "poset-model", "r-const": "real-system", "d-wh": "derivation", "fig6-edges": "edge"}
+
+
+@pytest.mark.parametrize("entry", sorted(_KINDS))
+@pytest.mark.parametrize("field, old", [
+    ("witness", "r-const"), ("derivation", "d-ax-fs"), ("inclusion", "cem:d-cem-itl+"),
+])
+def test_edge_references_to_entries_of_every_kind_never_crash(capsys, tmp_path, field, old, entry):
+    # One solid edge's witness, derivation or inclusion evidence names an
+    # entry of each kind: a verdict (0 or 1) or an input error (3), never 4.
+    def edit(text):
+        start = text.index("from=RTL; to=ETL+;")
+        end = text.index("\n", start)
+        new = f"cem:{entry}" if field == "inclusion" else entry
+        return text[:start] + text[start:end].replace(f"{field}={old}", f"{field}={new}") + text[end:]
+
+    root = _corpus_with_edges(tmp_path, edit)
+    code, out, err = run(capsys, "separate", "--corpus", str(root))
+    assert code in (0, 1, 3)
+    if field != "witness" and _KINDS[entry] != "derivation":
+        assert code == 3 and out == ""
+        assert err == f"error: corpus entry {entry!r} is a {_KINDS[entry]}, not a derivation\n"
+
+
 def _corpus_with_index(tmp_path, edit):
     root = tmp_path / "corpus"
     shutil.copytree(CORPUS, root)

@@ -63,6 +63,15 @@ def test_unicode_aliases():
     assert a == b
 
 
+def test_any_unicode_whitespace_separates_while_names_stay_ascii():
+    assert parse_formula("p\u3000&\u0085q") == And(P, Q)
+    model, _ = parse_poset_model("worlds:\u3000a b\norder: a<=b\nstep: a->a b->b\n")
+    assert model.worlds == ("a", "b")
+    for text in ("p\u00e9", "\uff50", "p\u0663"):
+        with pytest.raises(ParseError, match="unexpected character"):
+            parse_formula(text)
+
+
 def test_parse_error_spans():
     with pytest.raises(ParseError) as err:
         parse_formula("p -> (q & )")

@@ -33,6 +33,7 @@ from itlmc import (
     Atom,
 )
 from itlmc import search
+from itlmc.cli import SWEEP_LOGICS
 from itlmc.formula import atoms, walk
 from itlmc.hilbert import instantiate
 from itlmc.poset import eval_sliced
@@ -453,7 +454,8 @@ def test_sliced_rows_match_kripke_extension(phi, seed):
         for i, j in enumerate(carrier.steps[first + s]):
             moves[i][j] = moves[i].get(j, 0) | bits
     by_name = dict(zip(names, rows))
-    top = eval_sliced([list(t.items()) for t in moves], carrier.ups, program, by_name, full)
+    ups = [[(j, 0) for j in up] for up in carrier.ups]
+    top = eval_sliced([list(t.items()) for t in moves], ups, program, by_name, full)
     assert all(row <= full for row in top)
     for s in range(slots):
         step = carrier.steps[first + s]
@@ -463,6 +465,41 @@ def test_sliced_rows_match_kripke_extension(phi, seed):
             ext = kripke_extension(model, valuation, phi)
             bit = v * slots + s
             assert [(row >> bit) & 1 for row in top] == [w in ext for w in model.worlds]
+
+
+@settings(max_examples=60, deadline=None)
+@given(formulas(max_leaves=8, allow_weak=True), st.sampled_from("ep"), st.integers(0, 2**32))
+def test_mixed_lane_batch_rows_match_each_chunk_alone_and_kripke_extension(phi, kind, seed):
+    # Chunks of several carriers of one size, of different widths and
+    # orders, stacked along the lanes of one batch: each chunk's slice of
+    # the rows is its own evaluation, and agrees with the Kripke clauses.
+    rng = random.Random(seed)
+    n = rng.randint(2, 4)
+    table = search._table(kind, n)
+    program, names = walk(phi)[1], atoms(phi)
+    group = []
+    for index in sorted(rng.sample(range(len(table)), min(4, len(table)))):
+        first = rng.randrange(len(table[index].steps))
+        group.append((index, first, rng.randint(1, min(3, len(table[index].steps) - first))))
+    moves, ups, rows, full, chunks = search._batch(table, len(names), group)
+    assert all(len(up) == n for up in (moves, ups, *rows))
+    assert full.bit_length() == sum(width for _, width, *_ in chunks)
+    if len(group) > 1:
+        assert any(off for up in ups for _, off in up)
+    top = eval_sliced(moves, ups, program, dict(zip(names, rows)), full)
+    assert all(row <= full for row in top)
+    for chunk in group:
+        alone = search._batch(table, len(names), [chunk])
+        (lane, width, index, first, slots), = (c for c in chunks if c[2:] == chunk)
+        alone_top = eval_sliced(*alone[:2], program, dict(zip(names, alone[2])), alone[3])
+        assert [row >> lane & (1 << width) - 1 for row in top] == alone_top
+        carrier, base = table[index], search._poset(n, table[index].pairs)
+        assignments = list(product(carrier.upsets, repeat=len(names)))
+        for bit in rng.sample(range(width), min(12, width)):
+            model = search._with_step(base, carrier.steps[first + bit % slots])
+            valuation = {a: model.worlds_of(up) for a, up in zip(names, assignments[bit // slots])}
+            ext = kripke_extension(model, valuation, phi)
+            assert [row >> lane + bit & 1 for row in top] == [w in ext for w in model.worlds]
 
 
 def _labeled_scan(phi, semclass):
@@ -523,11 +560,10 @@ def _last_batch(phi, semclass, chunk_bits):
         verdict = validity(phi, semclass)
         n = verdict.model.n
         _, built = search._PLANS[semclass.kind, n, len(atoms(phi)), chunk_bits]
-    chunks = built[-1][-1]
-    failing = [
-        c for c, (off, full, *_) in enumerate(chunks) if full & ~reduce(and_, tops[-1][off:off + n])
-    ]
-    return verdict, [full.bit_length() for _, full, *_ in chunks], failing, chunks
+    *_, full, chunks = built[-1]
+    missing = full & ~reduce(and_, tops[-1])
+    failing = [c for c, (lane, width, *_) in enumerate(chunks) if missing >> lane & (1 << width) - 1]
+    return verdict, [width for _, width, *_ in chunks], failing, chunks
 
 
 def _assert_packed_scan_matches(phi, semclass, chunk_bits):
@@ -561,7 +597,7 @@ def test_first_failing_chunk_of_a_batch_gives_the_countermodel(text, kind, chunk
     verdict, widths, found, chunks = _last_batch(phi, semclass, chunk_bits)
     assert len(widths) > 1 and found == failing
     # The countermodel's step lies in the first failing chunk, not in a later one.
-    index, first, slots = chunks[failing[0]][3:]
+    index, first, slots = chunks[failing[0]][2:]
     carrier = search._table(kind, verdict.model.n)[index]
     assert verdict.model.order_pairs == search._poset(verdict.model.n, carrier.pairs).order_pairs
     assert tuple(verdict.model.step_arr) in carrier.steps[first:first + slots]
@@ -570,18 +606,17 @@ def test_first_failing_chunk_of_a_batch_gives_the_countermodel(text, kind, chunk
 
 @pytest.mark.parametrize("text", ["O(p -> p)", "O(~p | ~~p)"])
 def test_lanes_above_a_chunks_width_are_never_read(text):
-    # Under `->`, the lanes of a narrow chunk above its own width hold the
-    # complement of its atoms' zero rows; `O` then clears them. A chunk that
-    # read them would fail where no model of it does, and the re-check would
-    # disagree. Both formulas meet a batch whose first chunk is narrower than
-    # the next at three worlds.
+    # The lanes above a narrow chunk's width are the next chunk's, of
+    # another poset and step. A chunk that read them would fail where no
+    # model of it does, and the re-check would disagree. Both formulas meet
+    # a batch whose first chunk is narrower than the next at three worlds.
     phi, semclass = parse_formula(text), SemanticClass("e", 3)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(search, "CHUNK_BITS", 200)
         mp.setattr(search, "_PLANS", {})
         validity(phi, semclass)
         _, built = search._PLANS["e", 3, 1, 200]
-    widths = [full.bit_length() for _, full, *_ in built[0][-1]]
+    widths = [width for _, width, *_ in built[0][-1]]
     assert widths[0] < max(widths)
     _assert_packed_scan_matches(phi, semclass, 200)
 
@@ -621,7 +656,7 @@ def test_kept_batches_fit_the_chunk_width_and_four_atoms_keep_none():
         for (kind, n, k, chunk_bits), (groups, built) in plans.items():
             assert len(built) <= len(groups)
             for batch, group in zip(built, groups):
-                widths = [full.bit_length() for _, full, *_ in batch[-1]]
+                widths = [width for _, width, *_ in batch[-1]]
                 assert len(widths) == len(group)
                 assert len(widths) == 1 or sum(widths) <= chunk_bits
         search._PLANS.clear()
@@ -630,18 +665,18 @@ def test_kept_batches_fit_the_chunk_width_and_four_atoms_keep_none():
         assert search._PLANS == {}
 
 
-def _sweep_digest(bound):
-    """Every soundness sweep verdict at the bound, one line each, countermodels in full."""
+def _sweep_digest(bound, runs=None):
+    """Soundness sweep verdicts at the bound, one line each, countermodels in full: of
+    ``runs``, (logic, class) pairs, or by default of every logic in both classes."""
     lines = []
-    for name in sorted(LOGICS):
-        for kind in "ep":
-            for schema, verdict in sorted(soundness_sweep(LOGICS[name], SemanticClass(kind, bound)).items()):
-                if isinstance(verdict, Countermodel):
-                    lines.append(f"{name} {kind} {schema}: countermodel at {verdict.world}")
-                    text = print_poset_model(verdict.model, verdict.valuation)
-                    lines += ["  " + line for line in text.splitlines()]
-                else:
-                    lines.append(f"{name} {kind} {schema}: {type(verdict).__name__} {verdict.bound}")
+    for name, kind in runs or [(name, kind) for name in sorted(LOGICS) for kind in "ep"]:
+        for schema, verdict in sorted(soundness_sweep(LOGICS[name], SemanticClass(kind, bound)).items()):
+            if isinstance(verdict, Countermodel):
+                lines.append(f"{name} {kind} {schema}: countermodel at {verdict.world}")
+                text = print_poset_model(verdict.model, verdict.valuation)
+                lines += ["  " + line for line in text.splitlines()]
+            else:
+                lines.append(f"{name} {kind} {schema}: {type(verdict).__name__} {verdict.bound}")
     return "\n".join(lines) + "\n"
 
 
@@ -651,4 +686,14 @@ def test_bound_4_soundness_sweeps_of_every_logic_are_frozen():
     got = _sweep_digest(4)
     verdicts = [line for line in got.splitlines() if not line.startswith(" ")]
     assert len(verdicts) == 1524 and sum("countermodel" in line for line in verdicts) == 20
+    assert got == frozen
+
+
+def test_bound_5_default_sweep_is_frozen():
+    # The `itlmc sweep --bound 5` default: five logics, each in its class, 105 verdicts.
+    runs = [(name, "e" if "poset-e" in SOUND_STRUCTURES[LOGICS[name].base_name] else "p")
+            for name in SWEEP_LOGICS]
+    frozen = (Path(__file__).parent / "sweep_bound5.txt").read_text()
+    got = _sweep_digest(5, runs)
+    assert sum(not line.startswith(" ") for line in got.splitlines()) == 105
     assert got == frozen
