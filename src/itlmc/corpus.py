@@ -358,24 +358,16 @@ def _build_facts() -> list[Fact]:
         "d-yuse-2", "d-cem-itl+", "d-cdm-from-cd", "d-ax-fs", "d-ax-cd",
         "d-ax-cdm", "d-ax-cem",
     ]
-    for entry_id in deriv_ids:
-        facts.append(
-            Fact(
-                f"{entry_id}/accepted",
-                entry_id,
-                "bundled derivation checks in its stated logic",
-                _derivation_fact(entry_id),
-            )
-        )
-    for entry_id in ("r-double", "r-kinked", "r-const", "r-shift"):
-        facts.append(
-            Fact(
-                f"{entry_id}/axiom-spot-check",
-                entry_id,
-                "random core-axiom instances are valid on this system",
-                _axiom_spot_fact(entry_id),
-            )
-        )
+    facts += [
+        Fact(f"{e}/accepted", e, "bundled derivation checks in its stated logic",
+             _derivation_fact(e))
+        for e in deriv_ids
+    ]
+    facts += [
+        Fact(f"{e}/axiom-spot-check", e, "random core-axiom instances are valid on this system",
+             _axiom_spot_fact(e))
+        for e in ("r-double", "r-kinked", "r-const", "r-shift")
+    ]
     return facts
 
 

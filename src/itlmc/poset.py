@@ -161,27 +161,17 @@ class DynamicPoset:
         return (a, b) in self.order_pairs
 
     def mask_of(self, worlds: Iterable[str]) -> int:
-        m = 0
-        for w in worlds:
-            m |= 1 << self.index[w]
-        return m
+        return reduce(or_, (1 << self.index[w] for w in worlds), 0)
 
     def worlds_of(self, mask: int) -> frozenset[str]:
         return frozenset(w for i, w in enumerate(self.worlds) if (mask >> i) & 1)
 
     def is_up_set_mask(self, mask: int) -> bool:
-        return all(
-            self.up_masks[i] & ~mask == 0
-            for i in range(self.n)
-            if (mask >> i) & 1
-        )
+        return self.interior_mask(mask) == mask
 
     def interior_mask(self, mask: int) -> int:
-        out = 0
-        for i in range(self.n):
-            if self.up_masks[i] & ~mask == 0:
-                out |= 1 << i
-        return out
+        """The worlds whose up-set lies in the mask: the largest up-set inside it."""
+        return sum(1 << i for i, up in enumerate(self.up_masks) if up & ~mask == 0)
 
 
 def lifts(step: Sequence[int], up_masks: Sequence[int], ups: Sequence[Sequence[int]]) -> bool:

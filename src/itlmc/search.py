@@ -342,9 +342,6 @@ def _batch(carriers: Sequence[_Carrier], k: int, group: list[tuple[int, int, int
         chunks.append((lane, full.bit_length(), index, first, slots))
         lane += full.bit_length()
     rows, moves, ups, fulls = zip(*parts)
-    if len(group) == 1:  # the chunk's own masks, at lane 0
-        moves, ups = [list(m.items()) for m in moves[0]], [[(j, 0) for j in up] for up in ups[0]]
-        return moves, ups, rows[0], fulls[0], chunks
     lanes, full, worlds = [lane for lane, *_ in chunks[1:]], (1 << lane) - 1, range(len(ups[0]))
 
     def join(masks: Sequence[int]) -> int:
