@@ -39,8 +39,8 @@ A batch (its atom rows, full row, up-pairs and move masks) depends only
 on the table, the atom count and the chunk width, so batches are kept per
 process for formulas of at most PLANNED_ATOMS = 3 atoms, each built when a
 scan first reaches it. At five worlds in class e they take about 6 MB for
-two atoms and 66 MB for three (tracemalloc); four atoms would take about
-1 GB.
+two atoms and 45 MB for three (tracemalloc); four atoms would take about
+115 MB.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, reduce
+from functools import cache, lru_cache, reduce
 from itertools import islice, permutations, product
 from operator import and_
 from typing import NamedTuple, Optional, Union
@@ -275,13 +275,15 @@ def _with_step(base: DynamicPoset, step: tuple[int, ...]) -> DynamicPoset:
 # validity search
 
 def _repeat(x: int, period: int, total: int) -> int:
-    """The low `period` bits of x repeated up to `total` bits, by doubling."""
-    while period < total:
+    """x < 2**period repeated up to ``total`` bits, a multiple of period, by doubling; then x
+    shifted to the top and its high bits shifted to the bottom, both whole copies, meet."""
+    while 2 * period <= total:
         x |= x << period
         period *= 2
-    return x & ((1 << total) - 1)
+    return x << total - period | x >> 2 * period - total if period < total else x
 
 
+@lru_cache(maxsize=1)
 def _atom_rows(members: Sequence[int], m: int, k: int, slots: int) -> tuple[list[list[int]], int]:
     """Rows of k atoms over a carrier's (valuation, step slot) pairs, and the full row.
 
@@ -290,7 +292,9 @@ def _atom_rows(members: Sequence[int], m: int, k: int, slots: int) -> tuple[list
     of v in base m, most significant first. So bit d of world i's membership
     mask fills block d of ``stride`` bits in each period of m blocks. A mask
     times a comb with teeth stride - 1 apart puts bit d at d * stride (no two
-    partial products meet); narrow blocks come from a string instead.
+    partial products meet); narrow blocks come from a string instead. The
+    last rows are kept: a carrier's chunks come in a row, all but its last
+    with the same slot count.
     """
     total = m**k * slots
     rows = []
@@ -379,12 +383,10 @@ def validity(phi: Formula, semclass: SemanticClass) -> Verdict:
         if k <= PLANNED_ATOMS:
             _PLANS[key] = groups, built
         for b, group in enumerate(groups):
-            if b < len(built):
-                moves, ups, rows, full, chunks = built[b]
-            else:
-                moves, ups, rows, full, chunks = batch = _batch(table, k, group)
-                if k <= PLANNED_ATOMS:
-                    built.append(batch)
+            batch = built[b] if b < len(built) else _batch(table, k, group)
+            if b == len(built) and k <= PLANNED_ATOMS:
+                built.append(batch)
+            moves, ups, rows, full, chunks = batch
             top = eval_sliced(moves, ups, program, dict(zip(names, rows)), full)
             missing = full & ~reduce(and_, top)
             for lane, width, index, first, slots in chunks if missing else ():
