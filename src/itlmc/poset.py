@@ -12,7 +12,6 @@ tuple, which keeps exhaustive search cheap.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
-from copy import copy
 from functools import reduce
 from itertools import zip_longest
 from operator import and_, or_
@@ -123,7 +122,7 @@ class DynamicPoset:
         for a, b in pairs:
             self.up_masks[self.index[a]] |= 1 << self.index[b]
         self.ups = tuple(tuple(j for j in range(self.n) if (up >> j) & 1) for up in self.up_masks)
-        self.up_lanes = tuple(tuple((j, 0) for j in up) for up in self.ups)
+        self.up_lanes = [[(j, 0) for j in up] for up in self.ups]
 
         self._set_step(step)
 
@@ -134,16 +133,10 @@ class DynamicPoset:
         if None in self.step_arr or len(self.step) != self.n:
             missing = [w for w in self.worlds if w not in self.step]
             unknown = sorted(set(self.step) - set(self.worlds))
-            bad_targets = sorted(
-                w for w, v in self.step.items() if v not in self.index
-            )
-            parts = []
-            if missing:
-                parts.append(f"step undefined on {', '.join(missing)}")
-            if unknown:
-                parts.append(f"step defined on unknown {', '.join(unknown)}")
-            if bad_targets:
-                parts.append(f"step maps into unknown worlds at {', '.join(bad_targets)}")
+            bad_targets = sorted(w for w, v in self.step.items() if v not in self.index)
+            parts = [f"step {what} {', '.join(ws)}" for what, ws in (
+                ("undefined on", missing), ("defined on unknown", unknown),
+                ("maps into unknown worlds at", bad_targets)) if ws]
             raise MalformedStep("; ".join(parts))
         self.is_continuous = all(
             (self.up_masks[self.step_arr[i]] >> self.step_arr[j]) & 1
@@ -153,7 +146,9 @@ class DynamicPoset:
 
     def replace_step(self, step: Mapping[str, str]) -> "DynamicPoset":
         """New model on the same poset with a different step function."""
-        other = copy(self)
+        other = object.__new__(DynamicPoset)
+        for name in self.__slots__:
+            setattr(other, name, getattr(self, name))
         other._set_step(step)
         return other
 

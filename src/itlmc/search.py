@@ -260,6 +260,7 @@ def _table(kind: str, n: int) -> tuple[_Carrier, ...]:
     return tuple(table)
 
 
+@cache
 def _poset(n: int, pairs: tuple[tuple[int, int], ...]) -> DynamicPoset:
     """Worlds w0..w{n-1} under the order of the index pairs, with the identity step."""
     worlds = tuple(f"w{i}" for i in range(n))

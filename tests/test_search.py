@@ -467,6 +467,14 @@ def test_sliced_rows_match_kripke_extension(phi, seed):
             assert [(row >> bit) & 1 for row in top] == [w in ext for w in model.worlds]
 
 
+@given(st.integers(1, 70), st.integers(1, 40), st.data())
+def test_repeat_matches_the_pattern_written_out(period, copies, data):
+    # The pattern as a bit string, written out `copies` times and read back.
+    x = data.draw(st.integers(0, 2**period - 1))
+    written = format(x, f"0{period}b") * copies
+    assert search._repeat(x, period, period * copies) == int(written, 2)
+
+
 @settings(max_examples=60, deadline=None)
 @given(formulas(max_leaves=8, allow_weak=True), st.sampled_from("ep"), st.integers(0, 2**32))
 def test_mixed_lane_batch_rows_match_each_chunk_alone_and_kripke_extension(phi, kind, seed):
