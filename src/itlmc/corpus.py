@@ -135,8 +135,6 @@ class FactResult:
 @dataclass(frozen=True)
 class Fact:
     id: str
-    entry_id: str
-    description: str
     run: Callable[[Corpus], FactResult]
 
 
@@ -262,28 +260,11 @@ _NEG, _POS = interval(None, 0), interval(0, None)
 
 def _build_facts() -> list[Fact]:
     facts = [
-        Fact(
-            "fig4-fs/shift-schemas",
-            "fig4-fs",
-            "both shift schemas hold exactly on the two ordered worlds",
-            _fact_fig4_shift,
-        ),
-        Fact(
-            "fig5-cem/failure-at-root",
-            "fig5-cem",
-            "next-excluded-middle fails exactly at the root w0",
-            _fact_fig5_cem,
-        ),
-        Fact(
-            "fs-gap/boxed-repair",
-            "fs-gap",
-            "the unboxed shift implication fails while its boxed form is valid",
-            _fact_fsgap,
-        ),
+        Fact("fig4-fs/shift-schemas", _fact_fig4_shift),
+        Fact("fig5-cem/failure-at-root", _fact_fig5_cem),
+        Fact("fs-gap/boxed-repair", _fact_fsgap),
         Fact(
             "r-double/distribution-gap",
-            "r-double",
-            "constant-domain distribution and backward induction fail only at 0",
             _real_fact(
                 "r-double",
                 [
@@ -299,8 +280,6 @@ def _build_facts() -> list[Fact]:
         ),
         Fact(
             "r-kinked/weak-box-split",
-            "r-kinked",
-            "weak henceforth is nonempty while strong henceforth collapses",
             _real_fact(
                 "r-kinked",
                 [
@@ -320,8 +299,6 @@ def _build_facts() -> list[Fact]:
         ),
         Fact(
             "r-const/shift-failure",
-            "r-const",
-            "the next-shift schema has empty extension",
             _real_fact(
                 "r-const",
                 [
@@ -333,8 +310,6 @@ def _build_facts() -> list[Fact]:
         ),
         Fact(
             "r-shift/endpoint-drift",
-            "r-shift",
-            "henceforth of the left ray is empty, flagged as extrapolated",
             _real_fact(
                 "r-shift",
                 [
@@ -346,26 +321,16 @@ def _build_facts() -> list[Fact]:
                 "translation drains the left ray: henceforth is empty by endpoint drift",
             ),
         ),
-        Fact(
-            "fig6-edges/all-verified",
-            "fig6-edges",
-            "every strictness edge certificate verifies",
-            _fact_edges,
-        ),
+        Fact("fig6-edges/all-verified", _fact_edges),
     ]
     deriv_ids = [
         "d-wh", "d-fs", "d-fs-plus", "d-cd-bi", "d-bi-cd", "d-yuse-1",
         "d-yuse-2", "d-cem-itl+", "d-cdm-from-cd", "d-ax-fs", "d-ax-cd",
         "d-ax-cdm", "d-ax-cem",
     ]
+    facts += [Fact(f"{e}/accepted", _derivation_fact(e)) for e in deriv_ids]
     facts += [
-        Fact(f"{e}/accepted", e, "bundled derivation checks in its stated logic",
-             _derivation_fact(e))
-        for e in deriv_ids
-    ]
-    facts += [
-        Fact(f"{e}/axiom-spot-check", e, "random core-axiom instances are valid on this system",
-             _axiom_spot_fact(e))
+        Fact(f"{e}/axiom-spot-check", _axiom_spot_fact(e))
         for e in ("r-double", "r-kinked", "r-const", "r-shift")
     ]
     return facts
@@ -387,5 +352,5 @@ def paper_suite(
     return [
         (fact, fact.run(corpus))
         for fact in FACTS
-        if not filter or filter == fact.entry_id or filter in fact.id
+        if not filter or filter in fact.id
     ]

@@ -265,7 +265,7 @@ def translate_weak(phi: Formula) -> Formula:
     def swap(f: Formula, args: tuple) -> Formula:
         op = type(f)
         if op is WeakBox:
-            raise ValueError("formula mixes both henceforth flavors")
+            raise InputError("formula mixes both henceforth flavors")
         return (WeakBox if op is StrongBox else op)(*args) if args else f
 
     return fold(phi, swap)

@@ -212,7 +212,7 @@ def _check_subst(schema: Schema, subst: dict[str, Formula]) -> None:
     metavars = schema.metavars
     for name in subst:
         if name not in metavars:
-            raise ValueError(f"axiom {schema.name!r} has no metavariable {name!r}")
+            raise InputError(f"axiom {schema.name!r} has no metavariable {name!r}")
     for name in metavars:
         if name not in subst:
             raise MissingMetavariable(
@@ -489,7 +489,7 @@ def _justify(line: DerivationLine, lines: tuple, logic: LogicSpec) -> Optional[s
             return f"formula does not match axiom {just.schema!r}"
         try:
             _check_subst(schema, just.subst)
-        except ValueError as err:
+        except InputError as err:
             return str(err)
         if _match_into(schema.template, phi, dict(just.subst), weak):
             return None

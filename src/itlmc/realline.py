@@ -12,11 +12,13 @@ form (sorted, pairwise disjoint, never adjacent) by linear sweeps; only
 `IntervalSet.of` sorts. So structural equality is set equality. Each map
 keeps the preimage of every component it has pulled back for its lifetime.
 
-Henceforth operators are computed by a decreasing preimage chain with
-branch-stabilized affine extrapolation; every extrapolated limit is verified
-to be a genuine fixpoint before it is trusted. Results carry a status,
-ordered exact < extrapolated < undetermined, and a value takes the worst
-status of its operands and its operator.
+Both henceforth operators run one loop, `_box`: a decreasing preimage chain
+with branch-stabilized affine extrapolation, each extrapolated limit verified
+to be a genuine fixpoint before it is trusted. The weak box is the limit's
+interior; the strong box restarts from it unless it is invariant, tested by
+pulling back (f(T) lies in T iff T lies in preimage(T)). Results carry a
+status, ordered exact < extrapolated < undetermined, and a value takes the
+worst status of its operands and its operator.
 """
 
 from __future__ import annotations
@@ -318,24 +320,12 @@ class PiecewiseAffineMap:
 
     def is_open(self) -> bool:
         """Open iff no flat piece and all slopes share a sign (invertible)."""
-        slopes = [a for a, _ in self.pieces]
-        if any(a == 0 for a in slopes):
-            return False
-        return all(a > 0 for a in slopes) or all(a < 0 for a in slopes)
+        return None not in self._inverses and len(set(self._rising)) == 1
 
     def apply(self, x) -> Fraction:
         x = Fraction(x)
         a, c = self.pieces[bisect_left(self.breakpoints, x)]
         return a * x + c
-
-    def image(self, s: IntervalSet) -> IntervalSet:
-        out = []
-        for (a, c), dom in zip(self.pieces, self._domains):
-            for comp in s.components:
-                clip = _intersect(comp, dom)
-                if clip is not None:
-                    out.append(_affine(clip, a, c) if a else Interval(c, True, c, True))
-        return IntervalSet.of(out)
 
     def preimage(self, s: IntervalSet) -> IntervalSet:
         rows = [self._memo.get(comp) or self._pull_back(comp) for comp in s.components]
@@ -521,22 +511,20 @@ def _chain_limit(
     return limit, Status.EXTRAPOLATED
 
 
-def _weak_box(pwmap: PiecewiseAffineMap, child: IntervalSet, caps: EvalCaps):
-    limit, status = _chain_limit(pwmap, child, caps)
-    return (None if limit is None else limit.interior()), status
-
-
-def _strong_box(pwmap: PiecewiseAffineMap, child: IntervalSet, caps: EvalCaps):
-    """Greatest invariant open subset of child, chain plus interior restarts."""
+def _box(pwmap: PiecewiseAffineMap, child: IntervalSet, caps: EvalCaps, strong: bool):
+    """Henceforth of an open child. The weak box is the interior of the chain
+    limit, the loop's first round without the invariance test. The strong box
+    is the greatest invariant open subset: the chain restarts from an
+    extrapolated limit's interior unless that interior is invariant."""
     target, status = child, Status.EXACT
     for _ in range(caps.restart + 1):
         limit, chain = _chain_limit(pwmap, target, caps)
         if chain is not Status.EXTRAPOLATED:
-            # An Exact chain limit is open and invariant already; an
-            # Undetermined one ends the search.
+            # An Exact chain limit of an open target is open and invariant
+            # already; an Undetermined one ends the search.
             return limit, worst_status(status, chain)
         status, target = Status.EXTRAPOLATED, limit.interior()
-        if pwmap.image(target).is_subset(target):
+        if not strong or target.is_subset(pwmap.preimage(target)):
             return target, status
     return None, Status.UNDETERMINED
 
@@ -554,8 +542,8 @@ _OPS = {
     Implies: lambda f, caps, x, y: (x.complement().union(y).interior(), Status.EXACT),
     Next: lambda f, caps, x, y: (f.preimage(x), Status.EXACT),
     Eventually: lambda f, caps, x, y: _eventually(f, x, caps),
-    StrongBox: lambda f, caps, x, y: _strong_box(f, x, caps),
-    WeakBox: lambda f, caps, x, y: _weak_box(f, x, caps),
+    StrongBox: lambda f, caps, x, y: _box(f, x, caps, strong=True),
+    WeakBox: lambda f, caps, x, y: _box(f, x, caps, strong=False),
 }
 
 

@@ -86,7 +86,7 @@ class SemanticClass:
 
     def __post_init__(self):
         if self.kind not in ("e", "p"):
-            raise ValueError(f"unknown semantic class {self.kind!r}")
+            raise InputError(f"unknown semantic class {self.kind!r}")
         if self.bound < 1:
             raise BoundTooLarge("bound must be at least 1")
         if self.bound > MAX_BOUND:

@@ -20,6 +20,7 @@ from itlmc import (
     IntervalSet,
     Next,
     Or,
+    PiecewiseAffineMap,
     StrongBox,
     WeakBox,
     eval_formula,
@@ -271,3 +272,19 @@ def random_interval_set(rng: random.Random, max_pieces: int = 4) -> IntervalSet:
 
 def random_point(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-60, 60), rng.randint(1, 12))
+
+
+MAP_SLOPES = tuple(Fraction(a) for a in ("-2", "-1", "-1/3", "0", "1/2", "1", "3"))
+
+
+def random_map(rng: random.Random) -> PiecewiseAffineMap:
+    """A random continuous map with up to two breakpoints, flat pieces and
+    negative slopes."""
+    ends = (Fraction(rng.randint(-12, 12), rng.randint(1, 4)) for _ in range(rng.randint(0, 2)))
+    breakpoints = sorted(set(ends))
+    pieces = [(rng.choice(MAP_SLOPES), Fraction(rng.randint(-12, 12), rng.randint(1, 3)))]
+    for b in breakpoints:
+        a, c = pieces[-1]
+        slope = rng.choice(MAP_SLOPES)
+        pieces.append((slope, a * b + c - slope * b))
+    return PiecewiseAffineMap.from_pieces(breakpoints, pieces)

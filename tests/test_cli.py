@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -159,16 +160,27 @@ def test_validate(capsys):
     assert "valid in class p up to 3 worlds" in out
 
 
-def test_validate_output_matches_readme(capsys):
-    command = '$ itlmc validate --class e --bound 3 "(O p -> O q) -> O (p -> q)"\n'
+# Every `$ itlmc` example whose output README prints in full, with the exit
+# code README documents for its verdict.
+README_EXAMPLES = [
+    ('parse "[]p -> [](p | q)"', 0),
+    ('check --model corpus/poset/fig4-fs.dpm "(<>p -> []q) -> [](p -> q)"', 1),
+    ('real-check --system corpus/real/r-kinked.rds "[*]p"', 1),
+    ('validate --class e --bound 3 "(O p -> O q) -> O (p -> q)"', 1),
+    ("prove --logic ITL.db corpus/deriv/d-wh.drv", 0),
+    ("paper-suite --filter fig4", 0),
+]
+
+
+@pytest.mark.parametrize(
+    "command, code", README_EXAMPLES, ids=[command.split()[0] for command, _ in README_EXAMPLES]
+)
+def test_output_matches_readme(capsys, command, code):
     text = (ROOT / "README.md").read_text()
-    start = text.index(command) + len(command)
+    line = f"$ itlmc {command}\n"
+    start = text.index(line) + len(line)
     expected = text[start:text.index("\n\n$ ", start) + 1]
-    code, out, _ = run(
-        capsys, "validate", "--class", "e", "--bound", "3", "(O p -> O q) -> O (p -> q)"
-    )
-    assert code == 1
-    assert out == expected
+    assert run(capsys, *shlex.split(command))[:2] == (code, expected)
 
 
 def test_countermodel_output_is_independent_of_hash_seed():

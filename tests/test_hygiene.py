@@ -14,9 +14,11 @@ from itlmc import (
     build_separation_matrix,
     check,
     get_logic,
+    instantiate,
     paper_suite,
     parse_derivation,
     parse_formula,
+    translate_weak,
     validity,
 )
 from itlmc.cli import main
@@ -161,3 +163,12 @@ def test_every_exception_class_is_an_input_error():
     ]
     assert len(classes) > 10
     assert [c.__name__ for c in classes if not issubclass(c, InputError)] == []
+    # Public calls on malformed input raise it too, not a bare ValueError.
+    p = parse_formula("p")
+    for call in (
+        lambda: SemanticClass("x", 3),
+        lambda: instantiate(get_logic("ITL.db").axioms["vi"], {"phi": p, "psi": p, "chi": p}),
+        lambda: translate_weak(parse_formula("[]p & [*]p")),
+    ):
+        with pytest.raises(InputError):
+            call()
