@@ -337,6 +337,17 @@ def test_separate_runs_clean(capsys):
     assert "18/18 edges verified" in out
 
 
+def test_corpus_commands_print_their_frozen_output(capsys):
+    # `separate` and `paper-suite` on the bundled corpus, plain and records.
+    got = []
+    for argv in (["separate"], ["--format", "records", "separate"],
+                 ["paper-suite"], ["--format", "records", "paper-suite"]):
+        code, out, err = run(capsys, *argv)
+        assert err == ""
+        got.append(f"$ itlmc {' '.join(argv)}  # exit {code}\n{out}")
+    assert "".join(got) == (Path(__file__).parent / "corpus_outputs.txt").read_text()
+
+
 @pytest.mark.parametrize("text, start, end", [
     ("map: x/0\n", 7, 8),
     ("map: 1/0*x\n", 5, 8),
@@ -384,16 +395,58 @@ def test_separate_bad_edge_formula_reports_a_file_offset(capsys, tmp_path):
     )
 
 
-def test_separate_fails_edges_whose_point_is_not_in_the_witness(capsys, tmp_path):
-    root = _corpus_with_edges(
-        tmp_path,
-        lambda t: t.replace("point=w;", "point=zzz;", 1).replace("point=-1;", "point=abc;", 1),
-    )
+# Each row edits the bundled edge file once (the first match) and names the
+# edge line it breaks, the detail that line must carry and the verified count.
+_FS = "formula=(O p -> O q) -> O(p -> q); "
+_CD = "formula=[](p | q) -> []p | <>q; witness=r-double; "
+
+
+@pytest.mark.parametrize("old, new, line, detail, verified", [
+    # witness on a poset model
+    ("from=CDTL; to=ITL+;", "from=RTL; to=ITL+;", "RTL -> ITL+ [dashed, fs-next]",
+     "witness structure poset-e is not sound for RTL", 17),
+    ("point=w;", "point=zzz;", "ITL -> ITL+ [solid, fs-next]",
+     "point 'zzz' is not a world of fig4-fs; axioms included", 17),
+    ("point=w;", "point=v;", "ITL -> ITL+ [solid, fs-next]",
+     "formula holds at v; axioms included", 17),
+    (f"from=CDTL; to=ITL+; style=dashed; label=fs-next; {_FS}witness=fig4-fs; point=w;",
+     f"from=RTL; to=ITL+; style=dashed; label=fs-next; {_FS}witness=fig4-fs; point=zzz;",
+     "RTL -> ITL+ [dashed, fs-next]", "witness structure poset-e is not sound for RTL", 17),
+    # witness on a real-line system
+    ("from=RTL; to=ITL+;", "from=CDTL; to=ITL+;", "CDTL -> ITL+ [dashed, fs-next]",
+     "witness structure real is not sound for CDTL", 17),
+    ("point=-1;", "point=abc;", "RTL -> ITL+ [dashed, fs-next]",
+     "point 'abc' is not a rational number", 17),
+    ("point=0;", "point=1;", "ITL+ -> CDTL [dashed, cd]", "formula holds at 1", 17),
+    (_CD, "formula=<>~p; witness=r-double; ", "ITL+ -> CDTL [dashed, cd]",
+     "derivation does not certify this edge; witness evaluation is undetermined", 17),
+    (_CD + "point=0;", "formula=<>~p; witness=r-double; point=abc;", "ITL+ -> CDTL [dashed, cd]",
+     "derivation does not certify this edge; witness evaluation is undetermined", 17),
+    # witness of another kind
+    ("witness=fig5-cem", "witness=d-wh", "CDTL -> RTL [dashed, cem]",
+     "witness d-wh has unusable kind derivation", 17),
+    # derivation
+    ("logic=ITL+.db", "logic=ITL.db", "ITL -> ITL+ [solid, fs-next]",
+     "derivation rejected: axiom 'fs-next' is not part of ITL.db; "
+     "falsified at w on fig4-fs (poset-e); axioms included", 17),
+    ("logic=ITL+.db", "logic=ETL+.db", "ITL -> ITL+ [solid, fs-next]",
+     "derivation does not certify this edge; falsified at w on fig4-fs (poset-e); axioms included",
+     17),
+    # inclusion evidence
+    ("inclusion=cem:d-cem-itl+", "inclusion=", "RTL -> ETL+ [solid, fs-next]",
+     "falsified at -1 on r-const (real); no evidence that ETL+ derives axiom cem", 17),
+    ("inclusion=cem:d-cem-itl+", "inclusion=cem:d-ax-cd", "RTL -> ETL+ [solid, fs-next]",
+     "falsified at -1 on r-const (real); evidence d-ax-cd rejected: "
+     "axiom 'cd' is not part of ETL+.db", 17),
+    ("inclusion=cem:d-cem-itl+", "inclusion=cem:d-ax-fs", "RTL -> ETL+ [solid, fs-next]",
+     "falsified at -1 on r-const (real); evidence d-ax-fs proves the wrong formula", 17),
+])
+def test_separate_fails_each_broken_certificate(capsys, tmp_path, old, new, line, detail, verified):
+    root = _corpus_with_edges(tmp_path, lambda t: t.replace(old, new, 1))
     code, out, _ = run(capsys, "separate", "--corpus", str(root))
     assert code == 1
-    assert "point 'zzz' is not a world of fig4-fs" in out
-    assert "point 'abc' is not a rational number" in out
-    assert out.endswith("16/18 edges verified\n")
+    assert [l for l in out.splitlines() if l.startswith("FAIL")] == [f"FAIL {line}: {detail}"]
+    assert out.endswith(f"\n{verified}/18 edges verified\n")
 
 
 _KINDS = {"fig4-fs": "poset-model", "r-const": "real-system", "d-wh": "derivation", "fig6-edges": "edge"}
