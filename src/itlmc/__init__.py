@@ -40,6 +40,7 @@ from .formula import (
     wh,
 )
 from .parser import (
+    EdgeSpec,
     MalformedEncoding,
     ParseError,
     SourceSpan,
@@ -104,7 +105,6 @@ from .search import (
     BoundTooLarge,
     Countermodel,
     EdgeReport,
-    EdgeSpec,
     MAX_BOUND,
     SemanticClass,
     SOUND_STRUCTURES,

@@ -4,12 +4,15 @@ Exit codes: 0 for a positive verdict, 1 when a formula or an axiom
 schema is falsified or a derivation rejected, 2 when the evaluator cannot
 determine an answer within its caps, 3 for malformed input (an
 `InputError`, an OS error reading an input path, or a usage error), 4 for
-an internal error. `main` maps exceptions to 3 and 4 in one place.
+an internal error, and 141 when the reader of stdout goes away before the
+output is written (128 + SIGPIPE, what a shell reports for a writer killed
+by SIGPIPE). `main` maps exceptions to these codes in one place.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from dataclasses import replace
@@ -25,6 +28,7 @@ from .parser import (
     parse_formula,
     parse_poset_model,
     parse_real_system,
+    print_extension,
     print_formula,
     print_poset_model,
     read_input,
@@ -80,7 +84,7 @@ def _cmd_check(args) -> int:
     model, valuation = parse_poset_model(read_input(_resolve(args.model)))
     phi = parse_formula(args.formula)
     extension = eval_formula(model, valuation, phi)
-    listed = "{" + ", ".join(w for w in model.worlds if w in extension) + "}"
+    listed = print_extension(model, extension)
     failing = [w for w in model.worlds if w not in extension]
     if failing:
         _emit(
@@ -308,7 +312,14 @@ def main(argv=None) -> int:
         # argparse exits 2 on a usage error, and 2 reads as "undetermined".
         return 3 if stop.code == 2 else stop.code
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # meet a closed stdout here, not at exit
+        return code
+    except BrokenPipeError:
+        # What is still buffered goes to the null device, so that the flush
+        # at exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except INPUT_ERRORS as err:
         print(f"error: {err}", file=sys.stderr)
         return 3

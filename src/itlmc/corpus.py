@@ -16,19 +16,21 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
 
-from .formula import Atom, InputError, cem, fs_dia, fs_next
+from .formula import Atom, InputError
 from .hilbert import LOGICS, check, get_logic, instantiate
 from .parser import (
+    EdgeSpec,
     parse_derivation,
     parse_edges,
     parse_formula,
     parse_poset_model,
     parse_real_system,
+    print_extension,
     read_input,
 )
 from .poset import eval_formula
 from .realline import EMPTY, REALS, Status, eval_real, interval
-from .search import EdgeSpec, build_separation_matrix
+from .search import build_separation_matrix
 
 
 class UnknownEntry(InputError, KeyError):
@@ -138,81 +140,62 @@ class Fact:
     run: Callable[[Corpus], FactResult]
 
 
-def _expect_real(outcome, want_value, want_status, label: str) -> FactResult:
-    if outcome.value != want_value:
-        return FactResult(False, f"{label}: expected {want_value}, got {outcome.value}")
-    if want_status is not None and outcome.status is not want_status:
-        return FactResult(
-            False, f"{label}: expected status {want_status.name}, got {outcome.status.name}"
-        )
-    suffix = f" [{outcome.status.name.lower()}]" if want_status else ""
-    return FactResult(True, f"{label} = {outcome.value}{suffix}")
+def _extension_fact(fact_id: str, checks, summary: str, also: Optional[Callable] = None) -> Fact:
+    # A fact on the entry its id names before the "/". Each check is
+    # (formula, extension, status or None for any status). On a poset model
+    # the extension is its worlds in model order, as "{v, u}", and has no
+    # status. `also(corpus, structure)` checks the rest of the fact, after
+    # the extensions: a failure note, or None.
+    entry_id = fact_id.partition("/")[0]
+
+    def run(corpus: Corpus) -> FactResult:
+        # `load` refuses any other kind as not a real-system.
+        kind = "poset-model" if corpus.kind_of(entry_id) == "poset-model" else "real-system"
+        structure = corpus.load(entry_id, kind)
+        for text, want, want_status in checks:
+            phi = parse_formula(text)
+            if kind == "real-system":
+                outcome = eval_real(structure, phi)
+                got, status = outcome.value, outcome.status
+            else:
+                model, valuation = structure
+                got, status = print_extension(model, eval_formula(model, valuation, phi)), None
+            if got != want:
+                return FactResult(False, f"{text}: expected {want}, got {got}")
+            if want_status is not None and status is not want_status:
+                return FactResult(
+                    False, f"{text}: expected status {want_status.name}, got {status.name}"
+                )
+        note = also(corpus, structure) if also else None
+        return FactResult(note is None, note or summary)
+
+    return Fact(fact_id, run)
 
 
-def _fact_fig4_shift(corpus: Corpus) -> FactResult:
-    model, valuation = corpus.load("fig4-fs", "poset-model")
-    want = frozenset({"v", "u"})
-    for name, phi in (
-        ("eventually-shift", fs_dia(Atom("p"), Atom("q"))),
-        ("next-shift", fs_next(Atom("p"), Atom("q"))),
-    ):
-        got = eval_formula(model, valuation, phi)
-        if got != want:
-            return FactResult(False, f"{name}: expected {set(want)}, got {set(got)}")
-    if not model.is_continuous or model.is_open:
-        return FactResult(False, "expected a continuous, non-open step")
-    return FactResult(True, "both shift schemas hold exactly on {v, u}")
+def _non_open_step(corpus: Corpus, structure) -> Optional[str]:
+    model, _ = structure
+    ok = model.is_continuous and not model.is_open
+    return None if ok else "expected a continuous, non-open step"
 
 
-def _fact_fig5_cem(corpus: Corpus) -> FactResult:
-    model, valuation = corpus.load("fig5-cem", "poset-model")
-    got = eval_formula(model, valuation, cem(Atom("p"), Atom("q")))
-    want = frozenset({"w1", "v0", "v1", "v2"})
-    if got != want:
-        return FactResult(False, f"expected {set(want)}, got {set(got)}")
-    return FactResult(True, "next-excluded-middle fails exactly at w0")
-
-
-def _fact_fsgap(corpus: Corpus) -> FactResult:
-    model, valuation = corpus.load("fs-gap", "poset-model")
-    unboxed = eval_formula(
-        model,
-        valuation,
-        parse_formula("((O <>p -> O []q) -> O(<>p -> []q)) -> ((<>p -> []q) -> [](p -> q))"),
-    )
-    if unboxed != frozenset({"a", "b", "u"}):
-        return FactResult(False, f"unboxed implication: got {set(unboxed)}")
+def _boxed_repair(corpus: Corpus, structure) -> Optional[str]:
+    model, valuation = structure
     boxed = eval_formula(model, valuation, corpus.load("d-fs", "derivation").theorem)
     if boxed != frozenset(model.worlds):
-        return FactResult(False, f"boxed repair: got {set(boxed)}")
-    return FactResult(True, "unboxed shift implication fails at x; boxed repair is valid")
+        return f"boxed repair: got {print_extension(model, boxed)}"
+    return None
 
 
-def _real_fact(entry_id: str, checks, summary: str) -> Callable[[Corpus], FactResult]:
-    # Each check is (formula, extension, status or None for any status).
-    def run(corpus: Corpus) -> FactResult:
-        system = corpus.load(entry_id, "real-system")
-        for text, want, status in checks:
-            res = _expect_real(eval_real(system, parse_formula(text)), want, status, text)
-            if not res.ok:
-                return res
-        return FactResult(True, summary)
-
-    return run
-
-
-def _derivation_fact(entry_id: str) -> Callable[[Corpus], FactResult]:
+def _derivation_fact(entry_id: str) -> Fact:
     def run(corpus: Corpus) -> FactResult:
         entry = corpus.get(entry_id)
         derivation = corpus.load(entry_id, "derivation")
         result = check(derivation, get_logic(entry.logic))
         if not result.ok:
-            return FactResult(
-                False, f"rejected at line {result.failed_line}: {result.reason}"
-            )
+            return FactResult(False, f"rejected at line {result.failed_line}: {result.reason}")
         return FactResult(True, f"accepted ({result.line_count} lines)")
 
-    return run
+    return Fact(f"{entry_id}/accepted", run)
 
 
 def _fact_edges(corpus: Corpus) -> FactResult:
@@ -230,7 +213,7 @@ def _fact_edges(corpus: Corpus) -> FactResult:
     )
 
 
-def _axiom_spot_fact(entry_id: str) -> Callable[[Corpus], FactResult]:
+def _axiom_spot_fact(entry_id: str) -> Fact:
     # Soundness spot check: random axiom instances of the core system
     # must be valid (and determinable) on each bundled real system.
     def run(corpus: Corpus) -> FactResult:
@@ -252,7 +235,7 @@ def _axiom_spot_fact(entry_id: str) -> Callable[[Corpus], FactResult]:
                 )
         return FactResult(True, "20 random core-axiom instances all valid")
 
-    return run
+    return Fact(f"{entry_id}/axiom-spot-check", run)
 
 
 _NEG, _POS = interval(None, 0), interval(0, None)
@@ -260,66 +243,74 @@ _NEG, _POS = interval(None, 0), interval(0, None)
 
 def _build_facts() -> list[Fact]:
     facts = [
-        Fact("fig4-fs/shift-schemas", _fact_fig4_shift),
-        Fact("fig5-cem/failure-at-root", _fact_fig5_cem),
-        Fact("fs-gap/boxed-repair", _fact_fsgap),
-        Fact(
+        _extension_fact(
+            "fig4-fs/shift-schemas",
+            [
+                ("(<>p -> []q) -> [](p -> q)", "{v, u}", None),
+                ("(O p -> O q) -> O(p -> q)", "{v, u}", None),
+            ],
+            "both shift schemas hold exactly on {v, u}",
+            _non_open_step,
+        ),
+        _extension_fact(
+            "fig5-cem/failure-at-root",
+            [("~O p & O~~p -> O q | ~O q", "{w1, v0, v1, v2}", None)],
+            "next-excluded-middle fails exactly at w0",
+        ),
+        _extension_fact(
+            "fs-gap/boxed-repair",
+            [
+                ("((O <>p -> O []q) -> O(<>p -> []q)) -> ((<>p -> []q) -> [](p -> q))",
+                 "{a, b, u}", None),
+            ],
+            "unboxed shift implication fails at x; boxed repair is valid",
+            _boxed_repair,
+        ),
+        _extension_fact(
             "r-double/distribution-gap",
-            _real_fact(
-                "r-double",
-                [
-                    ("[]p", _NEG, Status.EXTRAPOLATED),
-                    ("[*]p", _NEG, Status.EXTRAPOLATED),
-                    ("<>q", _POS, Status.EXACT),
-                    ("[](p | q) -> []p | <>q", _NEG.union(_POS), None),
-                    ("[](p | q) & [](O q -> q) -> []p | q", _NEG.union(_POS), None),
-                    ("~O p & O~~p -> O q | ~O q", REALS, None),
-                ],
-                "distribution fails only at 0; henceforth extrapolates to (-inf, 0)",
-            ),
+            [
+                ("[]p", _NEG, Status.EXTRAPOLATED),
+                ("[*]p", _NEG, Status.EXTRAPOLATED),
+                ("<>q", _POS, Status.EXACT),
+                ("[](p | q) -> []p | <>q", _NEG.union(_POS), None),
+                ("[](p | q) & [](O q -> q) -> []p | q", _NEG.union(_POS), None),
+                ("~O p & O~~p -> O q | ~O q", REALS, None),
+            ],
+            "distribution fails only at 0; henceforth extrapolates to (-inf, 0)",
         ),
-        Fact(
+        _extension_fact(
             "r-kinked/weak-box-split",
-            _real_fact(
-                "r-kinked",
-                [
-                    ("[*]p", _NEG, Status.EXTRAPOLATED),
-                    ("[]p", EMPTY, None),
-                    ("O [*]p", EMPTY, None),
-                    ("[*]O p", _NEG, None),
-                    ("[*][*]p", EMPTY, Status.EXTRAPOLATED),
-                    ("[*]p -> O [*]p", _POS, None),
-                    ("[*]O p -> O [*]p", _POS, None),
-                    ("[*]p -> [*][*]p", _POS, None),
-                    ("~O p & O~~p -> O q | ~O q", REALS, Status.EXACT),
-                    ("[](p -> O p) -> (p -> []p)", REALS, None),
-                ],
-                "weak and strong henceforth split; the weak flavor is not forward-stable",
-            ),
+            [
+                ("[*]p", _NEG, Status.EXTRAPOLATED),
+                ("[]p", EMPTY, None),
+                ("O [*]p", EMPTY, None),
+                ("[*]O p", _NEG, None),
+                ("[*][*]p", EMPTY, Status.EXTRAPOLATED),
+                ("[*]p -> O [*]p", _POS, None),
+                ("[*]O p -> O [*]p", _POS, None),
+                ("[*]p -> [*][*]p", _POS, None),
+                ("~O p & O~~p -> O q | ~O q", REALS, Status.EXACT),
+                ("[](p -> O p) -> (p -> []p)", REALS, None),
+            ],
+            "weak and strong henceforth split; the weak flavor is not forward-stable",
         ),
-        Fact(
+        _extension_fact(
             "r-const/shift-failure",
-            _real_fact(
-                "r-const",
-                [
-                    ("(<>p -> []q) -> [](p -> q)", _POS, Status.EXACT),
-                    ("(O p -> O q) -> O(p -> q)", EMPTY, Status.EXACT),
-                ],
-                "next-shift fails everywhere, eventually-shift only on the closed left ray",
-            ),
+            [
+                ("(<>p -> []q) -> [](p -> q)", _POS, Status.EXACT),
+                ("(O p -> O q) -> O(p -> q)", EMPTY, Status.EXACT),
+            ],
+            "next-shift fails everywhere, eventually-shift only on the closed left ray",
         ),
-        Fact(
+        _extension_fact(
             "r-shift/endpoint-drift",
-            _real_fact(
-                "r-shift",
-                [
-                    ("<>p", _NEG, Status.EXACT),
-                    ("[]p", EMPTY, Status.EXTRAPOLATED),
-                    ("[*]p", EMPTY, Status.EXTRAPOLATED),
-                    ("[](p -> O p) -> (p -> []p)", REALS, None),
-                ],
-                "translation drains the left ray: henceforth is empty by endpoint drift",
-            ),
+            [
+                ("<>p", _NEG, Status.EXACT),
+                ("[]p", EMPTY, Status.EXTRAPOLATED),
+                ("[*]p", EMPTY, Status.EXTRAPOLATED),
+                ("[](p -> O p) -> (p -> []p)", REALS, None),
+            ],
+            "translation drains the left ray: henceforth is empty by endpoint drift",
         ),
         Fact("fig6-edges/all-verified", _fact_edges),
     ]
@@ -328,11 +319,8 @@ def _build_facts() -> list[Fact]:
         "d-yuse-2", "d-cem-itl+", "d-cdm-from-cd", "d-ax-fs", "d-ax-cd",
         "d-ax-cdm", "d-ax-cem",
     ]
-    facts += [Fact(f"{e}/accepted", _derivation_fact(e)) for e in deriv_ids]
-    facts += [
-        Fact(f"{e}/axiom-spot-check", _axiom_spot_fact(e))
-        for e in ("r-double", "r-kinked", "r-const", "r-shift")
-    ]
+    facts += [_derivation_fact(e) for e in deriv_ids]
+    facts += [_axiom_spot_fact(e) for e in ("r-double", "r-kinked", "r-const", "r-shift")]
     return facts
 
 

@@ -52,7 +52,6 @@ from .realline import (
     RealSystem,
     make_interval,
 )
-from .search import EdgeSpec
 
 
 @dataclass(frozen=True)
@@ -377,6 +376,11 @@ def print_poset_model(model: DynamicPoset, valuation: Valuation) -> str:
     return "\n".join(lines) + "\n"
 
 
+def print_extension(model: DynamicPoset, extension) -> str:
+    """The worlds of the extension in model order, as "{v, u}"."""
+    return "{" + ", ".join(w for w in model.worlds if w in extension) + "}"
+
+
 # --------------------------------------------------------------------------
 # intervals, interval sets
 
@@ -685,6 +689,29 @@ def parse_derivation(text: str) -> Derivation:
 
 # --------------------------------------------------------------------------
 # edge files
+
+@dataclass(frozen=True)
+class EdgeSpec:
+    """One arrow of the logic-inclusion diagram.
+
+    Solid edges claim proper inclusion (source strictly below target);
+    dashed edges only claim the target is not below the source.  The
+    formula belongs to the target and fails somewhere the source is
+    sound; `witness` names the falsifying corpus model ("out-of-scope:"
+    entries document witnesses outside the mechanized structure classes).
+    """
+
+    source: str
+    target: str
+    style: str
+    label: str
+    formula: Formula
+    witness: str
+    point: str
+    derivation: str
+    logic: str
+    inclusion: tuple[tuple[str, str], ...] = ()
+
 
 # The fields of an edge line, in EdgeSpec's field order.
 _EDGE_KEYS = (

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from .formula import (
@@ -380,6 +380,12 @@ class EvalCaps:
     orbit: int = 128
     window: int = 8
     components: int = 64
+
+    def __post_init__(self):
+        for cap in fields(self):
+            value = getattr(self, cap.name)
+            if not isinstance(value, int) or value < 0:
+                raise InputError(f"cap {cap.name!r} needs a non-negative integer, found {value!r}")
 
 
 class MalformedSystem(InputError):

@@ -51,10 +51,11 @@ from fractions import Fraction
 from functools import cache, lru_cache, reduce
 from itertools import islice, permutations, product
 from operator import and_
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Union
 
 from .formula import Atom, Formula, InputError, translate_weak, walk
 from .hilbert import LogicSpec, Schema, check, get_logic, instantiate
+from .parser import EdgeSpec
 from .poset import DynamicPoset, Valuation, eval_formula, eval_sliced, lift_misses
 from .realline import eval_real
 
@@ -453,82 +454,59 @@ OUT_OF_SCOPE_PREFIX = "out-of-scope:"
 
 
 @dataclass(frozen=True)
-class EdgeSpec:
-    """One arrow of the logic-inclusion diagram.
-
-    Solid edges claim proper inclusion (source strictly below target);
-    dashed edges only claim the target is not below the source.  The
-    formula belongs to the target and fails somewhere the source is
-    sound; `witness` names the falsifying corpus model ("out-of-scope:"
-    entries document witnesses outside the mechanized structure classes).
-    """
-
-    source: str
-    target: str
-    style: str
-    label: str
-    formula: Formula
-    witness: str
-    point: str
-    derivation: str
-    logic: str
-    inclusion: tuple[tuple[str, str], ...] = ()
-
-
-@dataclass(frozen=True)
 class EdgeReport:
     edge: EdgeSpec
-    derivation_ok: bool
-    witness_status: str  # verified | out-of-scope | failed
-    inclusion_ok: Optional[bool]  # None for dashed edges
+    ok: bool
     detail: str
 
-    @property
-    def ok(self) -> bool:
-        return (
-            self.derivation_ok
-            and self.witness_status != "failed"
-            and self.inclusion_ok is not False
-        )
+
+def _verify_derivation(edge: EdgeSpec, corpus) -> tuple[bool, str]:
+    derivation = corpus.load(edge.derivation, "derivation")
+    logic = get_logic(edge.logic)
+    result = check(derivation, logic)
+    if not result.ok:
+        return False, f"derivation rejected: {result.reason}"
+    if logic.base_name != edge.target or derivation.theorem != edge.formula:
+        return False, "derivation does not certify this edge"
+    return True, ""
 
 
-def _verify_witness(edge: EdgeSpec, corpus) -> tuple[str, str]:
+def _verify_witness(edge: EdgeSpec, corpus) -> tuple[bool, str]:
     if edge.witness.startswith(OUT_OF_SCOPE_PREFIX):
-        return "out-of-scope", edge.witness[len(OUT_OF_SCOPE_PREFIX):]
+        return True, edge.witness[len(OUT_OF_SCOPE_PREFIX):]
     kind = corpus.kind_of(edge.witness)
     sound_for = SOUND_STRUCTURES[get_logic(f"{edge.source}.db").base_name]
+    if kind not in ("poset-model", "real-system"):
+        return False, f"witness {edge.witness} has unusable kind {kind}"
+    witness = corpus.load(edge.witness, kind)
     if kind == "poset-model":
-        model, valuation = corpus.load(edge.witness, kind)
+        model, valuation = witness
         tag = "poset-p" if model.is_open else "poset-e"
-        if tag not in sound_for:
-            return "failed", f"witness structure {tag} is not sound for {edge.source}"
+    else:
+        tag = "real-open" if witness.map.is_open() else "real"
+    if tag not in sound_for:
+        return False, f"witness structure {tag} is not sound for {edge.source}"
+    if kind == "poset-model":
         if edge.point not in model.index:
-            return "failed", f"point {edge.point!r} is not a world of {edge.witness}"
-        ext = eval_formula(model, valuation, edge.formula)
-        if edge.point in ext:
-            return "failed", f"formula holds at {edge.point}"
-        return "verified", f"falsified at {edge.point} on {edge.witness} ({tag})"
-    if kind == "real-system":
-        system = corpus.load(edge.witness, kind)
-        tag = "real-open" if system.map.is_open() else "real"
-        if tag not in sound_for:
-            return "failed", f"witness structure {tag} is not sound for {edge.source}"
-        outcome = eval_real(system, edge.formula)
-        if outcome.value is None:
-            return "failed", "witness evaluation is undetermined"
+            return False, f"point {edge.point!r} is not a world of {edge.witness}"
+        holds = edge.point in eval_formula(model, valuation, edge.formula)
+    else:
+        value = eval_real(witness, edge.formula).value
+        if value is None:
+            return False, "witness evaluation is undetermined"
         try:
             point = Fraction(edge.point)
         except (ValueError, ZeroDivisionError):
-            return "failed", f"point {edge.point!r} is not a rational number"
-        if outcome.value.contains(point):
-            return "failed", f"formula holds at {edge.point}"
-        return "verified", f"falsified at {edge.point} on {edge.witness} ({tag})"
-    return "failed", f"witness {edge.witness} has unusable kind {kind}"
+            return False, f"point {edge.point!r} is not a rational number"
+        holds = value.contains(point)
+    if holds:
+        return False, f"formula holds at {edge.point}"
+    return True, f"falsified at {edge.point} on {edge.witness} ({tag})"
 
 
-def _verify_inclusion(edge: EdgeSpec, corpus) -> tuple[Optional[bool], str]:
+def _verify_inclusion(edge: EdgeSpec, corpus) -> tuple[bool, str]:
     if edge.style != "solid":
-        return None, ""
+        return True, ""
     src = get_logic(f"{edge.source}.db")
     dst = get_logic(f"{edge.target}.db")
     if not set(src.rules) <= set(dst.rules):
@@ -552,31 +530,18 @@ def _verify_inclusion(edge: EdgeSpec, corpus) -> tuple[Optional[bool], str]:
 
 
 def build_separation_matrix(corpus) -> list[EdgeReport]:
-    """Verify every edge certificate of the bundled inclusion diagram."""
+    """Verify every edge certificate of the bundled inclusion diagram.
+
+    An edge holds when its derivation, its witness and (for a solid edge)
+    its inclusion evidence all check; the detail joins their notes in that
+    order.
+    """
     reports = []
     for edge in corpus.edges():
-        derivation = corpus.load(edge.derivation, "derivation")
-        logic = get_logic(edge.logic)
-        result = check(derivation, logic)
-        derivation_ok = (
-            result.ok
-            and logic.base_name == edge.target
-            and derivation.theorem == edge.formula
-        )
-        details = []
-        if not result.ok:
-            details.append(f"derivation rejected: {result.reason}")
-        elif not derivation_ok:
-            details.append("derivation does not certify this edge")
-        witness_status, note = _verify_witness(edge, corpus)
-        if note:
-            details.append(note)
-        inclusion_ok, inc_note = _verify_inclusion(edge, corpus)
-        if inc_note:
-            details.append(inc_note)
-        reports.append(
-            EdgeReport(
-                edge, derivation_ok, witness_status, inclusion_ok, "; ".join(details)
-            )
-        )
+        checks = [
+            verify(edge, corpus)
+            for verify in (_verify_derivation, _verify_witness, _verify_inclusion)
+        ]
+        detail = "; ".join(note for _, note in checks if note)
+        reports.append(EdgeReport(edge, all(ok for ok, _ in checks), detail))
     return reports

@@ -197,6 +197,26 @@ def test_countermodel_output_is_independent_of_hash_seed():
     assert "order: w2<=w0 w2<=w1\n" in outputs[0]
 
 
+def test_a_reader_that_stops_after_one_line_ends_the_run_with_141():
+    # 300 sweeps print about 16 KB into a 4 KB pipe, so the command is still
+    # writing when the reader closes the pipe after the first line.
+    fcntl = pytest.importorskip("fcntl")
+    if not hasattr(fcntl, "F_SETPIPE_SZ"):
+        pytest.skip("the pipe's capacity cannot be set here")
+    read, write = os.pipe()
+    fcntl.fcntl(write, fcntl.F_SETPIPE_SZ, 4096)
+    argv = [sys.executable, "-m", "itlmc.cli", "sweep", "--bound", "1", *["ITL.db"] * 300]
+    with subprocess.Popen(argv, stdout=write, stderr=subprocess.PIPE, env=_env("0")) as proc:
+        os.close(write)
+        line = b""
+        while not line.endswith(b"\n"):
+            line += os.read(read, 1)
+        os.close(read)
+        err = proc.stderr.read()
+    assert line.startswith(b"ITL.db     class e bound 1: 21 schemas, clean")
+    assert proc.returncode == 141 and err == b""
+
+
 def test_internal_error_is_not_a_verdict(capsys, monkeypatch):
     def fail(*args):
         raise RecursionError("maximum recursion depth exceeded")
@@ -318,6 +338,37 @@ def test_paper_suite_malformed_corpus_file_exits_3(capsys, tmp_path):
     code, out, err = run(capsys, "paper-suite", "--corpus", str(root), "--filter", "d-wh")
     assert code == 3 and out == ""
     assert err == "error: premise reference must be a line number, found 'x' (at 7..11)\n"
+
+
+@pytest.mark.parametrize("path, old, new, line", [
+    ("poset/fig4-fs.dpm", "val p: u", "val p:",
+     "fig4-fs/shift-schemas: (<>p -> []q) -> [](p -> q): expected {v, u}, got {w, v, u}"),
+    ("poset/fig4-fs.dpm", "u->u", "u->v",
+     "fig4-fs/shift-schemas: (O p -> O q) -> O(p -> q): expected {v, u}, got {}"),
+    ("poset/fig5-cem.dpm", "val q: v1 v2", "val q: v2",
+     "fig5-cem/failure-at-root: ~O p & O~~p -> O q | ~O q: "
+     "expected {w1, v0, v1, v2}, got {w0, w1, v0, v1, v2}"),
+    ("poset/fs-gap.dpm", "val p: u", "val p:",
+     "fs-gap/boxed-repair: ((O <>p -> O []q) -> O(<>p -> []q)) -> ((<>p -> []q) -> [](p -> q)): "
+     "expected {a, b, u}, got {x, a, b, u}"),
+    ("deriv/d-fs.drv", "", "1. p ; axiom x\n", "fs-gap/boxed-repair: boxed repair: got {u}"),
+    ("real/r-const.rds", "val p: (0, inf)", "val p: (1, inf)",
+     "r-const/shift-failure: (<>p -> []q) -> [](p -> q): expected (0, inf), got (-inf, inf)"),
+    ("real/r-shift.rds", "val p: (-inf, 0)", "val p: (-inf, 1)",
+     "r-shift/endpoint-drift: <>p: expected (-inf, 0), got (-inf, 1)"),
+    ("real/r-double.rds", "map: 2*x", "map: 2*x\ncaps: iter=1",
+     "r-double/distribution-gap: []p: expected (-inf, 0), got None"),
+])
+def test_paper_suite_fails_each_broken_fact(capsys, tmp_path, path, old, new, line):
+    # Each row edits one corpus file; an empty `old` replaces the whole file.
+    root = tmp_path / "corpus"
+    shutil.copytree(CORPUS, root)
+    target = root / path
+    target.write_text(target.read_text().replace(old, new, 1) if old else new)
+    fact = line.split(":")[0]
+    code, out, _ = run(capsys, "paper-suite", "--corpus", str(root), "--filter", fact)
+    assert code == 1
+    assert out == f"FAIL {line}\n0/1 facts hold\n"
 
 
 def test_records_format(capsys):

@@ -112,3 +112,16 @@ def test_edited_corpus_files_raise_only_input_errors(entry_id, edits):
         corpus.load(entry_id)
     except INPUT_ERRORS:
         pass
+
+
+def test_fig4_fact_asks_for_a_continuous_non_open_step(corpus):
+    # The Fischer Servi schemas hold everywhere on an open model, so no edit
+    # of fig4-fs reaches this check through the extensions it checks first.
+    from itlmc.corpus import _non_open_step
+
+    fig4 = corpus.load("fig4-fs")
+    assert _non_open_step(corpus, fig4) is None
+    model, valuation = fig4
+    opened = model.replace_step({"w": "u", "v": "v", "u": "u"})
+    assert opened.is_continuous and opened.is_open
+    assert _non_open_step(corpus, (opened, valuation)) == "expected a continuous, non-open step"

@@ -8,6 +8,7 @@ import pytest
 
 from itlmc import (
     Corpus,
+    EvalCaps,
     InputError,
     SemanticClass,
     ValidUpTo,
@@ -51,6 +52,32 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 def test_no_unused_imports(path):
     # __init__.py is skipped: its imports are the package's re-exports.
     assert _unused_imports(ast.parse(path.read_text())) == []
+
+
+def _package_imports(path: Path) -> set[str]:
+    """The package modules that a module imports at its top level."""
+    found = set()
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found |= {node.module} if node.module else {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("itlmc."):
+            found.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            found |= {a.name.split(".")[1] for a in node.names if a.name.startswith("itlmc.")}
+    return found
+
+
+@pytest.mark.parametrize("module, allowed", [
+    ("formula", set()),
+    ("poset", {"formula"}),
+    ("realline", {"formula"}),
+    ("hilbert", {"formula"}),
+    # parser reads the file formats of the engines' objects, below the
+    # commands that use them
+    ("parser", {"formula", "hilbert", "poset", "realline"}),
+])
+def test_package_imports_point_down_the_layers(module, allowed):
+    assert _package_imports(SRC / f"{module}.py") <= allowed
 
 
 def _inexact(tree: ast.Module) -> list[str]:
@@ -169,6 +196,8 @@ def test_every_exception_class_is_an_input_error():
         lambda: SemanticClass("x", 3),
         lambda: instantiate(get_logic("ITL.db").axioms["vi"], {"phi": p, "psi": p, "chi": p}),
         lambda: translate_weak(parse_formula("[]p & [*]p")),
+        lambda: EvalCaps(iter=-1),
+        lambda: EvalCaps(window="8"),
     ):
         with pytest.raises(InputError):
             call()
