@@ -10,7 +10,8 @@ denominator) pairs, made once when it is built, and the set algebra
 compares ends by integer cross-multiplication. Interval sets are kept in a canonical
 form (sorted, pairwise disjoint, never adjacent) by linear sweeps; only
 `IntervalSet.of` sorts. So structural equality is set equality. Each map
-keeps the preimage of every component it has pulled back for its lifetime.
+keeps the preimage of every component it has pulled back for its lifetime,
+and each system the outcome of every subformula it has evaluated.
 
 Both henceforth operators run one loop, `_box`: a decreasing preimage chain
 with branch-stabilized affine extrapolation, each extrapolated limit verified
@@ -25,8 +26,10 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from types import MappingProxyType
 
 from .formula import (
     And,
@@ -394,14 +397,28 @@ class MalformedSystem(InputError):
 
 @dataclass(frozen=True, slots=True)
 class RealSystem:
+    """A map with a valuation of atoms by open sets, and the caps of its chains.
+
+    ``valuation`` is a read-only copy of the mapping given, so a value once
+    computed stays true. ``_memo`` lives as long as the system and maps each
+    formula node `eval_real` has evaluated on it to its outcome, so a fixpoint
+    shared by several formulas is computed once. It stays out of eq and repr,
+    and a pickle or copy of the system starts with an empty one.
+    """
+
     map: PiecewiseAffineMap
-    valuation: dict[str, IntervalSet] = field(default_factory=dict)
+    valuation: Mapping[str, IntervalSet] = field(default_factory=dict)
     caps: EvalCaps = EvalCaps()
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "valuation", MappingProxyType(dict(self.valuation)))
         for atom, s in self.valuation.items():
             if not s.is_open():
                 raise MalformedSystem(f"valuation of {atom} is not open")
+
+    def __reduce__(self):
+        return RealSystem, (self.map, dict(self.valuation), self.caps)
 
     def atoms(self) -> list[str]:
         return sorted(self.valuation)
@@ -559,23 +576,26 @@ def eval_real(system: RealSystem, phi: Formula) -> RealOutcome:
 
     Atoms missing from the valuation denote the empty set. A value takes the
     worst status of its operands and its operator; Undetermined values are
-    None.
+    None. A subformula the system has evaluated before is read from its memo.
     """
-    caps, pwmap = system.caps, system.map
+    caps, pwmap, memo = system.caps, system.map, system._memo
     table: list[RealOutcome] = []
-    for op, a, b in walk(phi)[1]:
-        if op is Atom:
-            rv = RealOutcome(system.valuation.get(a, EMPTY), Status.EXACT)
-        elif op is Bottom:
-            rv = RealOutcome(EMPTY, Status.EXACT)
-        else:
-            # A unary entry has b = 0: the walk's first node, a leaf, so Exact.
-            x, y = table[a], table[b]
-            if x.value is None or y.value is None:
-                value, status = None, Status.UNDETERMINED
+    for node, (op, a, b) in zip(*walk(phi)):
+        rv = memo.get(node)
+        if rv is None:
+            if op is Atom:
+                rv = RealOutcome(system.valuation.get(a, EMPTY), Status.EXACT)
+            elif op is Bottom:
+                rv = RealOutcome(EMPTY, Status.EXACT)
             else:
-                value, status = _OPS[op](pwmap, caps, x.value, y.value)
-            rv = RealOutcome(value, worst_status(x.status, y.status, status))
+                # A unary entry has b = 0: the walk's first node, a leaf, so Exact.
+                x, y = table[a], table[b]
+                if x.value is None or y.value is None:
+                    value, status = None, Status.UNDETERMINED
+                else:
+                    value, status = _OPS[op](pwmap, caps, x.value, y.value)
+                rv = RealOutcome(value, worst_status(x.status, y.status, status))
+            memo[node] = rv
         table.append(rv)
     top = table[-1]
     return RealOutcome(top.value, top.status, dict(enumerate(table)))

@@ -243,6 +243,14 @@ def test_registry_shape():
         assert logic.weak_rendered == name.endswith((".dw", ".w"))
 
 
+def test_every_db_logic_has_the_same_rules():
+    # The inclusion check of a solid separation edge compares axioms only;
+    # it relies on the `.db` logics it compares having one rule set.
+    db_rules = {name: set(logic.rules) for name, logic in LOGICS.items() if name.endswith(".db")}
+    assert len(db_rules) == 8
+    assert all(rules == {"mp", "nec-box", "nec-next"} for rules in db_rules.values())
+
+
 def test_weak_underlying_swap():
     # the forward-step axiom weakens where no shift/distribution axiom forces it
     for base in ("ITL", "ETL", "RTL"):

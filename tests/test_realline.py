@@ -20,6 +20,7 @@ from itlmc import (
     MalformedSystem,
     PiecewiseAffineMap,
     REALS,
+    RealOutcome,
     RealSystem,
     Status,
     eval_real,
@@ -28,6 +29,7 @@ from itlmc import (
     parse_formula,
     point,
 )
+from itlmc.formula import walk
 from itlmc.realline import _affine, _intersect
 from conftest import MAP_SLOPES, formulas, random_interval_set, random_map, random_point
 
@@ -422,12 +424,12 @@ def test_preimage_memo_is_invisible():
     assert (hash(f), repr(f), repr(system)) == before
     assert f == cold and hash(f) == hash(cold) and repr(f) == repr(cold)
     assert system == _system(cold, p=interval(-1, 3), q=interval(1, None))
-    # A RealSystem holds a dict, so it has no hash to compare.
+    # A RealSystem holds a mapping, so it has no hash to compare.
     for clone in (pickle.loads(pickle.dumps(f)), copy.copy(f), copy.deepcopy(f)):
         assert clone == f and hash(clone) == hash(f) and repr(clone) == repr(f)
         assert clone.preimage(interval(-1, 3)) == cold.preimage(interval(-1, 3))
     for clone in (pickle.loads(pickle.dumps(system)), copy.copy(system), copy.deepcopy(system)):
-        assert clone == system and repr(clone) == repr(system)
+        assert clone == system and repr(clone) == repr(system) and not clone._memo
         assert eval_real(clone, parse_formula("[]p")) == eval_real(system, parse_formula("[]p"))
 
 
@@ -568,9 +570,10 @@ _FROZEN_BATTERY = (
 )
 
 
-def _real_digest() -> str:
-    """Status and value of each formula of the battery on the four bundled
-    systems and 40 seeded random ones, one line each."""
+def _frozen_queries() -> list[tuple[str, RealSystem, str]]:
+    """(system name, system, formula text) of each line of `real_outcomes.txt`:
+    the battery on the four bundled systems and 40 seeded random ones, each
+    system built afresh and shared by its formulas."""
     corpus = Corpus()
     systems = [(name, corpus.load(name, "real-system"))
                for name in ("r-double", "r-kinked", "r-const", "r-shift")]
@@ -578,22 +581,77 @@ def _real_digest() -> str:
     for i in range(40):
         valuation = {atom: random_interval_set(rng).interior() for atom in "pq"}
         systems.append((f"random-{i}", RealSystem(random_map(rng), valuation)))
-    lines = []
-    for name, system in systems:
-        for text in _FROZEN_BATTERY:
-            out = eval_real(system, parse_formula(text))
-            lines.append(f"{name} {text}: {out.status.value} {out.value}")
-    return "\n".join(lines) + "\n"
+    return [(name, system, text) for name, system in systems for text in _FROZEN_BATTERY]
+
+
+def _outcome_lines(queries, order=None, fresh=False) -> list[str]:
+    """Status and value of each query, one line each in query order, evaluated
+    in the given order; fresh evaluates each on a new system and map."""
+    lines = [""] * len(queries)
+    for i in range(len(queries)) if order is None else order:
+        name, system, text = queries[i]
+        if fresh:
+            pwmap = PiecewiseAffineMap(system.map.breakpoints, system.map.pieces)
+            system = RealSystem(pwmap, system.valuation, system.caps)
+        out = eval_real(system, parse_formula(text))
+        lines[i] = f"{name} {text}: {out.status.value} {out.value}"
+    return lines
 
 
 def test_real_line_outcomes_are_frozen():
     frozen = (Path(__file__).parent / "real_outcomes.txt").read_text()
-    got = _real_digest()
-    lines = got.splitlines()
+    lines = _outcome_lines(_frozen_queries())
+    got = "\n".join(lines) + "\n"
     assert len(lines) == 44 * len(_FROZEN_BATTERY)
     # Two of the five Extrapolated strong boxes of p are on random maps.
     assert sum(" []p: Extrapolated" in line for line in lines) == 5
     assert got == frozen
+
+
+def test_subformula_memo_gives_the_frozen_outcomes_in_any_order():
+    frozen = (Path(__file__).parent / "real_outcomes.txt").read_text().splitlines()
+    shuffled = list(range(len(frozen)))
+    random.Random(2411).shuffle(shuffled)
+    asked = {node for text in _FROZEN_BATTERY for node in walk(parse_formula(text))[0]}
+    for order in (range(len(frozen))[::-1], shuffled):
+        queries = _frozen_queries()
+        assert _outcome_lines(queries, order) == frozen
+        # One entry per distinct subformula of the battery, on every system.
+        for _, system, _ in queries[::len(_FROZEN_BATTERY)]:
+            assert set(system._memo) == asked
+    # The independent oracle: nothing shared between queries, map included.
+    assert _outcome_lines(_frozen_queries(), fresh=True) == frozen
+
+
+def test_subformula_memo_is_kept_per_system():
+    system = Corpus().load("r-double", "real-system")
+    twin = Corpus().load("r-double", "real-system")
+    before = repr(system)
+    phi = parse_formula("[*]p")
+    out = eval_real(system, phi)
+    assert out.status is Status.EXTRAPOLATED
+    assert system._memo and not twin._memo
+    assert repr(system) == before and system == twin
+    # Systems sharing the map but not the caps or the valuation share no value.
+    capped = RealSystem(system.map, system.valuation, EvalCaps(iter=0))
+    assert eval_real(capped, phi).status is Status.UNDETERMINED
+    whole = RealSystem(system.map, {"p": REALS})
+    assert eval_real(whole, phi) == RealOutcome(REALS, Status.EXACT)
+    assert eval_real(system, phi) == out
+
+
+def test_valuation_is_a_read_only_copy():
+    given = {"p": interval(None, 1)}
+    system = RealSystem(PiecewiseAffineMap.affine(2, 0), given)
+    phi = parse_formula("[*]p")
+    given["p"] = REALS
+    out = eval_real(system, phi)
+    assert out == eval_real(_system(system.map, p=interval(None, 1)), phi)
+    given["p"] = interval(None, 2)
+    assert eval_real(system, phi) == out
+    with pytest.raises(TypeError):
+        system.valuation["p"] = REALS
+    assert system.valuation == {"p": interval(None, 1)}
 
 
 # -- the component cap --------------------------------------------------------
