@@ -68,18 +68,6 @@ class Formula:
 
         return fold(self, show)
 
-    def __and__(self, other: "Formula") -> "Formula":
-        return And(self, other)
-
-    def __or__(self, other: "Formula") -> "Formula":
-        return Or(self, other)
-
-    def __rshift__(self, other: "Formula") -> "Formula":
-        return Implies(self, other)
-
-    def __invert__(self) -> "Formula":
-        return Not(self)
-
 
 class Bottom(Formula):
     """Falsum."""

@@ -284,6 +284,14 @@ def _rational(m: re.Match, group: int, base: int) -> Fraction:
     return _divide(Fraction(num), Fraction(den or 1), _group_span(m, group, base))
 
 
+def parse_rational(text: str) -> Fraction:
+    """Value of a whole text that is one signed rational literal."""
+    m = re.fullmatch(_SIGNED, text)
+    if m is None:
+        raise ParseError("not a rational literal", SourceSpan(0, len(text)))
+    return _rational(m, 0, 0)
+
+
 def _sections(text: str):
     """(head, atom, entries, entries offset, line span) per 'head: entries' line.
 

@@ -27,8 +27,6 @@ from .formula import (
     Next,
     Or,
     Program,
-    StrongBox,
-    WeakBox,
     walk,
 )
 
@@ -273,7 +271,7 @@ def eval_sliced(
             rows = [reduce(and_, [holds[j] | off for j, off in up]) for up in ups]
         elif op is Next:
             rows = after(table[a])
-        elif op is Eventually or op is StrongBox or op is WeakBox:
+        else:  # Eventually, StrongBox or WeakBox, the only ops `walk` has left
             # Eventually: increasing chain to the least fixpoint above the
             # child rows; after k rounds a world holds what its first k
             # successors hold. The boxes: decreasing chain to the greatest
@@ -284,8 +282,6 @@ def eval_sliced(
             child = rows = table[a]
             while (again := list(map(join, child, after(rows)))) != rows:
                 rows = again
-        else:
-            raise TypeError(f"unknown formula op {op!r}")
         table.append(rows)
     return table[-1]
 

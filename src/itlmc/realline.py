@@ -1,20 +1,20 @@
 """One-dimensional systems: rational interval sets and piecewise affine maps.
 
 Everything is exact: endpoints are fractions.Fraction, infinities are None
-endpoints, and no floating point is used anywhere. Numbers from outside
-become Fraction where they enter: `make_interval` (and so `interval` and
-`point`), the `PiecewiseAffineMap` constructor, `apply` and
-`IntervalSet.contains`. The maps compute on those Fractions and never
-convert again. Each interval also keeps its ends as integer (numerator,
-denominator) pairs, made once when it is built, and the set algebra
-compares ends by integer cross-multiplication. Interval sets are kept in a canonical
-form (sorted, pairwise disjoint, never adjacent) by linear sweeps; only
-`IntervalSet.of` sorts. So structural equality is set equality. Each map
-keeps the preimage of every component it has pulled back for its lifetime,
-and each system the outcome of every subformula it has evaluated.
+endpoints, and no floating point is used anywhere. Numbers from outside become
+Fraction where they enter: `make_interval` (and so `interval` and `point`),
+the `PiecewiseAffineMap` constructor, `apply` and `IntervalSet.contains`. The
+maps compute on those Fractions and never convert again. Each interval also
+keeps its ends as integer (numerator, denominator) pairs, made once when it is
+built; the set algebra and membership compare them by cross-multiplication,
+and the extrapolation fits them. Interval sets are kept in a canonical form
+(sorted, pairwise disjoint, never adjacent) by linear sweeps; only
+`IntervalSet.of` sorts, so structural equality is set equality. Each map keeps
+the preimage of every component it has pulled back for its lifetime, and each
+system the outcome of every subformula it has evaluated.
 
 Both henceforth operators run one loop, `_box`: a decreasing preimage chain
-with branch-stabilized affine extrapolation, each extrapolated limit verified
+with affine extrapolation of its integer ends, each extrapolated limit verified
 to be a genuine fixpoint before it is trusted. The weak box is the limit's
 interior; the strong box restarts from it unless it is invariant, tested by
 pulling back (f(T) lies in T iff T lies in preimage(T)). Results carry a
@@ -51,7 +51,7 @@ from .formula import (
 class Interval:
     """Nonempty interval with exact endpoints; a None endpoint is an infinity
     and is never closed. ``_lo`` and ``_hi`` are the ends as integer pairs,
-    which `==` and `hash` read; pickles carry the four public fields."""
+    which `==`, `hash` and `contains` read; pickles carry the public fields."""
 
     lo: Fraction | None
     lo_closed: bool
@@ -81,11 +81,10 @@ class Interval:
         return Interval, (self.lo, self.lo_closed, self.hi, self.hi_closed)
 
     def contains(self, x: Fraction) -> bool:
-        if self.lo is not None and (x < self.lo or (x == self.lo and not self.lo_closed)):
-            return False
-        if self.hi is not None and (x > self.hi or (x == self.hi and not self.hi_closed)):
-            return False
-        return True
+        n, d = x.numerator, x.denominator
+        (p, q), (r, s) = self._lo, self._hi
+        return ((p * d < n * q or p * d == n * q and self.lo_closed)
+                and (n * s < r * d or n * s == r * d and self.hi_closed))
 
     def __str__(self) -> str:
         lo = "-inf" if self.lo is None else str(self.lo)
@@ -447,31 +446,24 @@ def _orbit_stays_in(pwmap: PiecewiseAffineMap, x: Fraction, target: IntervalSet,
     return None
 
 
-def _fit_endpoint(seq: list[Fraction | None]):
-    """Extrapolate an endpoint sequence obeying an affine recurrence.
-
-    Returns ("inf",) / ("-inf",) / ("finite", limit) / ("none",) for a stably
-    infinite endpoint, or None when no consistent recurrence fits.
-    """
-    if all(e is None for e in seq):
-        return ("none",)
-    if any(e is None for e in seq):
+def _fit_endpoint(ends: list[tuple[int, int]]) -> tuple[int, int] | None:
+    """Limit of a window of integer ends obeying e' = alpha*e + beta with
+    alpha >= 0, as an end; None when no such recurrence fits."""
+    if all(e == ends[0] for e in ends):
+        return ends[0]  # a constant window, an infinite end included
+    if not all(q for _, q in ends):
         return None
-    diffs = [b - a for a, b in zip(seq, seq[1:])]
-    if all(d == 0 for d in diffs):
-        return ("finite", seq[0])
+    xs = [Fraction(p, q) for p, q in ends]
+    diffs = [b - a for a, b in zip(xs, xs[1:])]
     if diffs[0] == 0:
         return None
     alpha = diffs[1] / diffs[0]
-    if alpha < 0:
+    if alpha < 0 or any(b != alpha * a for a, b in zip(diffs, diffs[1:])):
         return None
-    for k in range(len(diffs) - 1):
-        if diffs[k + 1] != alpha * diffs[k]:
-            return None
     if alpha >= 1:
-        return ("inf",) if diffs[0] > 0 else ("-inf",)
-    beta = seq[1] - alpha * seq[0]
-    return ("finite", beta / (1 - alpha))
+        return _INF if diffs[0] > 0 else _NEG_INF
+    limit = (xs[1] - alpha * xs[0]) / (1 - alpha)
+    return limit.numerator, limit.denominator
 
 
 def _chain(pwmap: PiecewiseAffineMap, child: IntervalSet, caps: EvalCaps, join):
@@ -495,34 +487,27 @@ def _chain_limit(
     """Greatest fixpoint of V -> target & preimage(V), by chain or extrapolation.
 
     The decreasing chain either stabilizes (Exact) or its last ``window``
-    iterates must show a fixed component count with affinely recurring
-    endpoints; the extrapolated limit is then verified to be a true fixpoint
-    and reported as Extrapolated. Anything else is Undetermined.
+    iterates, at least three, must keep one component count with integer ends
+    that recur affinely; the extrapolated limit is then verified to be a true
+    fixpoint and reported as Extrapolated. Anything else is Undetermined.
     """
     fixpoint, history = _chain(pwmap, target, caps, IntervalSet.intersection)
     if fixpoint is not None:
         return fixpoint, Status.EXACT
     window = history[max(0, len(history) - caps.window):]
-    if len(window) < 3:
-        return None, Status.UNDETERMINED
-    counts = {len(s.components) for s in window}
-    if len(counts) != 1:
+    if len(window) < 3 or len({len(s.components) for s in window}) != 1:
         return None, Status.UNDETERMINED
 
-    ncomp = counts.pop()
     out: list[Interval | None] = []
-    for j in range(ncomp):
-        lo_fit = _fit_endpoint([s.components[j].lo for s in window])
-        hi_fit = _fit_endpoint([s.components[j].hi for s in window])
-        if lo_fit is None or hi_fit is None:
+    for comps in zip(*(s.components for s in window)):
+        lo = _fit_endpoint([iv._lo for iv in comps])
+        hi = _fit_endpoint([iv._hi for iv in comps])
+        if lo is None or hi is None:
             return None, Status.UNDETERMINED
-        if lo_fit[0] == "inf" or hi_fit[0] == "-inf":
-            continue  # component vanishes in the limit
-        lo = None if lo_fit[0] in ("none", "-inf") else lo_fit[1]
-        hi = None if hi_fit[0] in ("none", "inf") else hi_fit[1]
-        if lo is not None and hi is not None and lo > hi:
-            continue
-        # A finite endpoint is in the limit iff its orbit stays in target.
+        if lo == _INF or hi == _NEG_INF or lo[1] and hi[1] and lo[0] * hi[1] > hi[0] * lo[1]:
+            continue  # the component vanishes in the limit
+        # A finite end is in the limit iff its orbit stays in target.
+        lo, hi = (Fraction(n, d) if d else None for n, d in (lo, hi))
         closed = [e is not None and _orbit_stays_in(pwmap, e, target, caps.orbit) for e in (lo, hi)]
         if None in closed:
             return None, Status.UNDETERMINED

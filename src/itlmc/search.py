@@ -47,7 +47,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache, lru_cache, reduce
 from itertools import islice, permutations, product
 from operator import and_
@@ -55,7 +54,7 @@ from typing import NamedTuple, Union
 
 from .formula import Atom, Formula, InputError, translate_weak, walk
 from .hilbert import LogicSpec, Schema, check, get_logic, instantiate
-from .parser import EdgeSpec
+from .parser import EdgeSpec, ParseError, parse_rational
 from .poset import DynamicPoset, Valuation, eval_formula, eval_sliced, lift_misses
 from .realline import eval_real
 
@@ -495,10 +494,9 @@ def _verify_witness(edge: EdgeSpec, corpus) -> tuple[bool, str]:
         if value is None:
             return False, "witness evaluation is undetermined"
         try:
-            point = Fraction(edge.point)
-        except (ValueError, ZeroDivisionError):
+            holds = value.contains(parse_rational(edge.point))
+        except ParseError:
             return False, f"point {edge.point!r} is not a rational number"
-        holds = value.contains(point)
     if holds:
         return False, f"formula holds at {edge.point}"
     return True, f"falsified at {edge.point} on {edge.witness} ({tag})"

@@ -69,6 +69,13 @@ def test_check_missing_file_exits_3(capsys):
     assert code == 3 and "error" in err
 
 
+def test_check_model_with_a_repeated_world_name_exits_3(capsys, tmp_path):
+    model = tmp_path / "dup.dpm"
+    model.write_text("worlds: w v w\norder:\nstep: w->w v->v\n")
+    code, out, err = run(capsys, "check", "--model", str(model), "p")
+    assert (code, out, err) == (3, "", "error: duplicate world names\n")
+
+
 def test_real_check(capsys):
     code, out, _ = run(
         capsys, "real-check", "--system", "corpus/real/r-kinked.rds", "[*]p"
@@ -345,6 +352,9 @@ def test_paper_suite_malformed_corpus_file_exits_3(capsys, tmp_path):
      "fig4-fs/shift-schemas: (<>p -> []q) -> [](p -> q): expected {v, u}, got {w, v, u}"),
     ("poset/fig4-fs.dpm", "u->u", "u->v",
      "fig4-fs/shift-schemas: (O p -> O q) -> O(p -> q): expected {v, u}, got {}"),
+    # Open, and both schemas hold at v and u, its only worlds.
+    ("poset/fig4-fs.dpm", "", "worlds: v u\norder: v<=u\nstep: v->v u->u\nval p: u\nval q: u\n",
+     "fig4-fs/shift-schemas: expected a continuous, non-open step"),
     ("poset/fig5-cem.dpm", "val q: v1 v2", "val q: v2",
      "fig5-cem/failure-at-root: ~O p & O~~p -> O q | ~O q: "
      "expected {w1, v0, v1, v2}, got {w0, w1, v0, v1, v2}"),
@@ -358,6 +368,8 @@ def test_paper_suite_malformed_corpus_file_exits_3(capsys, tmp_path):
      "r-shift/endpoint-drift: <>p: expected (-inf, 0), got (-inf, 1)"),
     ("real/r-double.rds", "map: 2*x", "map: 2*x\ncaps: iter=1",
      "r-double/distribution-gap: []p: expected (-inf, 0), got None"),
+    ("real/r-double.rds", "map: 2*x", "map: 2*x\ncaps: iter=0",
+     "r-double/axiom-spot-check: draw 1: axiom x gave None [undetermined]"),
 ])
 def test_paper_suite_fails_each_broken_fact(capsys, tmp_path, path, old, new, line):
     # Each row edits one corpus file; an empty `old` replaces the whole file.
@@ -469,6 +481,13 @@ _CD = "formula=[](p | q) -> []p | <>q; witness=r-double; "
     ("point=-1;", "point=abc;", "RTL -> ITL+ [dashed, fs-next]",
      "point 'abc' is not a rational number", 17),
     ("point=0;", "point=1;", "ITL+ -> CDTL [dashed, cd]", "formula holds at 1", 17),
+    # Points follow the rational literal rule: ASCII digits, no exponent, no zero denominator.
+    ("point=0;", "point=\u0660;", "ITL+ -> CDTL [dashed, cd]",
+     "point '\u0660' is not a rational number", 17),
+    ("point=0;", "point=1e-3;", "ITL+ -> CDTL [dashed, cd]",
+     "point '1e-3' is not a rational number", 17),
+    ("point=0;", "point=1/0;", "ITL+ -> CDTL [dashed, cd]",
+     "point '1/0' is not a rational number", 17),
     (_CD, "formula=<>~p; witness=r-double; ", "ITL+ -> CDTL [dashed, cd]",
      "derivation does not certify this edge; witness evaluation is undetermined", 17),
     (_CD + "point=0;", "formula=<>~p; witness=r-double; point=abc;", "ITL+ -> CDTL [dashed, cd]",

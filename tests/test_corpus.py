@@ -115,8 +115,9 @@ def test_edited_corpus_files_raise_only_input_errors(entry_id, edits):
 
 
 def test_fig4_fact_asks_for_a_continuous_non_open_step(corpus):
-    # The Fischer Servi schemas hold everywhere on an open model, so no edit
-    # of fig4-fs reaches this check through the extensions it checks first.
+    # The Fischer Servi schemas hold everywhere on an open model, so an open
+    # model whose worlds are just v and u passes the extension checks and
+    # fails here (a whole-file row of test_paper_suite_fails_each_broken_fact).
     from itlmc.corpus import _non_open_step
 
     fig4 = corpus.load("fig4-fs")

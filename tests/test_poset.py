@@ -9,6 +9,7 @@ from itlmc import (
     DynamicPoset,
     MalformedOrder,
     MalformedStep,
+    MalformedValuation,
     check_morphism,
     eval_formula,
     interior,
@@ -67,6 +68,12 @@ def test_validate_valuation():
     assert validate_valuation(FIG4, {"p": {"u"}}) == []
     problems = validate_valuation(FIG4, {"p": {"v"}})
     assert problems and "up-set" in problems[0]
+
+
+def test_evaluation_lists_every_valuation_fault():
+    with pytest.raises(MalformedValuation) as caught:
+        eval_formula(FIG4, {"p": {"z"}, "q": {"v"}}, parse_formula("p | q"))
+    assert caught.value.violations == ["val p mentions unknown worlds ['z']", "val q is not an up-set"]
 
 
 def test_evaluation_requires_continuity():
@@ -180,6 +187,19 @@ def test_morphism_violations_reported():
     )
     out = check_morphism(chain, fork, ["a", "b"], {"a": "r", "b": "x"})
     assert any("lift" in v for v in out)
+
+
+def test_each_morphism_law_has_its_own_message():
+    assert check_morphism(FIG4, FIG4, ["z", "v"], {}) == ["domain mentions unknown worlds ['z']"]
+    assert check_morphism(FIG4, FIG4, ["v", "u"], {"u": "z"}) == [
+        "map sends u outside the target model", "map undefined on domain world v"]
+    # {v} is step-invariant but not an up-set, and u above v is never hit.
+    assert check_morphism(FIG4, FIG4, ["v"], {"v": "v"}) == [
+        "domain is not an up-set", "lift fails at v: u above its image is never hit"]
+    chain = DynamicPoset(("a", "b"), (("a", "b"),), {"a": "a", "b": "b"})
+    rise = DynamicPoset(("v", "u"), (("v", "u"),), {"v": "u", "u": "u"})
+    assert check_morphism(chain, rise, ["a", "b"], {"a": "v", "b": "u"}) == [
+        "step equivariance fails at a"]
 
 
 def test_morphism_domain_must_be_invariant():

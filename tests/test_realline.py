@@ -27,10 +27,11 @@ from itlmc import (
     interval,
     make_interval,
     parse_formula,
+    parse_real_system,
     point,
 )
 from itlmc.formula import walk
-from itlmc.realline import _affine, _intersect
+from itlmc.realline import _INF, _NEG_INF, _affine, _fit_endpoint, _intersect
 from conftest import MAP_SLOPES, formulas, random_interval_set, random_map, random_point
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=6)
@@ -547,6 +548,44 @@ def test_zero_window_gives_undetermined():
         caps = EvalCaps(window=window)
         out = eval_real(RealSystem(system.map, system.valuation, caps), parse_formula("[*]p"))
         assert out.status is status, window
+
+
+_KINKED_FOLD = "map: piecewise x<=-2 : -2*x - 2 ; -2<x<=1/2 : 2*x + 6 ; x>1/2 : -x + 15/2\n"
+
+
+def _bundled(name: str) -> str:
+    return (Path(__file__).parent.parent / "src/itlmc/corpus/real" / f"{name}.rds").read_text()
+
+
+# One row per way out of the box chain that no other test takes: system text,
+# formula, status, value.
+@pytest.mark.parametrize("text, formula, status, value", [
+    # The extrapolated limit is not a fixpoint of the chain's map.
+    ("map: piecewise x<=-3 : -x - 1 ; -3<x<=0 : -x/2 + 1/2 ; x>0 : x + 1/2\n"
+     "val p: (1/2, 3/2) u (3/2, 5)\ncaps: iter=5 window=3\n", "[]p", "Undetermined", "None"),
+    # The ends cross in the limit, so the one component vanishes.
+    ("map: -2*x + 2\nval q: (-1, 5/2)\ncaps: iter=5 window=3\n", "[]q", "Extrapolated", "{}"),
+    # An end's orbit outlasts the orbit cap, even the default one.
+    (_KINKED_FOLD + "val p: (-3/2, 11/2)\ncaps: iter=4 window=3\n", "[]~p", "Undetermined", "None"),
+    (_bundled("r-double") + "caps: orbit=0\n", "[]p", "Undetermined", "None"),
+    (_bundled("r-double"), "[]p", "Extrapolated", "(-inf, 0)"),
+    # The strong box runs out of restarts; the weak box needs none.
+    (_bundled("r-kinked") + "caps: restart=0\n", "[]p", "Undetermined", "None"),
+    (_bundled("r-kinked") + "caps: restart=0\n", "[*]p", "Extrapolated", "(-inf, 0)"),
+])
+def test_each_box_chain_exit(text, formula, status, value):
+    out = eval_real(parse_real_system(text), parse_formula(formula))
+    assert (out.status.value, str(out.value)) == (status, value)
+
+
+def test_fit_endpoint_reads_integer_ends():
+    assert _fit_endpoint([_NEG_INF] * 3) == _NEG_INF
+    assert _fit_endpoint([(1, 1), (1, 2), (1, 4)]) == (0, 1)
+    assert _fit_endpoint([(1, 1), (2, 1), (4, 1)]) == _INF
+    assert _fit_endpoint([(-1, 1), (-2, 1), (-3, 1)]) == _NEG_INF
+    # No input reaches a window mixing an infinite end with finite ones; it fits nothing.
+    assert _fit_endpoint([_NEG_INF, (0, 1), (1, 1)]) is None
+    assert _fit_endpoint([(1, 1), (1, 1), _INF]) is None
 
 
 def test_status_propagates_worst():
