@@ -8,7 +8,8 @@ construction time: the tree never contains a Not or Iff node.
 Nodes are hash-consed: building a node equal to a live one returns that
 node, so equal formulas are one object, and `==` and `hash` are identity,
 constant time at any depth. Interning assumes that one thread builds
-formulas at a time.
+formulas at a time. Each node carries its operator set: a bitmask of the
+node classes in it, made once from its children's.
 """
 
 from __future__ import annotations
@@ -38,20 +39,13 @@ def _forget(ref: KeyedRef) -> None:
 class Formula:
     """Base class for formula nodes: immutable, interned, compared by identity."""
 
-    __slots__ = ("__weakref__",)
+    __slots__ = ("__weakref__", "ops")  # ops: the operator set, ORed `_BIT` values
 
     def __new__(cls, *fields):
         key = (cls, *fields)
         ref = _NODES.get(key)
         node = ref and ref()
-        if node is None:
-            if len(fields) != len(cls.__slots__):
-                raise TypeError(f"{cls.__name__} takes {len(cls.__slots__)} argument(s)")
-            node = object.__new__(cls)
-            for name, value in zip(cls.__slots__, fields):
-                object.__setattr__(node, name, value)
-            _NODES[key] = KeyedRef(node, _forget, key)
-        return node
+        return _make(cls, fields, key) if node is None else node
 
     def __setattr__(self, *_):
         raise AttributeError(f"{type(self).__name__} nodes are immutable")
@@ -125,6 +119,43 @@ _ARITY = {
     Bottom: 0, Atom: 0, And: 2, Or: 2, Implies: 2,
     Next: 1, Eventually: 1, StrongBox: 1, WeakBox: 1,
 }
+_BIT = {op: 1 << i for i, op in enumerate(_ARITY)}
+
+
+def _make(cls: type, fields: tuple, key: tuple) -> Formula:
+    """A new node, entered in _NODES under key, which no live node holds."""
+    if len(fields) != len(cls.__slots__):
+        raise TypeError(f"{cls.__name__} takes {len(cls.__slots__)} argument(s)")
+    node = object.__new__(cls)
+    ops = _BIT[cls]
+    for name, value in zip(cls.__slots__, fields):
+        object.__setattr__(node, name, value)
+    for child in fields[: _ARITY[cls]]:
+        ops |= child.ops
+    object.__setattr__(node, "ops", ops)
+    _NODES[key] = KeyedRef(node, _forget, key)
+    return node
+
+
+def _interned(cls: type):
+    """A builder of the node cls(*fields) that skips the class call."""
+    get = _NODES.get
+    if len(cls.__slots__) == 1:
+        def build(a):
+            ref = get(key := (cls, a))
+            node = ref and ref()
+            return _make(cls, (a,), key) if node is None else node
+    else:
+        def build(a, b):
+            ref = get(key := (cls, a, b))
+            node = ref and ref()
+            return _make(cls, (a, b), key) if node is None else node
+    return build
+
+
+# A builder per node class with fields. The reader builds through these:
+# most of its nodes are live already, and a hit then costs one dict read.
+BUILDERS = {op: _interned(op) for op in _ARITY if op.__slots__}
 
 
 def children(phi: Formula) -> tuple[Formula, ...]:
@@ -193,8 +224,8 @@ def subformulas(phi: Formula) -> list[Formula]:
 
 
 def operators(phi: Formula) -> set[type]:
-    """Node classes occurring in phi."""
-    return {op for op, _, _ in walk(phi)[1]}
+    """Node classes occurring in phi, read from its operator set."""
+    return {op for op, bit in _BIT.items() if phi.ops & bit}
 
 
 def atoms(phi: Formula) -> list[str]:
@@ -230,11 +261,11 @@ class LanguageFragment:
     weak_box: bool
 
     def allows(self, phi: Formula) -> bool:
-        ops = operators(phi)
+        ops = phi.ops
         return (
-            (self.eventually or Eventually not in ops)
-            and (self.strong_box or StrongBox not in ops)
-            and (self.weak_box or WeakBox not in ops)
+            (self.eventually or not ops & _BIT[Eventually])
+            and (self.strong_box or not ops & _BIT[StrongBox])
+            and (self.weak_box or not ops & _BIT[WeakBox])
         )
 
 

@@ -38,9 +38,9 @@ dia-mono and dia-ind.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Optional, Union
+from typing import Optional, Union
 
 from .formula import (
     FRAGMENTS,
@@ -70,9 +70,6 @@ from .formula import (
     walk,
     wh,
 )
-
-if TYPE_CHECKING:
-    from .parser import SourceSpan
 
 
 class MissingMetavariable(InputError):
@@ -160,7 +157,6 @@ class DerivationLine:
     number: int
     formula: Formula
     justification: Justification
-    span: Optional["SourceSpan"] = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -375,11 +371,7 @@ _IPC_BASIS_TEMPLATES = {
 
 ALL_SCHEMAS: dict[str, Schema] = {
     name: Schema(name, template)
-    for name, template in {
-        **_CORE_TEMPLATES,
-        **_EXTRA_TEMPLATES,
-        **_IPC_BASIS_TEMPLATES,
-    }.items()
+    for name, template in {**_CORE_TEMPLATES, **_EXTRA_TEMPLATES, **_IPC_BASIS_TEMPLATES}.items()
 }
 
 IPC_BASIS_NAMES = tuple(_IPC_BASIS_TEMPLATES)
@@ -447,15 +439,9 @@ def build_logics() -> dict[str, LogicSpec]:
         weak_names = _weak_base(names)
         logics[f"{base}.db"] = _spec(f"{base}.db", "db", names, _BOX_RULES)
         logics[f"{base}.dw"] = _spec(f"{base}.dw", "dw", weak_names, _BOX_RULES)
-        logics[f"{base}.b"] = _spec(
-            f"{base}.b", "b", _drop_eventually(names), _BOX_RULES
-        )
-        logics[f"{base}.w"] = _spec(
-            f"{base}.w", "w", _drop_eventually(weak_names), _BOX_RULES
-        )
-        logics[f"{base}.d"] = _spec(
-            f"{base}.d", "d", _drop_henceforth(names), _DIA_RULES
-        )
+        logics[f"{base}.b"] = _spec(f"{base}.b", "b", _drop_eventually(names), _BOX_RULES)
+        logics[f"{base}.w"] = _spec(f"{base}.w", "w", _drop_eventually(weak_names), _BOX_RULES)
+        logics[f"{base}.d"] = _spec(f"{base}.d", "d", _drop_henceforth(names), _DIA_RULES)
     return logics
 
 

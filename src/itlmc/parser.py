@@ -27,6 +27,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .formula import (
+    BUILDERS,
     And,
     Atom,
     Bottom,
@@ -122,10 +123,10 @@ def _spelled(table: dict) -> dict:
 # operator stack holds: (builder, level, left minimum, right minimum).  A
 # pending '(' sits below every level, so no operator folds it.
 _OPENERS = _spelled(
-    {token: (build, _PREFIX_LEVEL, 0, _PREFIX_LEVEL) for token, build in _PREFIX.items()}
+    {token: (BUILDERS.get(b, b), _PREFIX_LEVEL, 0, _PREFIX_LEVEL) for token, b in _PREFIX.items()}
     | {"(": (None, -1, 0, 0)}
 )
-_INFIX_READ = _spelled(_BINARY)
+_INFIX_READ = _spelled({t: (BUILDERS.get(b, b), *rest) for t, (b, *rest) in _BINARY.items()})
 _FALSE = frozenset(_spelled({"false": None}))
 _SYMBOLS = {*_OPENERS, *_INFIX_READ, *_FALSE, ")"}
 
@@ -159,6 +160,7 @@ def parse_formula(text: str, base: int = 0) -> Formula:
     """Parse with an explicit operator stack, so depth is not limited."""
     operands: list[Formula] = []
     pending: list[tuple] = []  # entries of _OPENERS and _INFIX_READ
+    atom = BUILDERS[Atom]
     after_operand = False
     tokens = _SCAN_RE.findall(text)
     tokens.append("<end>")
@@ -168,12 +170,10 @@ def parse_formula(text: str, base: int = 0) -> Formula:
             if entry is not None:
                 pending.append(entry)
             elif token[0] in _NAME_START or token in _FALSE:
-                operands.append(Bottom() if token in _FALSE else Atom(token))
+                operands.append(Bottom() if token in _FALSE else atom(token))
                 after_operand = True
             else:
-                raise _formula_error(
-                    text, base, i, "expected an atom, 'false' or '(', found {!r}"
-                )
+                raise _formula_error(text, base, i, "expected an atom, 'false' or '(', found {!r}")
             continue
         # Fold every pending operator whose level reaches the incoming
         # operator's left minimum: its result can be that left operand.
@@ -183,9 +183,7 @@ def parse_formula(text: str, base: int = 0) -> Formula:
         while pending and pending[-1][1] >= left:
             fn, fn_level, _, _ = pending.pop()
             arg = operands.pop()
-            operands.append(
-                fn(arg) if fn_level == _PREFIX_LEVEL else fn(operands.pop(), arg)
-            )
+            operands.append(fn(arg) if fn_level == _PREFIX_LEVEL else fn(operands.pop(), arg))
         if entry[0] is not None:
             # What stays pending takes this operator's result as its right
             # operand, which must reach its right minimum.
@@ -368,16 +366,9 @@ def parse_poset_model(text: str) -> tuple[DynamicPoset, Valuation]:
 
 def print_poset_model(model: DynamicPoset, valuation: Valuation) -> str:
     lines = ["worlds: " + " ".join(model.worlds)]
-    pairs = [
-        f"{a}<={b}"
-        for a in model.worlds
-        for b in model.worlds
-        if a != b and model.leq(a, b)
-    ]
+    pairs = [f"{a}<={b}" for a in model.worlds for b in model.worlds if a != b and model.leq(a, b)]
     lines.append("order:" + (" " + " ".join(pairs) if pairs else ""))
-    lines.append(
-        "step: " + " ".join(f"{w}->{model.step[w]}" for w in model.worlds)
-    )
+    lines.append("step: " + " ".join(f"{w}->{model.step[w]}" for w in model.worlds))
     for atom in sorted(valuation):
         members = [w for w in model.worlds if w in valuation[atom]]
         lines.append(f"val {atom}:" + (" " + " ".join(members) if members else ""))
@@ -613,8 +604,14 @@ _DERIV_LINE_RE = re.compile(r"\s*([0-9]+)\.\s*(.*)\Z")
 _SUBST_RE = re.compile(r"\{(.*)\}\s*\Z", re.DOTALL)
 
 
-def _parse_subst(text: str, base: int, span: SourceSpan) -> dict[str, Formula]:
-    """The 'name := formula, ...' list inside braces; text starts at base."""
+def _line_error(message: str, offset: int, body: str) -> ParseError:
+    """message with the span of body, which starts at offset, stripped."""
+    return ParseError(message, _line_span(offset, body))
+
+
+def _parse_subst(text: str, base: int, just: tuple[int, str]) -> dict[str, Formula]:
+    """The 'name := formula, ...' list inside braces, text starting at base;
+    errors span just, the (offset, text) of the justification."""
     body = text.strip()
     base += len(text) - len(text.lstrip())
     subst: dict[str, Formula] = {}
@@ -623,13 +620,13 @@ def _parse_subst(text: str, base: int, span: SourceSpan) -> dict[str, Formula]:
     for part in body.split(","):
         meta, bind, phi_txt = part.partition(":=")
         if not bind:
-            raise ParseError(f"expected 'name := formula', found {part!r}", span)
+            raise _line_error(f"expected 'name := formula', found {part!r}", *just)
         phi_base = base + len(meta) + len(bind)
         meta = meta.strip()
         if not _NAME_RE.fullmatch(meta):
-            raise ParseError(f"bad metavariable {meta!r}", span)
+            raise _line_error(f"bad metavariable {meta!r}", *just)
         if meta in subst:
-            raise ParseError(f"metavariable {meta!r} bound twice", span)
+            raise _line_error(f"metavariable {meta!r} bound twice", *just)
         subst[meta] = parse_formula(phi_txt, phi_base)
         base += len(part) + 1
     return subst
@@ -642,32 +639,31 @@ def _parse_justification(text: str, base: int, line_no: int):
         return IpcTaut()
     if not stripped:
         raise ParseError("missing justification", SourceSpan(base, base))
-    span = _line_span(base, text)
     head, *tail = stripped.split(None, 1)
     rest = "".join(tail)
     if head == "axiom":
         if not rest:
-            raise ParseError("axiom justification needs a schema name", span)
+            raise _line_error("axiom justification needs a schema name", base, text)
         m = _SUBST_RE.search(rest)
         name, subst = rest, None
         if m is not None:
             name = rest[: m.start()].strip()
-            subst = _parse_subst(m.group(1), span.end - len(rest) + m.start(1), span)
+            end = base + len(text.rstrip())
+            subst = _parse_subst(m.group(1), end - len(rest) + m.start(1), (base, text))
         if len(name.split()) != 1:
-            raise ParseError(f"bad schema name {name!r}", span)
+            raise _line_error(f"bad schema name {name!r}", base, text)
         return AxiomJust(name, subst)
     # anything else is a rule name followed by premise line numbers
     premises = []
     for token in rest.split():
         if not (token.isascii() and token.isdigit()):
-            raise ParseError(
-                f"premise reference must be a line number, found {token!r}", span
+            raise _line_error(
+                f"premise reference must be a line number, found {token!r}", base, text
             )
         index = int(token)
         if index < 1 or index >= line_no:
-            raise ParseError(
-                f"line {line_no} references line {index}, which does not precede it",
-                span,
+            raise _line_error(
+                f"line {line_no} references line {index}, which does not precede it", base, text
             )
         premises.append(index)
     return RuleJust(head, tuple(premises))
@@ -676,20 +672,19 @@ def _parse_justification(text: str, base: int, line_no: int):
 def parse_derivation(text: str) -> Derivation:
     lines: list[DerivationLine] = []
     for offset, body in _logical_lines(text):
-        span = _line_span(offset, body)
         m = _DERIV_LINE_RE.match(body)
         if m is None:
-            raise ParseError("expected '<n>. <formula> ; <justification>'", span)
+            raise _line_error("expected '<n>. <formula> ; <justification>'", offset, body)
         number = int(m.group(1))
         if number != len(lines) + 1:
-            raise ParseError(f"expected line number {len(lines) + 1}", span)
+            raise _line_error(f"expected line number {len(lines) + 1}", offset, body)
         phi_txt, semi, just_txt = m.group(2).partition(";")
         if not semi:
-            raise ParseError("missing ';' before justification", span)
+            raise _line_error("missing ';' before justification", offset, body)
         phi_base = offset + m.start(2)
         phi = parse_formula(phi_txt, phi_base)
         just = _parse_justification(just_txt, phi_base + len(phi_txt) + 1, number)
-        lines.append(DerivationLine(number, phi, just, span))
+        lines.append(DerivationLine(number, phi, just))
     if not lines:
         raise ParseError("derivation has no lines", SourceSpan(0, len(text)))
     return Derivation(tuple(lines))
@@ -745,10 +740,7 @@ def parse_edges(text: str) -> list[EdgeSpec]:
             start += len(part) + 1
         missing = [key for key in _EDGE_KEYS if key not in entries]
         if missing:
-            raise ParseError(
-                f"edge line is missing fields: {', '.join(missing)}",
-                _line_span(offset, body),
-            )
+            raise _line_error(f"edge line is missing fields: {', '.join(missing)}", offset, body)
         values = {key: entries[key][0] for key in _EDGE_KEYS}
         values["formula"] = parse_formula(*entries["formula"])
         pairs = (item.strip().partition(":") for item in values["inclusion"].split(","))

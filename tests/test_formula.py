@@ -1,9 +1,12 @@
 import copy
 import gc
+import itertools
 import pickle
+import re
 import time
 import weakref
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
@@ -31,7 +34,7 @@ from itlmc import (
     validity,
 )
 from itlmc import formula
-from itlmc.formula import walk
+from itlmc.formula import BUILDERS, operators, walk
 from itlmc.parser import print_formula
 from conftest import formulas
 
@@ -218,6 +221,63 @@ def test_walk_places_each_shared_node_once():
         assert time.perf_counter() - start < 0.1
         assert len(nodes) == levels + 1 and nodes == _reference_subformulas(x)
         assert program == [(Atom, "p", 0)] + [(And, i, i) for i in range(levels)]
+
+
+def _assert_operator_sets(phi):
+    """Every node's operator set decodes to the operators its walk meets."""
+    for f in subformulas(phi):
+        assert operators(f) == {op for op, _, _ in walk(f)[1]}
+
+
+def _with_defined(allow_weak):
+    """Formulas built through ~ and <-> as well as the node classes."""
+    return st.recursive(
+        formulas(max_leaves=4, allow_weak=allow_weak),
+        lambda f: st.one_of(st.builds(Not, f), st.builds(Iff, f, f)),
+        max_leaves=6,
+    )
+
+
+_FRESH = itertools.count()
+
+
+@given(_with_defined(allow_weak=True))
+def test_operator_set_is_the_walked_operators(phi):
+    _assert_operator_sets(phi)
+    # The reader's builders miss on fresh atom names and hit on the rest.
+    n = next(_FRESH)
+    text = re.sub(r"\b([pqr])\b", rf"\1_fresh{n}", print_formula(phi))
+    _assert_operator_sets(parse_formula(text))
+    _assert_operator_sets(parse_formula(print_formula(phi)))
+
+
+@given(_with_defined(allow_weak=False))
+def test_operator_set_of_a_weak_translation(phi):
+    _assert_operator_sets(translate_weak(phi))
+
+
+def test_operator_set_of_a_node_rebuilt_by_pickle():
+    data = pickle.dumps(Iff(Not(StrongBox(Atom("gone"))), WeakBox(Eventually(Atom("gone")))))
+    gc.collect()
+    assert (Atom, "gone") not in formula._NODES
+    phi = pickle.loads(data)
+    assert print_formula(phi) == "(([]gone -> false) -> [*]<>gone) & ([*]<>gone -> []gone -> false)"
+    _assert_operator_sets(phi)
+
+
+def test_intern_builders_give_the_class_call_node():
+    fresh = BUILDERS[Atom]("built-here")
+    assert fresh is Atom("built-here")
+    assert BUILDERS[And](fresh, P) is And(fresh, P)
+    node = Next(fresh)
+    assert BUILDERS[Next](fresh) is node
+    ref = weakref.ref(node)
+    del node
+    gc.collect()
+    assert ref() is None
+    rebuilt = BUILDERS[Next](fresh)
+    assert rebuilt is Next(fresh) and operators(rebuilt) == {Next, Atom}
+    assert set(BUILDERS) == {op for op in formula._ARITY if op is not Bottom}
 
 
 def test_repr_pickle_and_copy_do_not_recurse():

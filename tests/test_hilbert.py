@@ -493,8 +493,23 @@ def test_translate_strong_then_weak_roundtrips(phi):
 
 # Nodes are interned and immutable, so the reference may memoize per node.
 @lru_cache(maxsize=None)
+def _reference_operators(phi) -> frozenset:
+    """Node classes in phi, by recursion over its fields, not its operator set."""
+    found = {type(phi)}
+    for name in type(phi).__match_args__:
+        value = getattr(phi, name)
+        if isinstance(value, Formula):
+            found |= _reference_operators(value)
+    return frozenset(found)
+
+
 def _allows(fragment, phi) -> bool:
-    return fragment.allows(phi)
+    ops = _reference_operators(phi)
+    return (
+        (fragment.eventually or Eventually not in ops)
+        and (fragment.strong_box or StrongBox not in ops)
+        and (fragment.weak_box or WeakBox not in ops)
+    )
 
 
 @lru_cache(maxsize=None)

@@ -80,6 +80,25 @@ def test_package_imports_point_down_the_layers(module, allowed):
     assert _package_imports(SRC / f"{module}.py") <= allowed
 
 
+def _private_imports(path: Path) -> list[str]:
+    """The _-prefixed names that a module imports from another package module."""
+    return [
+        f"{alias.name} from {node.module} (line {node.lineno})"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "itlmc")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_names_cross_modules(path):
+    # What a module keeps private, such as the intern table's key scheme in
+    # formula.py, stays inside it.
+    assert _private_imports(path) == []
+
+
 def _inexact(tree: ast.Module) -> list[str]:
     found = []
     for node in ast.walk(tree):
