@@ -1,17 +1,18 @@
 """One-dimensional systems: rational interval sets and piecewise affine maps.
 
-Everything is exact: endpoints are fractions.Fraction, infinities are None
-endpoints, and no floating point is used anywhere. Numbers from outside become
-Fraction where they enter: `make_interval` (and so `interval` and `point`),
-the `PiecewiseAffineMap` constructor, `apply` and `IntervalSet.contains`. The
-maps compute on those Fractions and never convert again. Each interval also
-keeps its ends as integer (numerator, denominator) pairs, made once when it is
-built; the set algebra and membership compare them by cross-multiplication,
-and the extrapolation fits them. Interval sets are kept in a canonical form
-(sorted, pairwise disjoint, never adjacent) by linear sweeps; only
-`IntervalSet.of` sorts, so structural equality is set equality. Each map keeps
-the preimage of every component it has pulled back for its lifetime, and each
-system the outcome of every subformula it has evaluated.
+Everything is exact, and no floating point is used anywhere. Numbers from
+outside become Fraction where they enter: `make_interval` (and so `interval`
+and `point`), the `PiecewiseAffineMap` constructor, `apply` and
+`IntervalSet.contains`. An interval is a tuple of its ends as integer
+(numerator, denominator) pairs in lowest terms, with -inf and inf as (-1, 0)
+and (1, 0), and their closedness; its ``lo`` and ``hi`` read them back as
+Fraction, None at an infinity. The set algebra and membership compare ends by
+cross-multiplication, a preimage maps them with integer arithmetic and one
+normalisation per end, and the extrapolation fits them. Interval sets are kept
+in a canonical form (sorted, pairwise disjoint, never adjacent) by linear
+sweeps; only `IntervalSet.of` sorts, so structural equality is set equality.
+Each map keeps the preimage of every component it has pulled back for its
+lifetime, and each system the outcome of every subformula it has evaluated.
 
 Both henceforth operators run one loop, `_box`: a decreasing preimage chain
 with affine extrapolation of its integer ends, each extrapolated limit verified
@@ -26,9 +27,11 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left
+from collections import namedtuple
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from functools import cmp_to_key, partial
 from types import MappingProxyType
 
 from .formula import (
@@ -47,66 +50,55 @@ from .formula import (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class Interval:
-    """Nonempty interval with exact endpoints; a None endpoint is an infinity
-    and is never closed. ``_lo`` and ``_hi`` are the ends as integer pairs,
-    which `==`, `hash` and `contains` read; pickles carry the public fields."""
+class Interval(namedtuple("_Ends", "lo_end lo_closed hi_end hi_closed")):
+    """Nonempty interval: its ends as integer (numerator, denominator) pairs
+    in lowest terms, each with its closedness; an infinite end is (-1, 0) or
+    (1, 0) and is open. `==` and `hash` are the tuple's, ``lo`` and ``hi``
+    read the ends as Fraction or None, and pickles carry those public fields.
+    The set algebra reads the fields by position, in the order declared."""
 
-    lo: Fraction | None
-    lo_closed: bool
-    hi: Fraction | None
-    hi_closed: bool
-    _lo: tuple[int, int] = field(init=False, repr=False, compare=False)
-    _hi: tuple[int, int] = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        lo = _NEG_INF if self.lo is None else (self.lo.numerator, self.lo.denominator)
-        hi = _INF if self.hi is None else (self.hi.numerator, self.hi.denominator)
-        if not _obeys_rule(lo, self.lo_closed, hi, self.hi_closed):
-            raise ValueError(f"empty or closed at an infinity: {self}")
-        object.__setattr__(self, "_lo", lo)
-        object.__setattr__(self, "_hi", hi)
+    def __new__(cls, lo, lo_closed, hi, hi_closed):
+        lo_end = _NEG_INF if lo is None else (lo.numerator, lo.denominator)
+        hi_end = _INF if hi is None else (hi.numerator, hi.denominator)
+        iv = tuple.__new__(cls, (lo_end, lo_closed, hi_end, hi_closed))
+        if not _obeys_rule(*iv):
+            raise ValueError(f"empty or closed at an infinity: {iv}")
+        return iv
 
-    def __eq__(self, other):
-        if other.__class__ is not Interval:
-            return NotImplemented
-        return (self._lo == other._lo and self._hi == other._hi
-                and self.lo_closed == other.lo_closed and self.hi_closed == other.hi_closed)
+    @property
+    def lo(self) -> Fraction | None:
+        p, q = self[0]
+        return Fraction(p, q) if q else None
 
-    def __hash__(self):
-        return hash((self._lo, self._hi, self.lo_closed, self.hi_closed))
+    @property
+    def hi(self) -> Fraction | None:
+        p, q = self[2]
+        return Fraction(p, q) if q else None
 
     def __reduce__(self):
         return Interval, (self.lo, self.lo_closed, self.hi, self.hi_closed)
 
+    def __repr__(self) -> str:
+        return (f"Interval(lo={self.lo!r}, lo_closed={self.lo_closed!r}, "
+                f"hi={self.hi!r}, hi_closed={self.hi_closed!r})")
+
     def contains(self, x: Fraction) -> bool:
         n, d = x.numerator, x.denominator
-        (p, q), (r, s) = self._lo, self._hi
-        return ((p * d < n * q or p * d == n * q and self.lo_closed)
-                and (n * s < r * d or n * s == r * d and self.hi_closed))
+        (p, q), lo_closed, (r, s), hi_closed = self
+        return ((p * d < n * q or p * d == n * q and lo_closed)
+                and (n * s < r * d or n * s == r * d and hi_closed))
 
     def __str__(self) -> str:
         lo = "-inf" if self.lo is None else str(self.lo)
         hi = "inf" if self.hi is None else str(self.hi)
-        return (
-            ("[" if self.lo_closed else "(")
-            + f"{lo}, {hi}"
-            + ("]" if self.hi_closed else ")")
-        )
+        return f"{'[' if self.lo_closed else '('}{lo}, {hi}{']' if self.hi_closed else ')'}"
 
 
-# Integer ends are (numerator, denominator); -inf is (-1, 0) and inf is (1, 0).
 _NEG_INF, _INF = (-1, 0), (1, 0)
-_SET = [getattr(Interval, f).__set__ for f in "lo lo_closed _lo hi hi_closed _hi".split()]
-
-
-def _make(lo, lo_closed, lo_end, hi, hi_closed, hi_end) -> Interval:
-    """Interval of ends the caller knows to obey the interval rule."""
-    iv = object.__new__(Interval)
-    for put, value in zip(_SET, (lo, lo_closed, lo_end, hi, hi_closed, hi_end)):
-        put(iv, value)
-    return iv
+# The Interval of ends the caller knows to be in lowest terms and to obey the interval rule.
+_make = partial(tuple.__new__, Interval)
 
 
 def _obeys_rule(lo, lo_closed, hi, hi_closed) -> bool:
@@ -131,23 +123,22 @@ def make_interval(lo, lo_closed, hi, hi_closed) -> Interval | None:
         return None
 
 
-def _touches(a: Interval, b: Interval) -> bool:
-    """Whether a and b (with a's lower bound first) overlap or are adjacent."""
-    (p, q), (r, s) = b._lo, a._hi
-    return not (q and s) or p * s < r * q or p * s == r * q and (a.hi_closed or b.lo_closed)
-
-
 def _intersect(a: Interval, b: Interval) -> Interval | None:
     # The later lower end and the earlier upper end, the open one on a tie.
-    (p, q), (r, s) = a._lo, b._lo
-    lo = a if p * s > r * q or p * s == r * q and not a.lo_closed else b
-    (p, q), (r, s) = a._hi, b._hi
-    hi = a if p * s < r * q or p * s == r * q and not a.hi_closed else b
+    (p, q), (r, s) = a[0], b[0]
+    lo = a if p * s > r * q or p * s == r * q and not a[1] else b
+    (p, q), (r, s) = a[2], b[2]
+    hi = a if p * s < r * q or p * s == r * q and not a[3] else b
     if lo is hi:
         return lo
-    if _obeys_rule(lo._lo, lo.lo_closed, hi._hi, hi.hi_closed):
-        return _make(lo.lo, lo.lo_closed, lo._lo, hi.hi, hi.hi_closed, hi._hi)
-    return None
+    ends = lo[0], lo[1], hi[2], hi[3]
+    return _make(ends) if _obeys_rule(*ends) else None
+
+
+def _lo_order(a: Interval, b: Interval) -> int:
+    """Sign of a's lower end against b's: -inf first, and a closed end before an open one."""
+    (p, q), (r, s) = a[0], b[0]
+    return p * s - r * q or b[1] - a[1]
 
 
 @dataclass(frozen=True, slots=True)
@@ -162,9 +153,8 @@ class IntervalSet:
 
     @staticmethod
     def of(intervals) -> "IntervalSet":
-        # By lower end: -inf first, and a closed end before an open one.
         ivs = (iv for iv in intervals if iv is not None)
-        return _coalesce(sorted(ivs, key=lambda iv: (iv.lo is not None, iv.lo, not iv.lo_closed)))
+        return _coalesce(sorted(ivs, key=cmp_to_key(_lo_order)))
 
     def is_empty(self) -> bool:
         return not self.components
@@ -178,8 +168,8 @@ class IntervalSet:
         a, b, merged = self.components, other.components, []
         i = j = 0
         while i < len(a) and j < len(b):
-            (p, q), (r, s) = a[i]._lo, b[j]._lo
-            first = p * s < r * q or p * s == r * q and a[i].lo_closed
+            (p, q), (r, s) = a[i][0], b[j][0]
+            first = p * s < r * q or p * s == r * q and a[i][1]
             merged.append(a[i] if first else b[j])
             i, j = i + first, j + (not first)
         return _coalesce(merged + list(a[i:] + b[j:]))
@@ -191,20 +181,20 @@ class IntervalSet:
         i = j = 0
         while i < len(a) and j < len(b):
             out.append(_intersect(a[i], b[j]))
-            (p, q), (r, s) = a[i]._hi, b[j]._hi
+            (p, q), (r, s) = a[i][2], b[j][2]
             i, j = i + (p * s <= r * q), j + (p * s >= r * q)
         return IntervalSet(tuple(filter(None, out)))
 
     def complement(self) -> "IntervalSet":
         # Components are apart, so each gap before, between and after them is nonempty.
-        gaps, lo = [], (None, False, _NEG_INF)
-        for iv in self.components:
-            if iv.lo is not None:
-                gaps.append(_make(*lo, iv.lo, not iv.lo_closed, iv._lo))
-            if iv.hi is None:
+        gaps, lo = [], (_NEG_INF, False)
+        for lo_end, lo_closed, hi_end, hi_closed in self.components:
+            if lo_end[1]:
+                gaps.append(_make((*lo, lo_end, not lo_closed)))
+            if not hi_end[1]:
                 return IntervalSet(tuple(gaps))
-            lo = (iv.hi, not iv.hi_closed, iv._hi)
-        return IntervalSet((*gaps, _make(*lo, None, False, _INF)))
+            lo = (hi_end, not hi_closed)
+        return IntervalSet((*gaps, _make((*lo, _INF, False))))
 
     def difference(self, other: "IntervalSet") -> "IntervalSet":
         return self.intersection(other.complement())
@@ -215,18 +205,16 @@ class IntervalSet:
     def interior(self) -> "IntervalSet":
         # A single point has no interior; the open rest stay apart.
         return IntervalSet(tuple(
-            _make(iv.lo, False, iv._lo, iv.hi, False, iv._hi)
-            for iv in self.components if iv._lo != iv._hi
+            _make((lo, False, hi, False)) for lo, _, hi, _ in self.components if lo != hi
         ))
 
     def closure(self) -> "IntervalSet":
         return _coalesce(
-            _make(iv.lo, iv.lo is not None, iv._lo, iv.hi, iv.hi is not None, iv._hi)
-            for iv in self.components
+            _make((lo, lo[1] != 0, hi, hi[1] != 0)) for lo, _, hi, _ in self.components
         )
 
     def is_open(self) -> bool:
-        return all(not iv.lo_closed and not iv.hi_closed for iv in self.components)
+        return not any(lo_closed or hi_closed for _, lo_closed, _, hi_closed in self.components)
 
     def __str__(self) -> str:
         if not self.components:
@@ -238,13 +226,16 @@ def _coalesce(comps) -> IntervalSet:
     """Canonical set of intervals given in order of their lower bounds."""
     merged: list[Interval] = []
     for iv in comps:
-        if merged and _touches(merged[-1], iv):
+        if merged:
             last = merged[-1]
-            (p, q), (r, s) = iv._hi, last._hi
-            if p * s > r * q or p * s == r * q and iv.hi_closed and not last.hi_closed:
-                merged[-1] = _make(last.lo, last.lo_closed, last._lo, iv.hi, iv.hi_closed, iv._hi)
-        else:
-            merged.append(iv)
+            (p, q), (r, s) = iv[0], last[2]
+            # iv overlaps or adjoins last: it starts before last's end, or at it, either closed.
+            if not (q and s) or p * s < r * q or p * s == r * q and (last[3] or iv[1]):
+                p, q = iv[2]
+                if p * s > r * q or p * s == r * q and iv[3] and not last[3]:
+                    merged[-1] = _make((last[0], last[1], iv[2], iv[3]))
+                continue
+        merged.append(iv)
     return IntervalSet(tuple(merged))
 
 
@@ -348,12 +339,15 @@ class PiecewiseAffineMap:
 
 
 def _affine(iv: Interval, a: Fraction, c: Fraction) -> Interval:
-    """Image of iv under x -> a*x + c for a nonzero slope a."""
-    lo = None if iv.lo is None else a * iv.lo + c
-    hi = None if iv.hi is None else a * iv.hi + c
-    if a > 0:
-        return Interval(lo, iv.lo_closed, hi, iv.hi_closed)
-    return Interval(hi, iv.hi_closed, lo, iv.lo_closed)
+    """Image of iv under x -> a*x + c for a nonzero slope a, on integer ends:
+    p/q goes to (m*p + k*q) / (e*q) with a = m/e and c = k/e."""
+    (an, ad), (cn, cd) = a.as_integer_ratio(), c.as_integer_ratio()
+    m, k, e = an * cd, cn * ad, ad * cd
+    (p, q), lo_closed, (r, s), hi_closed = iv
+    # An infinite end keeps its sign under a rising map and flips it under a falling one.
+    lo = Fraction(m * p + k * q, e * q).as_integer_ratio() if q else (p if an > 0 else -p, 0)
+    hi = Fraction(m * r + k * s, e * s).as_integer_ratio() if s else (r if an > 0 else -r, 0)
+    return _make((lo, lo_closed, hi, hi_closed) if an > 0 else (hi, hi_closed, lo, lo_closed))
 
 
 class Status(enum.Enum):
@@ -364,8 +358,11 @@ class Status(enum.Enum):
     UNDETERMINED = "Undetermined"
 
 
+_RANK = {status: rank for rank, status in enumerate(Status)}
+
+
 def worst_status(*statuses: Status) -> Status:
-    return max(statuses, key=list(Status).index)
+    return max(statuses, key=_RANK.__getitem__)
 
 
 @dataclass(frozen=True, slots=True)
@@ -374,7 +371,7 @@ class EvalCaps:
 
     ``components`` bounds how many components an iterate may have beyond its
     operand's own count. The caps count steps and components, not numbers:
-    endpoints enter as Fraction and compare as integer pairs.
+    ends stay exact integer pairs, however long their numerators grow.
     """
 
     iter: int = 64
@@ -500,18 +497,19 @@ def _chain_limit(
 
     out: list[Interval | None] = []
     for comps in zip(*(s.components for s in window)):
-        lo = _fit_endpoint([iv._lo for iv in comps])
-        hi = _fit_endpoint([iv._hi for iv in comps])
+        lo = _fit_endpoint([iv[0] for iv in comps])
+        hi = _fit_endpoint([iv[2] for iv in comps])
         if lo is None or hi is None:
             return None, Status.UNDETERMINED
         if lo == _INF or hi == _NEG_INF or lo[1] and hi[1] and lo[0] * hi[1] > hi[0] * lo[1]:
             continue  # the component vanishes in the limit
         # A finite end is in the limit iff its orbit stays in target.
-        lo, hi = (Fraction(n, d) if d else None for n, d in (lo, hi))
-        closed = [e is not None and _orbit_stays_in(pwmap, e, target, caps.orbit) for e in (lo, hi)]
+        closed = [d != 0 and _orbit_stays_in(pwmap, Fraction(n, d), target, caps.orbit)
+                  for n, d in (lo, hi)]
         if None in closed:
             return None, Status.UNDETERMINED
-        out.append(make_interval(lo, closed[0], hi, closed[1]))
+        ends = lo, closed[0], hi, closed[1]
+        out.append(_make(ends) if _obeys_rule(*ends) else None)
 
     limit = IntervalSet.of(out)
     if limit != target.intersection(pwmap.preimage(limit)):

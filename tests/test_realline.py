@@ -31,7 +31,7 @@ from itlmc import (
     point,
 )
 from itlmc.formula import walk
-from itlmc.realline import _INF, _NEG_INF, _affine, _fit_endpoint, _intersect
+from itlmc.realline import _INF, _NEG_INF, _fit_endpoint, _intersect
 from conftest import MAP_SLOPES, formulas, random_interval_set, random_map, random_point
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=6)
@@ -133,6 +133,16 @@ def _domains(f: PiecewiseAffineMap) -> list[Interval]:
     return [Interval(lo, lo is not None, hi, hi is not None) for lo, hi in zip(ends, ends[1:])]
 
 
+def _reference_affine(iv: Interval, a: Fraction, c: Fraction) -> Interval:
+    """Image of iv under x -> a*x + c for a nonzero slope a, in Fraction
+    arithmetic on the public ends: the ends swap under a negative slope."""
+    lo = None if iv.lo is None else a * iv.lo + c
+    hi = None if iv.hi is None else a * iv.hi + c
+    if a > 0:
+        return Interval(lo, iv.lo_closed, hi, iv.hi_closed)
+    return Interval(hi, iv.hi_closed, lo, iv.lo_closed)
+
+
 def _unsorted_preimage(f: PiecewiseAffineMap, s: IntervalSet) -> IntervalSet:
     out = []
     for (a, c), dom in zip(f.pieces, _domains(f)):
@@ -140,7 +150,8 @@ def _unsorted_preimage(f: PiecewiseAffineMap, s: IntervalSet) -> IntervalSet:
             out += [dom] if s.contains(c) else []
         else:
             out += [
-                _reference_intersect(_affine(comp, 1 / a, -c / a), dom) for comp in s.components
+                _reference_intersect(_reference_affine(comp, 1 / a, -c / a), dom)
+                for comp in s.components
             ]
     return _reference_of(out)
 
@@ -152,7 +163,7 @@ def _reference_image(f: PiecewiseAffineMap, s: IntervalSet) -> IntervalSet:
         for comp in s.components:
             clip = _reference_intersect(comp, dom)
             if clip is not None:
-                out.append(_affine(clip, a, c) if a else Interval(c, True, c, True))
+                out.append(_reference_affine(clip, a, c) if a else Interval(c, True, c, True))
     return _reference_of(out)
 
 
@@ -251,7 +262,7 @@ def _assert_same_set(got: IntervalSet, want: IntervalSet):
     assert hash(got) == hash(want) and str(got) == str(want)
     for iv, ref in zip(got.components, want.components):
         assert iv == ref and hash(iv) == hash(ref)
-        for end, pair in ((iv.lo, iv._lo), (iv.hi, iv._hi)):
+        for end, pair in ((iv.lo, iv.lo_end), (iv.hi, iv.hi_end)):
             assert end is None or pair == (Fraction(end).numerator, Fraction(end).denominator)
 
 
@@ -286,6 +297,36 @@ def int_ended(draw, sets):
     ))
 
 
+def test_interval_public_face():
+    # repr, str, the types of lo and hi, and pickle and copy round trips
+    # of intervals made by make_interval, whatever their inner layout.
+    cases = [
+        (make_interval(Fraction(-3, 4), True, Fraction(5, 2), False),
+         "Interval(lo=Fraction(-3, 4), lo_closed=True, hi=Fraction(5, 2), hi_closed=False)",
+         "[-3/4, 5/2)"),
+        (make_interval(None, True, 2, True),
+         "Interval(lo=None, lo_closed=False, hi=Fraction(2, 1), hi_closed=True)", "(-inf, 2]"),
+        (make_interval(0, False, None, True),
+         "Interval(lo=Fraction(0, 1), lo_closed=False, hi=None, hi_closed=False)", "(0, inf)"),
+        (make_interval(None, False, None, False),
+         "Interval(lo=None, lo_closed=False, hi=None, hi_closed=False)", "(-inf, inf)"),
+        (make_interval(Fraction(-7, 3), True, Fraction(-14, 6), True),
+         "Interval(lo=Fraction(-7, 3), lo_closed=True, hi=Fraction(-7, 3), hi_closed=True)",
+         "[-7/3, -7/3]"),
+    ]
+    for iv, text, shown in cases:
+        assert type(iv) is Interval and repr(iv) == text and str(iv) == shown
+        assert {type(iv.lo), type(iv.hi)} <= {Fraction, type(None)}
+        assert (iv.lo is None, iv.hi is None) == ("lo=None" in text, "hi=None" in text)
+        clones = [pickle.loads(pickle.dumps(iv, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for clone in (*clones, copy.copy(iv), copy.deepcopy(iv)):
+            assert type(clone) is Interval and clone == iv and hash(clone) == hash(iv)
+            assert repr(clone) == text and str(clone) == shown
+            assert (clone.lo, clone.lo_closed, clone.hi, clone.hi_closed) == (
+                iv.lo, iv.lo_closed, iv.hi, iv.hi_closed)
+
+
 def test_int_and_fraction_ends_are_one_interval():
     for lo, hi in ((1, 2), (None, -3), (0, None), (None, None)):
         ints = Interval(lo, lo is not None, hi, False)
@@ -294,10 +335,13 @@ def test_int_and_fraction_ends_are_one_interval():
     assert Interval(1, True, 2, False) != Interval(1, False, 2, False)
     assert Interval(1, True, 2, False) != Interval(Fraction(2, 2), True, Fraction(5, 2), False)
     assert Interval(None, False, 0, False) != Interval(0, False, None, False)
+    # Ends given as int read back as Fraction, as the ends of a set's components do.
+    assert type(Interval(1, True, 2, False).lo) is Fraction
+    assert type(Interval(None, False, 2, True).hi) is Fraction
     for iv in (Interval(Fraction(-3, 4), True, None, False), Interval(None, False, 2, True)):
         for clone in (pickle.loads(pickle.dumps(iv)), copy.copy(iv), copy.deepcopy(iv)):
             assert clone == iv and hash(clone) == hash(iv) and repr(clone) == repr(iv)
-            assert (clone._lo, clone._hi) == (iv._lo, iv._hi)
+            assert (clone.lo_end, clone.hi_end) == (iv.lo_end, iv.hi_end)
 
 
 @settings(max_examples=200)
@@ -411,6 +455,36 @@ def test_preimage_matches_the_unsorted_reference_cold_and_warm(f, data):
             _assert_same_set(f.preimage(s), want)
             assert all(comp in f._memo for comp in s.components)
             _assert_same_set(PiecewiseAffineMap(f.breakpoints, f.pieces).preimage(s), want)
+
+
+def _assert_canonical(s: IntervalSet):
+    # Tuple == and hash are set equality only on ends in lowest terms.
+    for iv in s.components:
+        for n, d in (iv.lo_end, iv.hi_end):
+            assert type(n) is int and type(d) is int
+            if d == 0:
+                assert (n, d) in (_NEG_INF, _INF)
+            else:
+                assert d > 0 and Fraction(n, d).denominator == d
+
+
+@settings(max_examples=100)
+@given(st.randoms(use_true_random=False))
+def test_preimages_and_chain_iterates_have_canonical_ends(rng):
+    f, s = random_map(rng), random_interval_set(rng)
+    # The iterates V -> join(s, preimage(V)) of both fixpoint chains, and
+    # the values of the boxes, extrapolated limits included.
+    for join in (IntervalSet.intersection, IntervalSet.union):
+        v = s
+        for _ in range(12):
+            pre = f.preimage(v)
+            v = join(s, pre)
+            _assert_canonical(pre)
+            _assert_canonical(v)
+    out = eval_real(_system(f, p=s.interior()), parse_formula("[]p | [*]p | <>p"))
+    for value in out.table.values():
+        if value.value is not None:
+            _assert_canonical(value.value)
 
 
 def test_preimage_memo_is_invisible():
