@@ -125,19 +125,13 @@ def _cmd_validate(args) -> int:
     phi = parse_formula(args.formula)
     verdict = validity(phi, SemanticClass(args.semclass, args.bound))
     if isinstance(verdict, ValidUpTo):
-        _emit(
-            args,
-            f"valid in class {args.semclass} up to {verdict.bound} worlds",
-            [("verdict", "valid"), ("bound", str(verdict.bound))],
-        )
+        _emit(args, f"valid in class {args.semclass} up to {verdict.bound} worlds",
+              [("verdict", "valid"), ("bound", str(verdict.bound))])
         return 0
     if isinstance(verdict, Countermodel):
         rendered = print_poset_model(verdict.model, verdict.valuation)
-        _emit(
-            args,
-            f"countermodel:\n{rendered}\nfalsified at: {verdict.world}",
-            [("verdict", "falsified"), ("world", verdict.world), ("model", repr(rendered))],
-        )
+        _emit(args, f"countermodel:\n{rendered}\nfalsified at: {verdict.world}",
+              [("verdict", "falsified"), ("world", verdict.world), ("model", repr(rendered))])
         return 1
     assert isinstance(verdict, Undetermined)
     _emit(args, f"undetermined: {verdict.reason}", [("verdict", "undetermined")])
@@ -150,21 +144,11 @@ def _cmd_prove(args) -> int:
     result = check(derivation, logic)
     if result.ok:
         theorem = print_formula(derivation.theorem)
-        _emit(
-            args,
-            f"accepted ({result.line_count} lines)\ntheorem: {theorem}",
-            [("verdict", "accepted"), ("lines", str(result.line_count)), ("theorem", theorem)],
-        )
+        _emit(args, f"accepted ({result.line_count} lines)\ntheorem: {theorem}",
+              [("verdict", "accepted"), ("lines", str(result.line_count)), ("theorem", theorem)])
         return 0
-    _emit(
-        args,
-        f"rejected at line {result.failed_line}: {result.reason}",
-        [
-            ("verdict", "rejected"),
-            ("line", str(result.failed_line)),
-            ("reason", result.reason),
-        ],
-    )
+    _emit(args, f"rejected at line {result.failed_line}: {result.reason}",
+          [("verdict", "rejected"), ("line", str(result.failed_line)), ("reason", result.reason)])
     return 1
 
 

@@ -14,8 +14,9 @@ node classes in it, made once from its children's.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
-from weakref import KeyedRef
+from functools import partial
 
 
 class InputError(ValueError):
@@ -27,13 +28,13 @@ class InputError(ValueError):
 # Every live node, as a weak reference keyed by its class and fields.
 # Children are interned already, so the key hashes them by identity. A
 # plain dict read from C is what keeps a hit cheap.
-_NODES: dict[tuple, KeyedRef] = {}
+_NODES: dict[tuple, weakref.ref] = {}
 
 
-def _forget(ref: KeyedRef) -> None:
+def _forget(key: tuple, dead: weakref.ref) -> None:
     """Drop a dead node's entry, unless its key now holds a newer node."""
-    if _NODES.get(ref.key) is ref:
-        del _NODES[ref.key]
+    if _NODES.get(key) is dead:
+        del _NODES[key]
 
 
 class Formula:
@@ -133,7 +134,7 @@ def _make(cls: type, fields: tuple, key: tuple) -> Formula:
     for child in fields[: _ARITY[cls]]:
         ops |= child.ops
     object.__setattr__(node, "ops", ops)
-    _NODES[key] = KeyedRef(node, _forget, key)
+    _NODES[key] = weakref.ref(node, partial(_forget, key))
     return node
 
 

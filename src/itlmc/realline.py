@@ -55,7 +55,9 @@ class Interval(namedtuple("_Ends", "lo_end lo_closed hi_end hi_closed")):
     in lowest terms, each with its closedness; an infinite end is (-1, 0) or
     (1, 0) and is open. `==` and `hash` are the tuple's, ``lo`` and ``hi``
     read the ends as Fraction or None, and pickles carry those public fields.
-    The set algebra reads the fields by position, in the order declared."""
+    The set algebra reads the fields by position, in the order declared.
+    Intervals have no order of their own: `<` is the tuple order of the
+    integer ends, so [1/2, 1] sorts before [1/3, 1]. Sort with `_lo_order`."""
 
     __slots__ = ()
 

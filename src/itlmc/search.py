@@ -2,9 +2,10 @@
 
 A scan goes by size up to a world bound and, at each size, over one model
 per isomorphism class of (poset, step) pairs under all up-set valuations of
-the formula's atoms. The tables depend only on the class and the size: each
-is built once per process, when a scan first reaches it. Only a reported
-countermodel becomes a `DynamicPoset`.
+the formula's atoms. Each table, of a class and a size, is built once per
+process, when a batch first takes a chunk from it, so a formula refuted on
+one world never builds the larger sizes. Only a reported countermodel
+becomes a `DynamicPoset`.
 
 The posets are generated directly, one per isomorphism class (isomorph
 rejection, as in McKay and Brinkmann's "Posets on up to 16 points", Order
@@ -18,37 +19,40 @@ is isomorphic to an earlier one kept, so it fails only after a kept one has
 failed: the scan meets the first countermodel of a scan of every labeled
 model in that order.
 
-`validity` evaluates the step maps of a carrier a chunk at a time: a
-world's row has bit v * S + s for valuation v under the chunk's step s,
-valuation-major and step-minor, for S = CHUNK_BITS // V steps (at least
-one) and V valuations, so no chunk is wider than CHUNK_BITS = 2^16 bits
-unless one step's valuations are. Reading the lowest failing step slot,
-then the lowest valuation at that slot, then the lowest world, gives the
-countermodel a scan of one step at a time would meet first.
+`validity` evaluates chunks of a carrier's step maps: a world's row has bit
+v * S + s for valuation v under the chunk's step s, for S steps and V
+valuations. The lowest failing step slot, then valuation, then world, is
+the countermodel a scan of one step at a time would meet first.
 
-Consecutive chunks of one size, across carriers, are packed into a batch
-while their widths sum to at most CHUNK_BITS, and a batch is one
-`eval_sliced` call over one row per world position: chunk c takes lanes
-[lane_c, lane_c + width_c) of every row. The order is a lane mask, like
-the step: world i's up-pairs name each j that some chunk's poset puts
-above i, with the lanes whose poset does not. Each bit is a model lane of
-its own, so the chunks do not mix; each reads only its own lanes, in
-table order, and the scan stops at the first batch with a failing chunk.
+The one-world table, the classical valuations, is a batch of its own; the
+chunks of sizes 2..bound follow as one stream in scan order, packed into
+batches of CHUNK_BITS = 2^16 lanes: a chunk takes as many of its carrier's
+next steps as its batch has room for (one, alone, if it is wider). A batch
+is one `eval_sliced` call over the worlds of its largest chunk, chunk c at
+lanes [lane_c, lane_c + width_c) of every row. The order is a lane mask,
+like the step: world i's up-pairs name each j that some chunk's poset puts
+above i, with the lanes whose poset does not. Each chunk reads only its
+own lanes, in scan order, and the scan stops at the first failing batch.
 
-A batch (its atom rows, full row, up-pairs and move masks) depends only
-on the table, the atom count and the chunk width, so batches are kept per
-process for formulas of at most PLANNED_ATOMS = 3 atoms, each built when a
-scan first reaches it. At five worlds in class e they take about 6 MB for
-two atoms and 45 MB for three (tracemalloc); four atoms would take about
-115 MB.
+A chunk of m worlds in a batch of N is padded with N - m isolated worlds
+that step to themselves and make every atom false. Truth at a world
+depends only on the submodel it generates (Blackburn, de Rijke and Venema,
+*Modal Logic*, CUP 2001, 2.1), so the chunk's worlds keep their truth and
+each padding world is the one-world model under the all-false valuation,
+which the first batch passed: the top rows need no lane mask.
+
+Batches are kept per process by class, bound, atom count and chunk width,
+for formulas of at most PLANNED_ATOMS = 3 atoms. At bound 5 in class e
+they take about 6 MB for two atoms and 50 MB for three (tracemalloc);
+four would take 125 MB.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cache, lru_cache, reduce
-from itertools import islice, permutations, product
+from itertools import count, islice, permutations, product
 from operator import and_
 from typing import NamedTuple, Union
 
@@ -66,9 +70,9 @@ CHUNK_BITS = 1 << 16
 # Batches are kept for formulas of at most this many atoms.
 PLANNED_ATOMS = 3
 
-# Batches of the model tables by (class, size, atoms, chunk width): each
-# batch's chunks, and the batches built so far, a prefix since scans go in order.
-_PLANS: dict[tuple[str, int, int, int], tuple[list[list[tuple[int, int, int]]], list[tuple]]] = {}
+# The batches of a scan by (class, bound, atoms, chunk width), built so far: a prefix,
+# since scans go in order, that ends in None once the scan has passed them all.
+_PLANS: dict[tuple[str, int, int, int], list[tuple | None]] = {}
 
 _FRESH = ("p", "q", "r", "s")
 
@@ -90,9 +94,7 @@ class SemanticClass:
         if self.bound < 1:
             raise BoundTooLarge("bound must be at least 1")
         if self.bound > MAX_BOUND:
-            raise BoundTooLarge(
-                f"bound {self.bound} exceeds the configured maximum {MAX_BOUND}"
-            )
+            raise BoundTooLarge(f"bound {self.bound} exceeds the configured maximum {MAX_BOUND}")
 
 
 @dataclass(frozen=True)
@@ -294,8 +296,8 @@ def _atom_rows(members: Sequence[int], m: int, k: int, slots: int) -> tuple[list
     mask fills block d of ``stride`` bits in each period of m blocks. A mask
     times a comb with teeth stride - 1 apart puts bit d at d * stride (no two
     partial products meet); narrow blocks come from a string instead. The
-    last rows are kept: a carrier's chunks come in a row, all but its last
-    with the same slot count.
+    last rows are kept: a carrier's chunks come in a row, all but its first
+    and last with the same slot count.
     """
     total = m**k * slots
     rows = []
@@ -312,42 +314,52 @@ def _atom_rows(members: Sequence[int], m: int, k: int, slots: int) -> tuple[list
     return rows, (1 << total) - 1
 
 
-def _groups(
-    carriers: Sequence[_Carrier], k: int, chunk_bits: int
-) -> list[list[tuple[int, int, int]]]:
-    """The table's chunks in scan order as (carrier index, first step, slot count), in runs
-    whose widths sum to at most ``chunk_bits`` unless a run holds one chunk: the batches."""
-    groups, width = [[]], 0
-    for index, carrier in enumerate(carriers):
-        valuations = len(carrier.upsets) ** k
-        size = max(1, chunk_bits // valuations)
-        for first in range(0, len(carrier.steps), size):
-            slots = min(size, len(carrier.steps) - first)
-            if groups[-1] and width + valuations * slots > chunk_bits:
-                groups.append([])
-                width = 0
-            groups[-1].append((index, first, slots))
-            width += valuations * slots
-    return groups
+def _groups(kind: str, bound: int, k: int, chunk_bits: int) -> Iterator[list[tuple]]:
+    """A scan's batches of chunks (size, carrier index, first step, slot count), in scan order:
+    the one-world table's alone, then those of sizes 2..bound. A chunk takes as many of its
+    carrier's next steps as the batch has room for (one, if alone); a batch ends when it has no
+    room for one step of the next carrier. Each table is built when a batch takes a chunk."""
+    group, room = [], chunk_bits
+    for n in range(1, bound + 1):
+        # Each size's first poset is the antichain, 2^n up-sets: a batch without room for one
+        # of its steps ends here, before the table is built.
+        if group and (n == 2 or 2 ** (n * k) > room):
+            yield group
+            group, room = [], chunk_bits
+        for index, carrier in enumerate(_table(kind, n)):
+            valuations, first = len(carrier.upsets) ** k, 0
+            while first < len(carrier.steps):
+                if group and valuations > room:
+                    yield group
+                    group, room = [], chunk_bits
+                slots = min(len(carrier.steps) - first, max(1, room // valuations))
+                group.append((n, index, first, slots))
+                first += slots
+                room -= valuations * slots
+    yield group
 
 
-def _batch(carriers: Sequence[_Carrier], k: int, group: list[tuple[int, int, int]]) -> tuple:
+def _batch(kind: str, k: int, group: list[tuple[int, int, int, int]]) -> tuple:
     """Moves, up-pairs, atom rows and full row of the chunks stacked along the lanes, and per
-    chunk its first lane, width, carrier index, first step and slot count."""
+    chunk its first lane, width, size, carrier index, first step and slot count. A chunk of
+    fewer worlds than the last is padded with isolated worlds that step to themselves."""
+    n = group[-1][0]
     parts, chunks, lane = [], [], 0
-    for index, first, slots in group:
-        carrier = carriers[index]
+    for size, index, first, slots in group:
+        carrier, padding = _table(kind, size)[index], range(size, n)
         rows, full = _atom_rows(carrier.members, len(carrier.upsets), k, slots)
         # A move mask holds the chunk's slots of its steps once per valuation;
         # where all of them go to one target, it is the full row itself.
         repunit, low = _repeat(1, slots, full.bit_length()), (1 << slots) - 1
         moves = [{j: full if m == low else m * repunit for j, mask in targets
                   if (m := mask >> first & low)} for targets in carrier.moves]
-        parts.append((rows, moves, carrier.ups, full))
-        chunks.append((lane, full.bit_length(), index, first, slots))
+        moves += [{i: full} for i in padding]
+        ups = carrier.ups + tuple((i,) for i in padding)
+        parts.append(([row + [0] * len(padding) for row in rows], moves, ups, full))
+        chunks.append((lane, full.bit_length(), size, index, first, slots))
         lane += full.bit_length()
     rows, moves, ups, fulls = zip(*parts)
-    lanes, full, worlds = [lane for lane, *_ in chunks[1:]], (1 << lane) - 1, range(len(ups[0]))
+    lanes, full, worlds = [lane for lane, *_ in chunks[1:]], (1 << lane) - 1, range(n)
 
     def join(masks: Sequence[int]) -> int:
         """One mask per chunk, each at its chunk's lanes; a mask of every lane is ``full``."""
@@ -369,55 +381,54 @@ def _batch(carriers: Sequence[_Carrier], k: int, group: list[tuple[int, int, int
 def validity(phi: Formula, semclass: SemanticClass) -> Verdict:
     """First falsifying model in enumeration order, or validity up to bound.
 
-    Each size's table is scanned a batch of chunks of steps at a time under
-    all valuations (see the module docstring). Only the first countermodel
+    The tables are scanned a batch of chunks of steps at a time under all
+    valuations (see the module docstring). Only the first countermodel
     becomes a `DynamicPoset`, and `eval_formula` re-checks it on that one
     valuation.
     """
     program = walk(phi)[1]
     names = sorted(a for op, a, _ in program if op is Atom)
-    k = len(names)
-    for n in range(1, semclass.bound + 1):
-        table = _table(semclass.kind, n)
-        key = (semclass.kind, n, k, CHUNK_BITS)
-        groups, built = _PLANS.get(key) or (_groups(table, k, CHUNK_BITS), [])
-        if k <= PLANNED_ATOMS:
-            _PLANS[key] = groups, built
-        for b, group in enumerate(groups):
-            batch = built[b] if b < len(built) else _batch(table, k, group)
-            if b == len(built) and k <= PLANNED_ATOMS:
-                built.append(batch)
-            moves, ups, rows, full, chunks = batch
-            top = eval_sliced(moves, ups, program, dict(zip(names, rows)), full)
-            missing = full & ~reduce(and_, top)
-            for lane, width, index, first, slots in chunks if missing else ():
-                failing = missing >> lane & (1 << width) - 1
-                if not failing:
-                    continue
-                carrier, repunit = table[index], _repeat(1, slots, width)
-                slot = next(s for s in range(slots) if failing >> s & repunit)
-                at_slot = failing >> slot & repunit
-                bit = (at_slot & -at_slot).bit_length() - 1 + slot
-                model = _with_step(_poset(n, carrier.pairs), carrier.steps[first + slot])
-                world = next(w for w, row in zip(model.worlds, top) if not (row >> lane + bit) & 1)
-                assignment = next(islice(product(carrier.upsets, repeat=k), bit // slots, None))
-                valuation = {a: model.worlds_of(up) for a, up in zip(names, assignment)}
-                if world in eval_formula(model, valuation, phi):
-                    raise AssertionError("sliced rows and the one-valuation re-check disagree")
-                return Countermodel(model, valuation, world, phi)
-    return ValidUpTo(semclass.bound)
+    k, kind = len(names), semclass.kind
+    key = (kind, semclass.bound, k, CHUNK_BITS)
+    plan = _PLANS.setdefault(key, []) if k <= PLANNED_ATOMS else []
+    groups = None
+    for b in count():
+        if b < len(plan):
+            batch = plan[b]
+        else:
+            # Past the kept batches a fresh stream takes over, so no failed build is half kept.
+            groups = groups or islice(_groups(kind, semclass.bound, k, CHUNK_BITS), b, None)
+            batch = (group := next(groups, None)) and _batch(kind, k, group)
+            if k <= PLANNED_ATOMS:
+                plan.append(batch)
+        if batch is None:
+            return ValidUpTo(semclass.bound)
+        moves, ups, rows, full, chunks = batch
+        top = eval_sliced(moves, ups, program, dict(zip(names, rows)), full)
+        missing = full & ~reduce(and_, top)
+        for lane, width, n, index, first, slots in chunks if missing else ():
+            failing = missing >> lane & (1 << width) - 1
+            if not failing:
+                continue
+            carrier, repunit = _table(kind, n)[index], _repeat(1, slots, width)
+            slot = next(s for s in range(slots) if failing >> s & repunit)
+            at_slot = failing >> slot & repunit
+            bit = (at_slot & -at_slot).bit_length() - 1 + slot
+            model = _with_step(_poset(n, carrier.pairs), carrier.steps[first + slot])
+            world = next(w for w, row in zip(model.worlds, top) if not (row >> lane + bit) & 1)
+            assignment = next(islice(product(carrier.upsets, repeat=k), bit // slots, None))
+            valuation = {a: model.worlds_of(up) for a, up in zip(names, assignment)}
+            if world in eval_formula(model, valuation, phi):
+                raise AssertionError("sliced rows and the one-valuation re-check disagree")
+            return Countermodel(model, valuation, world, phi)
 
 
 def _fresh_instance(schema: Schema) -> Formula:
     """The schema with its metavariables replaced by distinct fresh atoms."""
-    return instantiate(
-        schema, {mv: Atom(_FRESH[i]) for i, mv in enumerate(schema.metavars)}
-    )
+    return instantiate(schema, {mv: Atom(_FRESH[i]) for i, mv in enumerate(schema.metavars)})
 
 
-def soundness_sweep(
-    logic: LogicSpec, semclass: SemanticClass
-) -> dict[str, Verdict]:
+def soundness_sweep(logic: LogicSpec, semclass: SemanticClass) -> dict[str, Verdict]:
     """Check every axiom schema of the logic over the class.
 
     Schemas are instantiated with distinct fresh atoms; weak-rendered
@@ -534,10 +545,8 @@ def build_separation_matrix(corpus) -> list[EdgeReport]:
     """
     reports = []
     for edge in corpus.edges():
-        checks = [
-            verify(edge, corpus)
-            for verify in (_verify_derivation, _verify_witness, _verify_inclusion)
-        ]
+        verifiers = (_verify_derivation, _verify_witness, _verify_inclusion)
+        checks = [verify(edge, corpus) for verify in verifiers]
         detail = "; ".join(note for _, note in checks if note)
         reports.append(EdgeReport(edge, all(ok for ok, _ in checks), detail))
     return reports

@@ -128,7 +128,7 @@ def test_a_dead_entry_does_not_evict_its_successor():
     assert dead() is None and key not in formula._NODES
     second = Atom("reborn")
     assert formula._NODES[key]() is second
-    formula._forget(dead)  # the dead entry's callback, run late
+    formula._forget(key, dead)  # the dead entry's callback, run late
     assert formula._NODES[key]() is second and Atom("reborn") is second
     # A dead entry still in the table is replaced, and its callback then
     # leaves the replacement alone.
@@ -136,7 +136,7 @@ def test_a_dead_entry_does_not_evict_its_successor():
     formula._NODES[key] = dead
     third = Atom("reborn")
     assert formula._NODES[key]() is third
-    formula._forget(dead)
+    formula._forget(key, dead)
     assert Atom("reborn") is third
 
 

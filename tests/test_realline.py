@@ -4,6 +4,7 @@ import random
 import time
 from fractions import Fraction
 from heapq import merge
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -342,6 +343,20 @@ def test_int_and_fraction_ends_are_one_interval():
         for clone in (pickle.loads(pickle.dumps(iv)), copy.copy(iv), copy.deepcopy(iv)):
             assert clone == iv and hash(clone) == hash(iv) and repr(clone) == repr(iv)
             assert (clone.lo_end, clone.hi_end) == (iv.lo_end, iv.hi_end)
+
+
+def test_of_gives_one_set_for_every_order_of_its_intervals():
+    # Overlapping, nested and adjacent pieces, and two open ones that only
+    # share an end. The tuple order puts [1/2, 1] before [1/3, 1], which
+    # the lower-end order does not, so `of` must not sort by it.
+    third, half = make_interval(Fraction(1, 3), True, 1, True), make_interval(Fraction(1, 2), True, 1, True)
+    assert sorted([third, half]) == [half, third]
+    pieces = [make_interval(0, True, Fraction(1, 3), False), third, half, make_interval(1, False, 2, False),
+              make_interval(3, False, 4, True), make_interval(5, False, 6, False), make_interval(6, False, None, False)]
+    expected = (make_interval(0, True, 2, False), make_interval(3, False, 4, True),
+                make_interval(5, False, 6, False), make_interval(6, False, None, False))
+    for order in permutations(pieces):
+        assert IntervalSet.of(order).components == expected
 
 
 @settings(max_examples=200)

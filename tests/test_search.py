@@ -288,25 +288,56 @@ def test_reduced_table_holds_one_model_per_isomorphism_class(kind):
         assert set(reduced) == labeled
 
 
+def _tables_built(phi, semclass):
+    """The verdict, and the sizes whose tables the scan asks for, in order, with no batch kept."""
+    built, table = [], search._table
+
+    def build(kind, n):
+        if n not in built:
+            built.append(n)
+        return table(kind, n)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "_table", build)
+        mp.setattr(search, "_PLANS", {})
+        return validity(phi, semclass), built
+
+
 def test_table_is_invisible_and_built_only_as_far_as_the_scan_goes():
     used = SemanticClass("e", 3)
     assert validity(parse_formula("[]p -> p"), used) == ValidUpTo(3)
     fresh = SemanticClass("e", 3)
     assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
-    built, uncached = [], search._table.__wrapped__
-
-    def build(kind, n):
-        built.append(n)
-        return uncached(kind, n)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(search, "_table", build)
-        verdict = validity(cem(Atom("p"), Atom("q")), SemanticClass("e", 5))
+    # The batch that refutes on three worlds has room left, and fills it from
+    # the four- and five-world tables.
+    verdict, built = _tables_built(cem(Atom("p"), Atom("q")), SemanticClass("e", 5))
+    assert isinstance(verdict, Countermodel) and verdict.model.n == 3
+    assert built == [1, 2, 3, 4, 5]
+    verdict, built = _tables_built(parse_formula("[](p | q) -> []p | <>q"), SemanticClass("e", 4))
+    assert verdict == ValidUpTo(4) and built == [1, 2, 3, 4]
+    # One step of the four-world antichain takes 2^16 lanes at four atoms, more
+    # than the refuting batch has left, so that batch ends before the table.
+    for kind in "ep":
+        phi = parse_formula("((p -> q) | (q -> p)) | (r & s)")
+        verdict, built = _tables_built(phi, SemanticClass(kind, 4))
         assert isinstance(verdict, Countermodel) and verdict.model.n == 3
         assert built == [1, 2, 3]
-        built.clear()
-        assert validity(parse_formula("[](p | q) -> []p | <>q"), SemanticClass("e", 4)) == ValidUpTo(4)
-        assert built == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("kind", "ep")
+@pytest.mark.parametrize("text", ["p", "(p -> q) -> p", "O p & ~q", "p & q -> r | s"])
+def test_a_formula_refuted_on_one_world_builds_only_the_one_world_table(text, kind):
+    verdict, built = _tables_built(parse_formula(text), SemanticClass(kind, 5))
+    assert isinstance(verdict, Countermodel) and verdict.model.n == 1
+    assert built == [1]
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_each_tables_first_poset_is_the_antichain(n):
+    # `_groups` reads the width of a size's first step off 2^n up-sets without the table.
+    for kind in "ep":
+        first = search._table(kind, n)[0]
+        assert first.pairs == () and len(first.upsets) == 2**n
 
 
 def _reference_countermodel(phi, semclass):
@@ -475,6 +506,18 @@ def test_repeat_matches_the_pattern_written_out(period, copies, data):
     assert search._repeat(x, period, period * copies) == int(written, 2)
 
 
+def _random_group(rng, kind, sizes):
+    """Chunks (size, carrier index, first step, slot count) of up to four carriers of
+    each size, in scan order."""
+    group = []
+    for n in sizes:
+        table = search._table(kind, n)
+        for index in sorted(rng.sample(range(len(table)), min(4, len(table)))):
+            first = rng.randrange(len(table[index].steps))
+            group.append((n, index, first, rng.randint(1, min(3, len(table[index].steps) - first))))
+    return group
+
+
 @settings(max_examples=60, deadline=None)
 @given(formulas(max_leaves=8, allow_weak=True), st.sampled_from("ep"), st.integers(0, 2**32))
 def test_mixed_lane_batch_rows_match_each_chunk_alone_and_kripke_extension(phi, kind, seed):
@@ -483,13 +526,9 @@ def test_mixed_lane_batch_rows_match_each_chunk_alone_and_kripke_extension(phi, 
     # the rows is its own evaluation, and agrees with the Kripke clauses.
     rng = random.Random(seed)
     n = rng.randint(2, 4)
-    table = search._table(kind, n)
     program, names = walk(phi)[1], atoms(phi)
-    group = []
-    for index in sorted(rng.sample(range(len(table)), min(4, len(table)))):
-        first = rng.randrange(len(table[index].steps))
-        group.append((index, first, rng.randint(1, min(3, len(table[index].steps) - first))))
-    moves, ups, rows, full, chunks = search._batch(table, len(names), group)
+    group = _random_group(rng, kind, [n])
+    moves, ups, rows, full, chunks = search._batch(kind, len(names), group)
     assert all(len(up) == n for up in (moves, ups, *rows))
     assert full.bit_length() == sum(width for _, width, *_ in chunks)
     if len(group) > 1:
@@ -497,17 +536,72 @@ def test_mixed_lane_batch_rows_match_each_chunk_alone_and_kripke_extension(phi, 
     top = eval_sliced(moves, ups, program, dict(zip(names, rows)), full)
     assert all(row <= full for row in top)
     for chunk in group:
-        alone = search._batch(table, len(names), [chunk])
-        (lane, width, index, first, slots), = (c for c in chunks if c[2:] == chunk)
+        alone = search._batch(kind, len(names), [chunk])
+        (lane, width, _, index, first, slots), = (c for c in chunks if c[2:] == chunk)
         alone_top = eval_sliced(*alone[:2], program, dict(zip(names, alone[2])), alone[3])
         assert [row >> lane & (1 << width) - 1 for row in top] == alone_top
-        carrier, base = table[index], search._poset(n, table[index].pairs)
+        carrier = search._table(kind, n)[index]
+        base = search._poset(n, carrier.pairs)
         assignments = list(product(carrier.upsets, repeat=len(names)))
         for bit in rng.sample(range(width), min(12, width)):
             model = search._with_step(base, carrier.steps[first + bit % slots])
             valuation = {a: model.worlds_of(up) for a, up in zip(names, assignments[bit // slots])}
             ext = kripke_extension(model, valuation, phi)
             assert [row >> lane + bit & 1 for row in top] == [w in ext for w in model.worlds]
+
+
+@settings(max_examples=60, deadline=None)
+@given(formulas(max_leaves=8, allow_weak=True), st.sampled_from("ep"), st.integers(0, 2**32))
+def test_cross_size_batch_rows_match_each_chunk_alone_at_its_size(phi, kind, seed):
+    # Chunks of two or three sizes in one batch: at its own worlds each
+    # chunk's slice of the rows is its evaluation alone at its size. Its
+    # padding worlds are one-world models with every atom false, so there
+    # the rows are all ones or all zeros, as the formula holds on that model.
+    rng = random.Random(seed)
+    sizes = sorted(rng.sample(range(1, 5), rng.randint(2, 3)))
+    program, names = walk(phi)[1], atoms(phi)
+    group = _random_group(rng, kind, sizes)
+    moves, ups, rows, full, chunks = search._batch(kind, len(names), group)
+    assert all(len(up) == sizes[-1] for up in (moves, ups, *rows))
+    top = eval_sliced(moves, ups, program, dict(zip(names, rows)), full)
+    point = search._poset(1, ())
+    holds = "w0" in eval_formula(point, {a: () for a in names}, phi)
+    for (lane, width, n, *_), chunk in zip(chunks, group):
+        alone = search._batch(kind, len(names), [chunk])
+        alone_top = eval_sliced(*alone[:2], program, dict(zip(names, alone[2])), alone[3])
+        lanes = [row >> lane & (1 << width) - 1 for row in top]
+        assert lanes[:n] == alone_top
+        assert lanes[n:] == [(1 << width) - 1 if holds else 0] * (sizes[-1] - n)
+
+
+@pytest.mark.parametrize("chunk_bits", [200, search.CHUNK_BITS])
+@pytest.mark.parametrize("text, kind", [
+    ("[]p -> p", "e"), ("[](p | q) -> []p | <>q", "p"), ("<>[][]p -> O O p", "e"),
+    ("O O p -> p | O p", "p"), ("r | (r -> q | ~q)", "e"),
+])
+def test_padded_worlds_hold_once_the_one_world_batch_passes(text, kind, chunk_bits):
+    # Every batch after the first holds chunks of several sizes padded to
+    # its largest, and the padding worlds never fail: their rows are all
+    # ones in their chunk's lanes, so the top rows need no lane mask.
+    phi, semclass = parse_formula(text), SemanticClass(kind, 4)
+    tops = []
+    with pytest.MonkeyPatch.context() as mp:
+        _narrow_chunks(mp, chunk_bits)
+        mp.setattr(search, "_PLANS", {})
+        evaluate = search.eval_sliced
+        mp.setattr(search, "eval_sliced", lambda *args: tops.append(evaluate(*args)) or tops[-1])
+        validity(phi, semclass)
+        plan = search._PLANS[kind, 4, len(atoms(phi)), chunk_bits]
+    assert len(plan) - (plan[-1] is None) == len(tops) > 1
+    assert {n for *_, chunks in plan[:1] for _, _, n, *_ in chunks} == {1}
+    padded = 0
+    for (*_, chunks), top in zip(plan[1:], tops[1:]):
+        for lane, width, n, *_ in chunks:
+            assert n > 1
+            for row in top[n:]:
+                assert row >> lane & (1 << width) - 1 == (1 << width) - 1
+                padded += 1
+    assert padded
 
 
 def _labeled_scan(phi, semclass):
@@ -551,27 +645,35 @@ def test_reduced_scan_keeps_the_labeled_first_countermodel(text, kind, size, chu
     assert verdict.valuation == expected.valuation and verdict.world == expected.world
 
 
-def _last_batch(phi, semclass, chunk_bits):
-    """The countermodel under this chunk width, with the last batch the scan evaluated: its
-    chunks' widths, the positions of its failing chunks and its chunk records."""
+def _scan_batches(phi, semclass, chunk_bits):
+    """The verdict under this chunk width, with each batch the scan evaluated and its top rows."""
     tops = []
     with pytest.MonkeyPatch.context() as mp:
         _narrow_chunks(mp, chunk_bits)
         mp.setattr(search, "_PLANS", {})
         evaluate = search.eval_sliced
-
-        def record(*args):
-            tops.append(evaluate(*args))
-            return tops[-1]
-
-        mp.setattr(search, "eval_sliced", record)
+        mp.setattr(search, "eval_sliced", lambda *args: tops.append(evaluate(*args)) or tops[-1])
         verdict = validity(phi, semclass)
-        n = verdict.model.n
-        _, built = search._PLANS[semclass.kind, n, len(atoms(phi)), chunk_bits]
-    *_, full, chunks = built[-1]
-    missing = full & ~reduce(and_, tops[-1])
-    failing = [c for c, (lane, width, *_) in enumerate(chunks) if missing >> lane & (1 << width) - 1]
-    return verdict, [width for _, width, *_ in chunks], failing, chunks
+        plan = search._PLANS[semclass.kind, semclass.bound, len(atoms(phi)), chunk_bits]
+    # Each batch built is evaluated once, in order; a scan that ends valid adds None.
+    assert len(plan) - (plan[-1] is None) == len(tops)
+    return verdict, list(zip(plan, tops))
+
+
+def _failing_chunks(batch, top):
+    """The positions of the batch's chunks that have a failing lane."""
+    *_, full, chunks = batch
+    missing = full & ~reduce(and_, top)
+    return [c for c, (lane, width, *_) in enumerate(chunks) if missing >> lane & (1 << width) - 1]
+
+
+def _last_batch(phi, semclass, chunk_bits):
+    """The countermodel under this chunk width, with the last batch the scan evaluated: its
+    chunks' widths, the positions of its failing chunks and its chunk records."""
+    verdict, evaluated = _scan_batches(phi, semclass, chunk_bits)
+    batch, top = evaluated[-1]
+    chunks = batch[-1]
+    return verdict, [width for _, width, *_ in chunks], _failing_chunks(batch, top), chunks
 
 
 def _assert_packed_scan_matches(phi, semclass, chunk_bits):
@@ -587,26 +689,31 @@ def _assert_packed_scan_matches(phi, semclass, chunk_bits):
         assert verdict == expected
 
 
-# Refuted in a chunk of a batch of several chunks, at 40 and 200 bits: the
-# positions of the failing chunks in that batch.
+# Refuted in a chunk of a batch of several chunks, at 40, 200 and 1000 bits:
+# the positions of the failing chunks in that batch, and their sizes. Where
+# a batch holds several sizes, a chunk of a larger size may fail too.
 _PACKED = [
-    ("p | ~p", "e", 40, [1]),
-    ("~p | ~~p", "e", 200, [3]),
-    ("<>(O O p -> p)", "p", 200, [1]),
-    ("O p -> p", "e", 40, [0, 1]),
-    ("O O p -> p | O p", "p", 200, [0, 1, 2, 4]),
-    ("<>q | ([]O q -> q)", "p", 200, [0, 1]),
+    ("p | ~p", "e", 200, [1, 3, 4, 5], [2, 3, 3, 3]),
+    ("~p | ~~p", "e", 200, [5], [3]),
+    ("~p | ~~p", "p", 1000, [5, 10], [3, 4]),
+    ("<>(O O p -> p)", "p", 200, [1], [4]),
+    ("O p -> p", "e", 40, [0, 1, 2], [2, 2, 3]),
+    ("O O p -> p | O p", "p", 200, [2, 3, 4, 6], [3, 3, 3, 3]),
+    ("<>q | ([]O q -> q)", "p", 200, [1, 2, 3], [4, 4, 4]),
+    ("<>[][]p -> O O p", "e", 200, [2], [4]),
 ]
 
 
-@pytest.mark.parametrize("text, kind, chunk_bits, failing", _PACKED)
-def test_first_failing_chunk_of_a_batch_gives_the_countermodel(text, kind, chunk_bits, failing):
+@pytest.mark.parametrize("text, kind, chunk_bits, failing, sizes", _PACKED)
+def test_first_failing_chunk_of_a_batch_gives_the_countermodel(text, kind, chunk_bits, failing, sizes):
     phi, semclass = parse_formula(text), SemanticClass(kind, 4)
     verdict, widths, found, chunks = _last_batch(phi, semclass, chunk_bits)
     assert len(widths) > 1 and found == failing
+    assert [chunks[c][2] for c in failing] == sizes
     # The countermodel's step lies in the first failing chunk, not in a later one.
-    index, first, slots = chunks[failing[0]][2:]
-    carrier = search._table(kind, verdict.model.n)[index]
+    n, index, first, slots = chunks[failing[0]][2:]
+    assert verdict.model.n == n
+    carrier = search._table(kind, n)[index]
     assert verdict.model.order_pairs == search._poset(verdict.model.n, carrier.pairs).order_pairs
     assert tuple(verdict.model.step_arr) in carrier.steps[first:first + slots]
     _assert_packed_scan_matches(phi, semclass, chunk_bits)
@@ -617,14 +724,14 @@ def test_lanes_above_a_chunks_width_are_never_read(text):
     # The lanes above a narrow chunk's width are the next chunk's, of
     # another poset and step. A chunk that read them would fail where no
     # model of it does, and the re-check would disagree. Both formulas meet
-    # a batch whose first chunk is narrower than the next at three worlds.
+    # a batch whose first chunk, of two worlds, is narrower than a later one.
     phi, semclass = parse_formula(text), SemanticClass("e", 3)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(search, "CHUNK_BITS", 200)
         mp.setattr(search, "_PLANS", {})
         validity(phi, semclass)
-        _, built = search._PLANS["e", 3, 1, 200]
-    widths = [width for _, width, *_ in built[0][-1]]
+        plan = search._PLANS["e", 3, 1, 200]
+    widths = [width for _, width, *_ in plan[1][-1]]
     assert widths[0] < max(widths)
     _assert_packed_scan_matches(phi, semclass, 200)
 
@@ -633,22 +740,16 @@ def test_lanes_above_a_chunks_width_are_never_read(text):
 @pytest.mark.parametrize("text, kind", [(t, k) for t, k, size in _REFUTED_AT if size == 4])
 def test_scan_stops_at_the_first_failing_batch(text, kind, chunk_bits):
     phi, semclass = parse_formula(text), SemanticClass(kind, 4)
-    calls = []
-    with pytest.MonkeyPatch.context() as mp:
-        _narrow_chunks(mp, chunk_bits)
-        mp.setattr(search, "_PLANS", {})
-        evaluate = search.eval_sliced
-        mp.setattr(search, "eval_sliced", lambda *args: calls.append(args) or evaluate(*args))
-        verdict = validity(phi, semclass)
-        plans = dict(search._PLANS)
-    k = len(atoms(phi))
+    verdict, evaluated = _scan_batches(phi, semclass, chunk_bits)
     assert isinstance(verdict, Countermodel) and verdict.model.n == 4
-    # Sizes 1-3 pass every batch; size 4 stops at the batch that fails, the
-    # last one built, and its chunk is the one the verdict came from.
-    smaller = sum(len(plans[kind, n, k, chunk_bits][0]) for n in (1, 2, 3))
-    _, built = plans[kind, 4, k, chunk_bits]
-    assert len(calls) == smaller + len(built)
-    assert _last_batch(phi, semclass, chunk_bits)[2]
+    # Every batch built is evaluated, and all pass but the last, whose first
+    # failing chunk is of four worlds; the stream has not ended.
+    batches = [batch for batch, _ in evaluated]
+    assert None not in batches
+    assert [bool(_failing_chunks(*pair)) for pair in evaluated] == [False] * (len(batches) - 1) + [True]
+    assert batches[-1][-1][_failing_chunks(*evaluated[-1])[0]][2] == 4
+    sizes = [n for *_, chunks in batches for _, _, n, *_ in chunks]
+    assert sizes == sorted(sizes)
 
 
 def test_kept_batches_fit_the_chunk_width_and_four_atoms_keep_none():
@@ -661,11 +762,13 @@ def test_kept_batches_fit_the_chunk_width_and_four_atoms_keep_none():
                     validity(parse_formula(text), SemanticClass(kind, 4))
         plans = dict(search._PLANS)
         assert {bits for *_, bits in plans} == {40, 200, search.CHUNK_BITS}
-        for (kind, n, k, chunk_bits), (groups, built) in plans.items():
-            assert len(built) <= len(groups)
-            for batch, group in zip(built, groups):
+        for (kind, bound, k, chunk_bits), plan in plans.items():
+            # The one-world batch first, then the larger sizes as one stream.
+            assert None not in plan[:-1]
+            sizes = [[n for _, _, n, *_ in batch[-1]] for batch in plan if batch]
+            assert sizes[0] == [1] and all(1 not in s for s in sizes[1:])
+            for batch in filter(None, plan):
                 widths = [width for _, width, *_ in batch[-1]]
-                assert len(widths) == len(group)
                 assert len(widths) == 1 or sum(widths) <= chunk_bits
         search._PLANS.clear()
         assert validity(parse_formula("p & q & r & s -> p"), SemanticClass("e", 3)) == ValidUpTo(3)
