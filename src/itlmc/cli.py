@@ -152,46 +152,39 @@ def _cmd_prove(args) -> int:
     return 1
 
 
+def _write_rows(args, rows, noun: str) -> int:
+    """Print (ok, plain line, records) rows, then a plain summary; 1 if any is not ok."""
+    passed = total = 0
+    for ok, plain, records in rows:
+        passed, total = passed + ok, total + 1
+        print("; ".join(f"{k}={v}" for k, v in records) if args.format == "records" else plain)
+    if args.format != "records":
+        print(f"{passed}/{total} {noun}")
+    return 0 if passed == total else 1
+
+
 def _cmd_paper_suite(args) -> int:
     corpus = Corpus(args.corpus)
     results = paper_suite(corpus, args.filter)
     if not results:
         print(f"no facts match {args.filter!r}", file=sys.stderr)
         return 3
-    failures = 0
-    for fact, result in results:
-        word = "PASS" if result.ok else "FAIL"
-        failures += 0 if result.ok else 1
-        if args.format == "records":
-            print(f"fact={fact.id}; ok={str(result.ok).lower()}; detail={result.detail}")
-        else:
-            print(f"{word} {fact.id}: {result.detail}")
-    if args.format != "records":
-        print(f"{len(results) - failures}/{len(results)} facts hold")
-    return 1 if failures else 0
+    return _write_rows(args, (
+        (r.ok, f"{'PASS' if r.ok else 'FAIL'} {fact.id}: {r.detail}",
+         [("fact", fact.id), ("ok", str(r.ok).lower()), ("detail", r.detail)])
+        for fact, r in results
+    ), "facts hold")
 
 
 def _cmd_separate(args) -> int:
-    corpus = Corpus(args.corpus)
-    reports = build_separation_matrix(corpus)
-    bad = 0
-    for report in reports:
-        edge = report.edge
-        word = "OK" if report.ok else "FAIL"
-        bad += 0 if report.ok else 1
-        if args.format == "records":
-            print(
-                f"from={edge.source}; to={edge.target}; style={edge.style}; "
-                f"label={edge.label}; ok={str(report.ok).lower()}; detail={report.detail}"
-            )
-        else:
-            print(
-                f"{word} {edge.source} -> {edge.target} [{edge.style}, {edge.label}]: "
-                f"{report.detail}"
-            )
-    if args.format != "records":
-        print(f"{len(reports) - bad}/{len(reports)} edges verified")
-    return 1 if bad else 0
+    reports = build_separation_matrix(Corpus(args.corpus))
+    return _write_rows(args, (
+        (r.ok, f"{'OK' if r.ok else 'FAIL'} {e.source} -> {e.target} [{e.style}, {e.label}]: "
+               f"{r.detail}",
+         [("from", e.source), ("to", e.target), ("style", e.style), ("label", e.label),
+          ("ok", str(r.ok).lower()), ("detail", r.detail)])
+        for r in reports for e in (r.edge,)
+    ), "edges verified")
 
 
 def _cmd_sweep(args) -> int:

@@ -67,6 +67,7 @@ from .formula import (
     fold,
     fs_next,
     operators,
+    translate_weak,
     walk,
     wh,
 )
@@ -106,9 +107,9 @@ class Rule:
 class LogicSpec:
     """A named axiomatic system over one language fragment.
 
-    Weak-rendered logics (suffixes .dw and .w) store their schemas over
-    the strong box; derivations in them are written with the weak box, and
-    the checker matches a schema's strong box against the line's weak box.
+    Weak-rendered logics (suffixes .dw and .w) state their schemas and
+    rules with the weak box, the language their derivations are written in,
+    so a line is matched against them as written.
     """
 
     name: str
@@ -179,12 +180,8 @@ class CheckResult:
 # --------------------------------------------------------------------------
 # matching and instantiation
 
-def _match_into(template: Formula, target: Formula, binding: dict, weak: bool = False) -> bool:
-    """Extend binding so that template, its atoms bound, equals target.
-
-    With weak set, a strong box of the template matches a weak box of the
-    target: the template is read in the weak rendering.
-    """
+def _match_into(template: Formula, target: Formula, binding: dict) -> bool:
+    """Extend binding so that template, its atoms bound, equals target."""
     todo = [(template, target)]
     while todo:
         t, f = todo.pop()
@@ -192,7 +189,7 @@ def _match_into(template: Formula, target: Formula, binding: dict, weak: bool = 
         if op is Atom:
             if binding.setdefault(t.name, f) is not f:
                 return False
-        elif (WeakBox if weak and op is StrongBox else op) is not type(f):
+        elif op is not type(f):
             return False
         else:
             todo.extend(zip(children(t), children(f)))
@@ -426,10 +423,16 @@ def _drop_henceforth(names: tuple[str, ...]) -> tuple[str, ...]:
     return tuple(n for n in names if StrongBox not in operators(ALL_SCHEMAS[n].template))
 
 
+_WEAK_SCHEMAS = {n: Schema(n, translate_weak(s.template)) for n, s in ALL_SCHEMAS.items()}
+
+
 def _spec(name: str, code: str, axiom_names: tuple[str, ...], rules):
-    axioms = {n: ALL_SCHEMAS[n] for n in axiom_names}
-    for n in IPC_BASIS_NAMES:
-        axioms[n] = ALL_SCHEMAS[n]
+    """The logic; over a weak-box fragment its schemas and rules use the weak box."""
+    schemas = _WEAK_SCHEMAS if FRAGMENTS[code].weak_box else ALL_SCHEMAS
+    if schemas is _WEAK_SCHEMAS:
+        rules = {n: Rule(n, tuple(map(translate_weak, r.premises)), translate_weak(r.conclusion))
+                 for n, r in rules.items()}
+    axioms = {n: schemas[n] for n in (*axiom_names, *IPC_BASIS_NAMES)}
     return LogicSpec(name, code, axioms, dict(rules))
 
 
@@ -462,7 +465,7 @@ def get_logic(name: str) -> LogicSpec:
 
 def _justify(line: DerivationLine, lines: tuple, logic: LogicSpec) -> Optional[str]:
     """Why the line's justification fails, or None when it holds."""
-    phi, just, weak = line.formula, line.justification, logic.weak_rendered
+    phi, just = line.formula, line.justification
     if isinstance(just, IpcTaut):
         return None if is_ipc_tautology(phi) else "not an intuitionistic tautology"
     if isinstance(just, AxiomJust):
@@ -470,14 +473,14 @@ def _justify(line: DerivationLine, lines: tuple, logic: LogicSpec) -> Optional[s
         if schema is None:
             return f"axiom {just.schema!r} is not part of {logic.name}"
         if just.subst is None:
-            if _match_into(schema.template, phi, {}, weak):
+            if _match_into(schema.template, phi, {}):
                 return None
             return f"formula does not match axiom {just.schema!r}"
         try:
             _check_subst(schema, just.subst)
         except InputError as err:
             return str(err)
-        if _match_into(schema.template, phi, dict(just.subst), weak):
+        if _match_into(schema.template, phi, dict(just.subst)):
             return None
         return f"formula is not the stated instance of axiom {just.schema!r}"
     if isinstance(just, RuleJust):
@@ -493,7 +496,7 @@ def _justify(line: DerivationLine, lines: tuple, logic: LogicSpec) -> Optional[s
         binding: dict[str, Formula] = {}
         templates = (*rule.premises, rule.conclusion)
         targets = (*(lines[i - 1].formula for i in just.premises), phi)
-        if all(_match_into(t, f, binding, weak) for t, f in zip(templates, targets)):
+        if all(_match_into(t, f, binding) for t, f in zip(templates, targets)):
             return None
         return f"rule {just.rule!r} does not derive this line from the cited premises"
     return "unknown justification"

@@ -214,6 +214,8 @@ _PRINT_PREFIX = {
     for token, build in _PREFIX.items()
     if build is not Not
 }
+# Each nested '<->' doubles a formula's printed text; longer text is refused.
+MAX_PRINTED_CHARS = 1 << 24
 
 
 def _at_least(part: tuple[int, str], minimum: int) -> str:
@@ -226,10 +228,14 @@ def _render(phi: Formula, args: tuple) -> tuple[int, str]:
     op = type(phi)
     if op in _INFIX:
         level, symbol, left, right = _INFIX[op]
-        return level, _at_least(args[0], left) + symbol + _at_least(args[1], right)
-    if op in _PRINT_PREFIX:
-        return _PREFIX_LEVEL, _PRINT_PREFIX[op] + _at_least(args[0], _PREFIX_LEVEL)
-    return _ATOM_LEVEL, phi.name if op is Atom else "false"
+        text = _at_least(args[0], left) + symbol + _at_least(args[1], right)
+    elif op in _PRINT_PREFIX:
+        level, text = _PREFIX_LEVEL, _PRINT_PREFIX[op] + _at_least(args[0], _PREFIX_LEVEL)
+    else:
+        return _ATOM_LEVEL, phi.name if op is Atom else "false"
+    if len(text) > MAX_PRINTED_CHARS:
+        raise InputError(f"formula text would exceed {MAX_PRINTED_CHARS} characters")
+    return level, text
 
 
 def print_formula(phi: Formula) -> str:

@@ -56,7 +56,7 @@ from itertools import count, islice, permutations, product
 from operator import and_
 from typing import NamedTuple, Union
 
-from .formula import Atom, Formula, InputError, translate_weak, walk
+from .formula import Atom, Formula, InputError, walk
 from .hilbert import LogicSpec, Schema, check, get_logic, instantiate
 from .parser import EdgeSpec, ParseError, parse_rational
 from .poset import DynamicPoset, Valuation, eval_formula, eval_sliced, lift_misses
@@ -431,15 +431,12 @@ def _fresh_instance(schema: Schema) -> Formula:
 def soundness_sweep(logic: LogicSpec, semclass: SemanticClass) -> dict[str, Verdict]:
     """Check every axiom schema of the logic over the class.
 
-    Schemas are instantiated with distinct fresh atoms; weak-rendered
-    logics are swept in their weak-box reading.
+    Schemas are instantiated with distinct fresh atoms as the logic states
+    them; on dynamic posets the weak and the strong box denote the same sets.
     """
     results: dict[str, Verdict] = {}
     for name in sorted(logic.axioms):
-        inst = _fresh_instance(logic.axioms[name])
-        if logic.weak_rendered:
-            inst = translate_weak(inst)
-        results[name] = validity(inst, semclass)
+        results[name] = validity(_fresh_instance(logic.axioms[name]), semclass)
     return results
 
 

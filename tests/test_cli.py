@@ -47,6 +47,29 @@ def test_parse_deeply_nested_parentheses(capsys):
     assert out.startswith("p\n")
 
 
+def _nested_iffs(depth):
+    text = "q"
+    for _ in range(depth):
+        text = f"p <-> ({text})"
+    return text
+
+
+def test_parse_prints_16_nested_iffs(capsys):
+    # Iff is defined away, so each level doubles the printed text.
+    code, out, _ = run(capsys, "parse", _nested_iffs(16))
+    assert code == 0
+    assert len(out) == 1_179_655
+    assert out.endswith(") -> p) -> p)\nfragments: db dw b w d\n")
+
+
+def test_parse_refuses_text_of_40_nested_iffs(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "parse", _nested_iffs(40))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert "formula text would exceed 16777216 characters" in err
+
+
 def test_check_bundled_model_by_relative_path(capsys):
     code, out, _ = run(
         capsys, "check", "--model", "corpus/poset/fig4-fs.dpm",

@@ -36,7 +36,9 @@ from itlmc import (
     validity,
 )
 from itlmc.formula import FRAGMENTS, atoms, children, fold, walk
-from itlmc.hilbert import IPC_BASIS_NAMES, AxiomJust, CheckResult, IpcTaut, RuleJust
+from itlmc.hilbert import (
+    IPC_BASIS_NAMES, AxiomJust, CheckResult, IpcTaut, Rule, RuleJust, Schema,
+)
 from conftest import formulas
 
 P, Q = Atom("p"), Atom("q")
@@ -241,6 +243,21 @@ def test_registry_shape():
         assert {"ipc-k", "ipc-s", "ipc-efq"} <= set(logic.axioms)
         assert "mp" in logic.rules
         assert logic.weak_rendered == name.endswith((".dw", ".w"))
+
+
+@pytest.mark.parametrize("name", sorted(LOGICS))
+def test_each_logic_states_its_axioms_and_rules_in_its_own_language(name):
+    # A weak-rendered logic states with [*] what its strong twin states
+    # with [], so a derivation line and the schema it cites are compared as
+    # written.
+    logic = LOGICS[name]
+    allows = logic.fragment.allows
+    for schema in logic.axioms.values():
+        assert allows(schema.template), schema.name
+        if logic.weak_rendered:
+            assert schema.template == translate_weak(ALL_SCHEMAS[schema.name].template)
+    for rule in logic.rules.values():
+        assert all(map(allows, (*rule.premises, rule.conclusion))), rule.name
 
 
 def test_every_db_logic_has_the_same_rules():
@@ -457,10 +474,10 @@ def test_rule_conclusions_use_only_premise_metavariables():
 # The checker the library used before it matched weak renderings directly:
 # strong-rendered logics run one pass for line numbers, then one for language
 # and justification; weak-rendered logics first check every line's language,
-# then translate every line and substitution to the strong box and run the
-# strong checker under the strong fragment. A missing metavariable is named
-# in sorted order here as in the library; the old code named whichever a set
-# gave first.
+# then translate every line and substitution, and the logic's schemas and
+# rules, to the strong box and run the strong checker under the strong
+# fragment. A missing metavariable is named in sorted order here as in the
+# library; the old code named whichever a set gave first.
 
 _MIXED = "formula mixes both henceforth flavors"
 
@@ -633,7 +650,10 @@ def _reference_check(derivation, logic) -> CheckResult:
             just = AxiomJust(just.schema, dict(zip(just.subst, strong[1:])))
         translated.append(DerivationLine(line.number, strong[0], just))
     strong = FRAGMENTS["db" if logic.fragment_code == "dw" else "b"]
-    return _reference_core(tuple(translated), logic, strong)
+    axioms = {n: Schema(n, translate_strong(s.template)) for n, s in logic.axioms.items()}
+    rules = {n: Rule(n, tuple(map(translate_strong, r.premises)), translate_strong(r.conclusion))
+             for n, r in logic.rules.items()}
+    return _reference_core(tuple(translated), replace(logic, axioms=axioms, rules=rules), strong)
 
 
 # Seeded mutants of the bundled derivations and of their weak renderings:

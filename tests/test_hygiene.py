@@ -75,6 +75,9 @@ def _package_imports(path: Path) -> set[str]:
     # parser reads the file formats of the engines' objects, below the
     # commands that use them
     ("parser", {"formula", "hilbert", "poset", "realline"}),
+    ("search", {"formula", "hilbert", "parser", "poset", "realline"}),
+    ("corpus", {"formula", "hilbert", "parser", "poset", "realline", "search"}),
+    ("cli", {"corpus", "formula", "hilbert", "parser", "poset", "realline", "search"}),
 ])
 def test_package_imports_point_down_the_layers(module, allowed):
     assert _package_imports(SRC / f"{module}.py") <= allowed
