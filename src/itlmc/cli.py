@@ -71,12 +71,10 @@ def _emit(args, plain: str, records: list[tuple[str, str]]):
 
 def _cmd_parse(args) -> int:
     phi = parse_formula(args.formula)
+    text = print_formula(phi)
     member = [code for code, frag in FRAGMENTS.items() if frag.allows(phi)]
-    _emit(
-        args,
-        f"{print_formula(phi)}\nfragments: {' '.join(member) or '-'}",
-        [("formula", print_formula(phi)), ("fragments", " ".join(member))],
-    )
+    _emit(args, f"{text}\nfragments: {' '.join(member) or '-'}",
+          [("formula", text), ("fragments", " ".join(member))])
     return 0
 
 

@@ -214,32 +214,43 @@ _PRINT_PREFIX = {
     for token, build in _PREFIX.items()
     if build is not Not
 }
+_LEVEL = dict.fromkeys(_PRINT_PREFIX, _PREFIX_LEVEL) | {op: e[0] for op, e in _INFIX.items()}
 # Each nested '<->' doubles a formula's printed text; longer text is refused.
 MAX_PRINTED_CHARS = 1 << 24
 
 
-def _at_least(part: tuple[int, str], minimum: int) -> str:
-    level, text = part
-    return text if level >= minimum else "(" + text + ")"
+def _at_least(phi: Formula, minimum: int) -> tuple:
+    return (phi,) if _LEVEL.get(type(phi), _ATOM_LEVEL) >= minimum else ("(", phi, ")")
 
 
-def _render(phi: Formula, args: tuple) -> tuple[int, str]:
-    """Level and text of phi, given those of its children."""
+def _parts(phi: Formula) -> tuple:
+    """phi's text in order, as strings and its children, each in parentheses if need be."""
     op = type(phi)
     if op in _INFIX:
-        level, symbol, left, right = _INFIX[op]
-        text = _at_least(args[0], left) + symbol + _at_least(args[1], right)
-    elif op in _PRINT_PREFIX:
-        level, text = _PREFIX_LEVEL, _PRINT_PREFIX[op] + _at_least(args[0], _PREFIX_LEVEL)
-    else:
-        return _ATOM_LEVEL, phi.name if op is Atom else "false"
-    if len(text) > MAX_PRINTED_CHARS:
-        raise InputError(f"formula text would exceed {MAX_PRINTED_CHARS} characters")
-    return level, text
+        _, symbol, left, right = _INFIX[op]
+        return (*_at_least(phi.left, left), symbol, *_at_least(phi.right, right))
+    if op in _PRINT_PREFIX:
+        return (_PRINT_PREFIX[op], *_at_least(phi.child, _PREFIX_LEVEL))
+    return (phi.name if op is Atom else "false",)
+
+
+def _length(phi: Formula, args: tuple) -> int:
+    """Printed length of phi, given those of its children."""
+    children = iter(args)
+    return sum(len(part) if type(part) is str else next(children) for part in _parts(phi))
 
 
 def print_formula(phi: Formula) -> str:
-    return fold(phi, _render)[1]
+    if fold(phi, _length) > MAX_PRINTED_CHARS:
+        raise InputError(f"formula text would exceed {MAX_PRINTED_CHARS} characters")
+    pieces, todo = [], [phi]
+    while todo:
+        part = todo.pop()
+        if type(part) is str:
+            pieces.append(part)
+        else:
+            todo += reversed(_parts(part))
+    return "".join(pieces)
 
 
 # --------------------------------------------------------------------------

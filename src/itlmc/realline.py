@@ -11,8 +11,8 @@ cross-multiplication, a preimage maps them with integer arithmetic and one
 normalisation per end, and the extrapolation fits them. Interval sets are kept
 in a canonical form (sorted, pairwise disjoint, never adjacent) by linear
 sweeps; only `IntervalSet.of` sorts, so structural equality is set equality.
-Each map keeps the preimage of every component it has pulled back for its
-lifetime, and each system the outcome of every subformula it has evaluated.
+A map keeps each component's preimage and each chain limit per target and
+caps, a system each subformula's outcome, for their lifetimes.
 
 Both henceforth operators run one loop, `_box`: a decreasing preimage chain
 with affine extrapolation of its integer ends, each extrapolated limit verified
@@ -272,7 +272,8 @@ class PiecewiseAffineMap:
     ``_memo`` lives as long as the map and maps each component interval
     ever pre-imaged to one entry per piece: its preimage clipped to the
     piece's domain, or None. `preimage` sweeps the pieces in domain order,
-    so it merges without a sort. These fields stay out of eq, hash and repr.
+    so it merges without a sort. ``_limits`` holds `_chain_limit`'s (limit,
+    status) per (target, caps). These fields stay out of eq, hash and repr.
     """
 
     breakpoints: tuple[Fraction, ...]
@@ -283,6 +284,7 @@ class PiecewiseAffineMap:
     _rising: tuple[bool, ...] = field(init=False, repr=False, compare=False)
     _domains: tuple[Interval, ...] = field(init=False, repr=False, compare=False)
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _limits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "breakpoints", tuple(map(Fraction, self.breakpoints)))
@@ -480,9 +482,13 @@ def _chain(pwmap: PiecewiseAffineMap, child: IntervalSet, caps: EvalCaps, join):
     return None, history
 
 
-def _chain_limit(
-    pwmap: PiecewiseAffineMap, target: IntervalSet, caps: EvalCaps
-) -> tuple[IntervalSet | None, Status]:
+def _chain_limit(pwmap: PiecewiseAffineMap, target: IntervalSet, caps: EvalCaps):
+    """`_greatest_fixpoint`, run once per map, target and caps, so both boxes share it."""
+    key = target, caps
+    return pwmap._limits.get(key) or pwmap._limits.setdefault(key, _greatest_fixpoint(pwmap, *key))
+
+
+def _greatest_fixpoint(pwmap: PiecewiseAffineMap, target: IntervalSet, caps: EvalCaps):
     """Greatest fixpoint of V -> target & preimage(V), by chain or extrapolation.
 
     The decreasing chain either stabilizes (Exact) or its last ``window``

@@ -1,5 +1,6 @@
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -148,6 +149,20 @@ def test_deep_formulas_parse():
     assert print_formula(parse_formula(chain)) == chain
     nested = "p & (" * 999 + "p & q" + ")" * 999
     assert print_formula(parse_formula(nested)) == nested
+
+
+def test_printing_holds_memory_in_proportion_to_the_text():
+    # Holding each node's text held about n**2 / 2 characters: over 100 MB here.
+    text = "O " * 10_000 + "p"
+    phi = parse_formula(text)
+    tracemalloc.start()
+    try:
+        printed = print_formula(phi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert printed == text
+    assert peak < 2_000_000
 
 
 def _rand_formula(rng: random.Random, depth: int):

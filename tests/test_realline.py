@@ -31,6 +31,7 @@ from itlmc import (
     parse_real_system,
     point,
 )
+from itlmc import realline
 from itlmc.formula import walk
 from itlmc.realline import _INF, _NEG_INF, _fit_endpoint, _intersect
 from conftest import MAP_SLOPES, formulas, random_interval_set, random_map, random_point
@@ -508,9 +509,9 @@ def test_preimage_memo_is_invisible():
     system = _system(f, p=interval(-1, 3), q=interval(1, None))
     before = (hash(f), repr(f), repr(system))
     assert eval_real(system, parse_formula("[]p | <>q")).status is Status.EXACT
-    assert f._memo
+    assert f._memo and f._limits
     cold = PiecewiseAffineMap.from_pieces([0, 2], pieces)
-    assert not cold._memo
+    assert not cold._memo and not cold._limits
     assert (hash(f), repr(f), repr(system)) == before
     assert f == cold and hash(f) == hash(cold) and repr(f) == repr(cold)
     assert system == _system(cold, p=interval(-1, 3), q=interval(1, None))
@@ -518,6 +519,9 @@ def test_preimage_memo_is_invisible():
     for clone in (pickle.loads(pickle.dumps(f)), copy.copy(f), copy.deepcopy(f)):
         assert clone == f and hash(clone) == hash(f) and repr(clone) == repr(f)
         assert clone.preimage(interval(-1, 3)) == cold.preimage(interval(-1, 3))
+        box = parse_formula("[]p")
+        assert (eval_real(_system(clone, p=interval(-1, 3)), box)
+                == eval_real(_system(cold, p=interval(-1, 3)), box))
     for clone in (pickle.loads(pickle.dumps(system)), copy.copy(system), copy.deepcopy(system)):
         assert clone == system and repr(clone) == repr(system) and not clone._memo
         assert eval_real(clone, parse_formula("[]p")) == eval_real(system, parse_formula("[]p"))
@@ -766,6 +770,33 @@ def test_subformula_memo_is_kept_per_system():
     whole = RealSystem(system.map, {"p": REALS})
     assert eval_real(whole, phi) == RealOutcome(REALS, Status.EXACT)
     assert eval_real(system, phi) == out
+
+
+def test_both_boxes_of_one_operand_share_their_first_chain(monkeypatch):
+    runs = []
+    chain = realline._chain
+
+    def counted(pwmap, child, caps, join):
+        runs.append((child, join))
+        return chain(pwmap, child, caps, join)
+
+    monkeypatch.setattr(realline, "_chain", counted)
+    double = Corpus().load("r-double", "real-system")
+    p = double.valuation["p"]
+
+    def fresh() -> RealSystem:
+        return RealSystem(PiecewiseAffineMap(double.map.breakpoints, double.map.pieces),
+                          double.valuation)
+
+    boxes = [parse_formula("[*]p"), parse_formula("[]p")]
+    for order in (boxes, boxes[::-1]):
+        system = fresh()
+        runs.clear()
+        outcomes = [eval_real(system, phi) for phi in order]
+        # The first box runs p's chain, the second reads its limit from the map.
+        assert runs.count((p, IntervalSet.intersection)) == 1
+        assert outcomes == [eval_real(fresh(), phi) for phi in order]
+        assert all(out.status is Status.EXTRAPOLATED for out in outcomes)
 
 
 def test_valuation_is_a_read_only_copy():
