@@ -58,10 +58,7 @@ class Formula:
         return _build, (walk(self)[1],)
 
     def __repr__(self) -> str:
-        def show(f: Formula, args: tuple) -> str:
-            return f"{type(f).__name__}({', '.join([repr(f.name)] if type(f) is Atom else args)})"
-
-        return fold(self, show)
+        return render(self, _repr_parts)
 
 
 class Bottom(Formula):
@@ -247,6 +244,28 @@ def fold(phi: Formula, fn):
         args = (values[a], values[b]) if arity == 2 else (values[a],) if arity else ()
         values.append(fn(f, args))
     return values[-1]
+
+
+def render(phi: Formula, parts) -> str:
+    """phi's text, where ``parts(f)`` gives f's strings and children in order: pieces from
+    an explicit stack, joined once, so memory follows the text, not every node's text."""
+    pieces, todo = [], [phi]
+    while todo:
+        part = todo.pop()
+        if type(part) is str:
+            pieces.append(part)
+        else:
+            todo += reversed(parts(part))
+    return "".join(pieces)
+
+
+def _repr_parts(f: Formula) -> tuple:
+    """f's repr in order, as strings and its children."""
+    op = type(f)
+    if op is Atom:
+        return (f"Atom({f.name!r})",)
+    head, kids = f"{op.__name__}(", children(f)
+    return (head, kids[0], ", ", kids[1], ")") if len(kids) == 2 else (head, *kids, ")")
 
 
 @dataclass(frozen=True, slots=True)

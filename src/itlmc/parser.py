@@ -42,6 +42,7 @@ from .formula import (
     StrongBox,
     WeakBox,
     fold,
+    render,
 )
 from .hilbert import AxiomJust, Derivation, DerivationLine, IpcTaut, RuleJust
 from .poset import DynamicPoset, Valuation
@@ -243,14 +244,7 @@ def _length(phi: Formula, args: tuple) -> int:
 def print_formula(phi: Formula) -> str:
     if fold(phi, _length) > MAX_PRINTED_CHARS:
         raise InputError(f"formula text would exceed {MAX_PRINTED_CHARS} characters")
-    pieces, todo = [], [phi]
-    while todo:
-        part = todo.pop()
-        if type(part) is str:
-            pieces.append(part)
-        else:
-            todo += reversed(_parts(part))
-    return "".join(pieces)
+    return render(phi, _parts)
 
 
 # --------------------------------------------------------------------------

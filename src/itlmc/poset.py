@@ -11,24 +11,12 @@ tuple, which keeps exhaustive search cheap.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterable, Mapping, Sequence
 from functools import reduce
-from itertools import zip_longest
 from operator import and_, or_
 
-from .formula import (
-    And,
-    Atom,
-    Bottom,
-    Eventually,
-    Formula,
-    Implies,
-    InputError,
-    Next,
-    Or,
-    Program,
-    walk,
-)
+from .formula import And, Atom, Bottom, Eventually, Formula, Implies, InputError, Next, Or, Program, walk
 
 
 class _Violations(InputError):
@@ -68,17 +56,8 @@ class DynamicPoset:
     """
 
     __slots__ = (
-        "worlds",
-        "index",
-        "n",
-        "order_pairs",
-        "up_masks",
-        "ups",
-        "up_lanes",
-        "step",
-        "step_arr",
-        "is_continuous",
-        "is_open",
+        "worlds", "index", "n", "order_pairs", "up_masks", "ups", "step", "step_arr",
+        "is_continuous", "is_open",
     )
 
     def __init__(
@@ -120,7 +99,6 @@ class DynamicPoset:
         for a, b in pairs:
             self.up_masks[self.index[a]] |= 1 << self.index[b]
         self.ups = tuple(tuple(j for j in range(self.n) if (up >> j) & 1) for up in self.up_masks)
-        self.up_lanes = [[(j, 0) for j in up] for up in self.ups]
 
         self._set_step(step)
 
@@ -140,7 +118,8 @@ class DynamicPoset:
             (self.up_masks[self.step_arr[i]] >> self.step_arr[j]) & 1
             for i, up in enumerate(self.ups) for j in up
         )
-        self.is_open = lifts(self.step_arr, self.up_masks, self.ups)
+        self.is_open = not any(
+            lift_misses(self.step_arr, self.up_masks, up, i) for i, up in enumerate(self.ups))
 
     def replace_step(self, step: Mapping[str, str]) -> "DynamicPoset":
         """New model on the same poset with a different step function."""
@@ -165,11 +144,6 @@ class DynamicPoset:
     def interior_mask(self, mask: int) -> int:
         """The worlds whose up-set lies in the mask: the largest up-set inside it."""
         return sum(1 << i for i, up in enumerate(self.up_masks) if up & ~mask == 0)
-
-
-def lifts(step: Sequence[int], up_masks: Sequence[int], ups: Sequence[Sequence[int]]) -> bool:
-    """Lift condition: everything above S(w) is hit by S on points above w."""
-    return not any(lift_misses(step, up_masks, up, i) for i, up in enumerate(ups))
 
 
 def lift_misses(step: Sequence[int], up_masks: Sequence[int], up: Sequence[int], i: int) -> int:
@@ -225,35 +199,49 @@ def eval_masks(model: DynamicPoset, val_masks: Mapping[str, int], phi: Formula) 
         a: [(val_masks.get(a, 0) >> i) & 1 for i in range(model.n)]
         for op, a, _ in program if op is Atom
     }
-    top = eval_sliced([((j, 1),) for j in model.step_arr], model.up_lanes, program, atom_rows, 1)
+    ups = [[(j, 0) for j in up] for up in model.ups]
+    top = eval_sliced(build_frame([((j, 1),) for j in model.step_arr], ups, 1), program, atom_rows)
     return sum(row << i for i, row in enumerate(top))
 
 
-def eval_sliced(
-    moves: Sequence[Sequence[tuple[int, int]]], ups: Sequence[Sequence[tuple[int, int]]],
-    program: Program, atom_rows: Mapping[str, list[int]], full: int,
-) -> list[int]:
+# A family of models, one per lane, on worlds 0..n-1, as `build_frame` makes it.
+Frame = namedtuple("Frame", "full moves order")
+
+
+def build_frame(moves: Sequence[Sequence[tuple[int, int]]], ups: Sequence[Sequence[tuple[int, int]]],
+                full: int) -> Frame:
+    """The frame `eval_sliced` reads. ``full`` sets every lane; ``ups[i]`` pairs each world j
+    that some lane's poset puts above world i (itself included) with the lanes whose poset
+    does not, 0 where every lane agrees; ``moves[i]`` pairs each target j of world i with the
+    lanes whose step sends i to j, disjoint masks, at least one. The frame's order splits each
+    world's up-pairs into the worlds above it in every lane and the masked pairs, or is None
+    where every world is above itself alone."""
+    plain = [tuple(j for j, off in up if not off) for up in ups]
+    masked = [tuple((j, off) for j, off in up if off) for up in ups]
+    discrete = all(up == (i,) for i, up in enumerate(plain)) and not any(masked)
+    return Frame(full, tuple(map(tuple, moves)), None if discrete else tuple(zip(plain, masked)))
+
+
+def eval_sliced(frame: Frame, program: Program, atom_rows: Mapping[str, list[int]]) -> list[int]:
     """Evaluate a `walk` program on a family of models and valuations at once.
 
-    The models share their worlds 0..n-1. A world's row has one bit per
-    model lane, a (poset, valuation, step) triple, set where the subformula
-    holds; ``full`` sets them all and ``atom_rows[name][i]`` is that atom's
-    row at world i. Both the order and the step are lane masks: ``ups[i]``
-    pairs each world j that some lane's poset puts above world i (itself
-    included) with the lanes whose poset does not, 0 where every lane
-    agrees; ``moves[i]`` pairs each target j of world i with the lanes whose
-    step sends i to j. These move masks are disjoint, and every world has at
-    least one target. Steps must be monotone (callers check continuity).
+    The models share the frame's worlds 0..n-1. A world's row has one bit
+    per model lane, a (poset, valuation, step) triple, set where the
+    subformula holds; ``atom_rows[name][i]`` is that atom's row at world i.
+    Steps must be monotone (callers check continuity). Every forward orbit
+    of n worlds has repeated within n - 1 steps, so each chain of `[]`,
+    `[*]` and `<>` takes at most n - 1 rounds, fewer if an iterate repeats.
     Returns the formula's rows.
     """
-    # Rank r holds each world's r-th target, (0, 0) where it has fewer, so a
-    # step is applied one rank at a time across all worlds.
-    first, *rest = zip_longest(*moves, fillvalue=(0, 0))
+    full, moves, order = frame
 
     def after(rows: list[int]) -> list[int]:
-        out = [rows[j] & mask for j, mask in first]
-        for rank in rest:
-            out = [x | rows[j] & mask for x, (j, mask) in zip(out, rank)]
+        out = []
+        for targets in moves:
+            x = 0
+            for j, mask in targets:
+                x |= rows[j] & mask
+            out.append(x)
         return out
 
     table: list[list[int]] = []
@@ -261,14 +249,22 @@ def eval_sliced(
         if op is Atom:
             rows = atom_rows[a]
         elif op is Bottom:
-            rows = [0] * len(ups)
+            rows = [0] * len(moves)
         elif op is And:
             rows = [x & y for x, y in zip(table[a], table[b])]
         elif op is Or:
             rows = [x | y for x, y in zip(table[a], table[b])]
         elif op is Implies:
-            holds = [(full ^ x) | y for x, y in zip(table[a], table[b])]
-            rows = [reduce(and_, [holds[j] | off for j, off in up]) for up in ups]
+            rows = holds = [(full ^ x) | y for x, y in zip(table[a], table[b])]
+            if order is not None:
+                rows = []
+                for plain, masked in order:
+                    x = full
+                    for j in plain:
+                        x &= holds[j]
+                    for j, off in masked:
+                        x &= holds[j] | off
+                    rows.append(x)
         elif op is Next:
             rows = after(table[a])
         else:  # Eventually, StrongBox or WeakBox, the only ops `walk` has left
@@ -280,7 +276,9 @@ def eval_sliced(
             # an up-set, so the weak box needs no interior.
             join = or_ if op is Eventually else and_
             child = rows = table[a]
-            while (again := list(map(join, child, after(rows)))) != rows:
+            for _ in range(len(moves) - 1):
+                if (again := list(map(join, child, after(rows)))) == rows:
+                    break
                 rows = again
         table.append(rows)
     return table[-1]

@@ -28,10 +28,13 @@ The one-world table, the classical valuations, is a batch of its own; the
 chunks of sizes 2..bound follow as one stream in scan order, packed into
 batches of CHUNK_BITS = 2^16 lanes: a chunk takes as many of its carrier's
 next steps as its batch has room for (one, alone, if it is wider). A batch
-is one `eval_sliced` call over the worlds of its largest chunk, chunk c at
-lanes [lane_c, lane_c + width_c) of every row. The order is a lane mask,
-like the step: world i's up-pairs name each j that some chunk's poset puts
-above i, with the lanes whose poset does not. Each chunk reads only its
+is a frame over the worlds of its largest chunk, chunk c at lanes
+[lane_c, lane_c + width_c) of every row, read by one `eval_sliced` call.
+The order is a lane mask, like the step: world i's up-pairs name each j
+that some chunk's poset puts above i, with the lanes whose poset does not;
+`poset.build_frame` splits off the pairs every lane shares, which need no
+mask. On N worlds every chain of `[]`, `[*]` and `<>` closes within N - 1
+step rounds, so the one-world batch runs none. Each chunk reads only its
 own lanes, in scan order, and the scan stops at the first failing batch.
 
 A chunk of m worlds in a batch of N is padded with N - m isolated worlds
@@ -41,10 +44,10 @@ depends only on the submodel it generates (Blackburn, de Rijke and Venema,
 each padding world is the one-world model under the all-false valuation,
 which the first batch passed: the top rows need no lane mask.
 
-Batches are kept per process by class, bound, atom count and chunk width,
-for formulas of at most PLANNED_ATOMS = 3 atoms. At bound 5 in class e
-they take about 6 MB for two atoms and 50 MB for three (tracemalloc);
-four would take 125 MB.
+Batches, each a frame with its atom rows, are built once and kept per
+process by class, bound, atom count and chunk width, for formulas of at
+most PLANNED_ATOMS = 3 atoms. At bound 5 in class e they take about 6 MB
+for two atoms and 50 MB for three (tracemalloc); four would take 125 MB.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ from typing import NamedTuple, Union
 from .formula import Atom, Formula, InputError, walk
 from .hilbert import LogicSpec, Schema, check, get_logic, instantiate
 from .parser import EdgeSpec, ParseError, parse_rational
-from .poset import DynamicPoset, Valuation, eval_formula, eval_sliced, lift_misses
+from .poset import DynamicPoset, Valuation, build_frame, eval_formula, eval_sliced, lift_misses
 from .realline import eval_real
 
 MAX_BOUND = 5
@@ -340,9 +343,9 @@ def _groups(kind: str, bound: int, k: int, chunk_bits: int) -> Iterator[list[tup
 
 
 def _batch(kind: str, k: int, group: list[tuple[int, int, int, int]]) -> tuple:
-    """Moves, up-pairs, atom rows and full row of the chunks stacked along the lanes, and per
-    chunk its first lane, width, size, carrier index, first step and slot count. A chunk of
-    fewer worlds than the last is padded with isolated worlds that step to themselves."""
+    """Frame and atom rows of the chunks stacked along the lanes, and per chunk its first lane,
+    width, size, carrier index, first step and slot count. A chunk of fewer worlds than the
+    last is padded with isolated worlds that step to themselves."""
     n = group[-1][0]
     parts, chunks, lane = [], [], 0
     for size, index, first, slots in group:
@@ -375,7 +378,8 @@ def _batch(kind: str, k: int, group: list[tuple[int, int, int, int]]) -> tuple:
     ups = [[(j, off) for j in worlds
             if (off := join([0 if j in up[i] else f for up, f in zip(ups, fulls)])) is not full]
            for i in worlds]
-    return moves, ups, [[join(world) for world in zip(*atom)] for atom in zip(*rows)], full, chunks
+    rows = [[join(world) for world in zip(*atom)] for atom in zip(*rows)]
+    return build_frame(moves, ups, full), rows, chunks
 
 
 def validity(phi: Formula, semclass: SemanticClass) -> Verdict:
@@ -403,9 +407,9 @@ def validity(phi: Formula, semclass: SemanticClass) -> Verdict:
                 plan.append(batch)
         if batch is None:
             return ValidUpTo(semclass.bound)
-        moves, ups, rows, full, chunks = batch
-        top = eval_sliced(moves, ups, program, dict(zip(names, rows)), full)
-        missing = full & ~reduce(and_, top)
+        frame, rows, chunks = batch
+        top = eval_sliced(frame, program, dict(zip(names, rows)))
+        missing = frame.full & ~reduce(and_, top)
         for lane, width, n, index, first, slots in chunks if missing else ():
             failing = missing >> lane & (1 << width) - 1
             if not failing:

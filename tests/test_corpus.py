@@ -5,15 +5,21 @@ import pytest
 from hypothesis import example, given, settings
 
 from itlmc import (
+    SOUND_STRUCTURES,
     Corpus,
+    Countermodel,
     Derivation,
     DynamicPoset,
     EdgeSpec,
     RealSystem,
+    SemanticClass,
     UnknownEntry,
     paper_suite,
+    validity,
 )
 from itlmc.cli import INPUT_ERRORS
+from itlmc.search import OUT_OF_SCOPE_PREFIX
+from conftest import kripke_extension
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +58,22 @@ def test_edges_shape(corpus):
     assert {e.style for e in edges} == {"solid", "dashed"}
     labels = {e.label for e in edges}
     assert labels == {"fs-next", "cd", "cd-minus", "cem"}
+
+
+def test_search_refutes_each_edge_that_has_a_poset_witness(corpus):
+    # The witness's class is sound for the edge's source, so the formula
+    # has a countermodel there, and the bounded search must find one.
+    edges = [e for e in corpus.edges() if not e.witness.startswith(OUT_OF_SCOPE_PREFIX)
+             and corpus.kind_of(e.witness) == "poset-model"]
+    assert len(edges) == 7
+    for edge in edges:
+        model, _ = corpus.load(edge.witness, "poset-model")
+        kind = "p" if model.is_open else "e"
+        assert f"poset-{kind}" in SOUND_STRUCTURES[edge.source]
+        verdict = validity(edge.formula, SemanticClass(kind, 5))
+        assert isinstance(verdict, Countermodel), edge
+        assert verdict.model.is_continuous and (kind == "e" or verdict.model.is_open)
+        assert verdict.world not in kripke_extension(verdict.model, verdict.valuation, edge.formula)
 
 
 def test_derivation_entries_declare_their_logic(corpus):

@@ -4,11 +4,12 @@ import itertools
 import pickle
 import re
 import time
+import tracemalloc
 import weakref
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 from itlmc import (
     And,
@@ -294,6 +295,32 @@ def test_repr_pickle_and_copy_do_not_recurse():
     assert copy.deepcopy(deep) is deep and copy.copy(deep) is deep
     verdict = validity(deep, SemanticClass("e", 2))
     assert isinstance(verdict, Countermodel) and repr(deep) in repr(verdict)
+
+
+def _reference_repr(phi):
+    """The repr written out recursively, one call per node of the tree."""
+    if type(phi) is Atom:
+        return f"Atom({phi.name!r})"
+    return f"{type(phi).__name__}({', '.join(map(_reference_repr, children(phi)))})"
+
+
+@settings(max_examples=200)
+@given(formulas(max_leaves=16, allow_weak=True))
+def test_repr_matches_the_recursive_reference(phi):
+    assert repr(phi) == _reference_repr(phi)
+
+
+def test_repr_holds_memory_in_proportion_to_the_text():
+    # Folding each node's text held about n**2 / 2 characters: 75 MB here.
+    deep = parse_formula("O " * 5_000 + "p")
+    tracemalloc.start()
+    try:
+        text = repr(deep)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == "Next(" * 5_000 + "Atom('p')" + ")" * 5_000
+    assert peak < 2_000_000
 
 
 def test_atoms_sorted():

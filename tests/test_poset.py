@@ -1,4 +1,5 @@
 import random
+from itertools import combinations, product
 
 import pytest
 
@@ -18,7 +19,9 @@ from itlmc import (
     pull_back_valuation,
     validate_valuation,
 )
-from conftest import eval_box_by_orbit, random_model
+from itlmc.formula import walk
+from itlmc.poset import build_frame, eval_sliced
+from conftest import eval_box_by_orbit, kripke_extension, random_model
 
 FIG4 = DynamicPoset(
     ("w", "v", "u"),
@@ -114,6 +117,57 @@ def test_box_matches_orbit_oracle_on_random_models():
             oracle = eval_box_by_orbit(model, valuation, phi)
             assert eval_formula(model, valuation, StrongBox(phi)) == oracle
             assert eval_formula(model, valuation, WeakBox(phi)) == oracle
+
+
+# Chains that must follow an orbit to its last new world, alone and nested.
+_CHAINS = [parse_formula(t) for t in (
+    "[]p", "[*]p", "<>p", "[]<>p", "<>[]p", "[*]<>q", "<>[*](p | q)",
+    "[](p -> <>q)", "<>(p & O []q)", "O <>p -> []q", "[]p -> <>q",
+)]
+
+
+def _longest_orbit_lanes(n, shape):
+    """(model, valuation) lanes on n worlds whose step is an n-cycle or an n-path,
+    under each of the discrete order and the two chains that keeps it monotone,
+    with every valuation of p and q by up-sets."""
+    worlds = tuple(f"w{i}" for i in range(n))
+    step = {w: worlds[(i + 1) % n if shape == "cycle" else min(i + 1, n - 1)]
+            for i, w in enumerate(worlds)}
+    chain = list(combinations(worlds, 2))
+    orders = [(), chain, [(b, a) for a, b in chain]]
+    models = [m for m in (DynamicPoset(worlds, o, step) for o in orders) if m.is_continuous]
+    subsets = [frozenset(c) for r in range(n + 1) for c in combinations(worlds, r)]
+    lanes = []
+    for model in models:
+        upsets = [u for u in subsets if is_up_set(model, u)]
+        lanes += [(model, {"p": p, "q": q}) for p, q in product(upsets, repeat=2)]
+    return lanes
+
+
+@pytest.mark.parametrize("shape", ["cycle", "path"])
+@pytest.mark.parametrize("n", range(1, 6))
+def test_chains_close_within_n_minus_1_rounds_on_the_longest_orbits(n, shape):
+    # An n-cycle or an n-path meets its last new world after n - 1 steps,
+    # so a chain capped at fewer rounds misses it. All lanes share one step;
+    # where the chains order some of them, the order is a lane mask.
+    lanes = _longest_orbit_lanes(n, shape)
+    full = (1 << len(lanes)) - 1
+    model = lanes[0][0]
+    moves = [[(model.index[model.step[w]], full)] for w in model.worlds]
+    ups = [[(j, sum(1 << k for k, (m, _) in enumerate(lanes) if not m.leq(w, v)))
+             for j, v in enumerate(model.worlds) if any(m.leq(w, v) for m, _ in lanes)]
+           for w in model.worlds]
+    frame = build_frame(moves, ups, full)
+    # Only the discrete order keeps a cycle monotone.
+    assert (frame.order is None) == (shape == "cycle" or n == 1)
+    atom_rows = {a: [sum(1 << k for k, (_, val) in enumerate(lanes) if w in val[a])
+                     for w in model.worlds] for a in "pq"}
+    for phi in _CHAINS:
+        top = eval_sliced(frame, walk(phi)[1], atom_rows)
+        for k, (m, val) in enumerate(lanes):
+            ext = kripke_extension(m, val, phi)
+            assert [w in ext for w in m.worlds] == [row >> k & 1 for row in top], (phi, k)
+            assert eval_formula(m, val, phi) == ext
 
 
 # -- morphisms ---------------------------------------------------------------

@@ -36,7 +36,7 @@ from itlmc import search
 from itlmc.cli import SWEEP_LOGICS
 from itlmc.formula import atoms, walk
 from itlmc.hilbert import instantiate
-from itlmc.poset import eval_sliced
+from itlmc.poset import build_frame, eval_sliced
 from itlmc.search import _atom_rows
 
 from conftest import (
@@ -433,10 +433,10 @@ def _narrow_chunks(mp, chunk_bits):
     """Set the chunk width, and check that no row is wider unless it holds one step."""
     evaluate = search.eval_sliced
 
-    def eval_sliced_narrow(moves, ups, program, atom_rows, full):
+    def eval_sliced_narrow(frame, program, atom_rows):
         # A chunk of one step is the only one whose worlds all have one target.
-        assert full.bit_length() <= chunk_bits or all(len(t) == 1 for t in moves)
-        return evaluate(moves, ups, program, atom_rows, full)
+        assert frame.full.bit_length() <= chunk_bits or all(len(t) == 1 for t in frame.moves)
+        return evaluate(frame, program, atom_rows)
 
     mp.setattr(search, "CHUNK_BITS", chunk_bits)
     mp.setattr(search, "eval_sliced", eval_sliced_narrow)
@@ -486,7 +486,7 @@ def test_sliced_rows_match_kripke_extension(phi, seed):
             moves[i][j] = moves[i].get(j, 0) | bits
     by_name = dict(zip(names, rows))
     ups = [[(j, 0) for j in up] for up in carrier.ups]
-    top = eval_sliced([list(t.items()) for t in moves], ups, program, by_name, full)
+    top = eval_sliced(build_frame([list(t.items()) for t in moves], ups, full), program, by_name)
     assert all(row <= full for row in top)
     for s in range(slots):
         step = carrier.steps[first + s]
@@ -528,17 +528,18 @@ def test_mixed_lane_batch_rows_match_each_chunk_alone_and_kripke_extension(phi, 
     n = rng.randint(2, 4)
     program, names = walk(phi)[1], atoms(phi)
     group = _random_group(rng, kind, [n])
-    moves, ups, rows, full, chunks = search._batch(kind, len(names), group)
-    assert all(len(up) == n for up in (moves, ups, *rows))
-    assert full.bit_length() == sum(width for _, width, *_ in chunks)
+    frame, rows, chunks = search._batch(kind, len(names), group)
+    assert all(len(up) == n for up in (frame.moves, *rows))
+    assert frame.order is None or len(frame.order) == n
+    assert frame.full.bit_length() == sum(width for _, width, *_ in chunks)
     if len(group) > 1:
-        assert any(off for up in ups for _, off in up)
-    top = eval_sliced(moves, ups, program, dict(zip(names, rows)), full)
-    assert all(row <= full for row in top)
+        assert any(masked for _, masked in frame.order)
+    top = eval_sliced(frame, program, dict(zip(names, rows)))
+    assert all(row <= frame.full for row in top)
     for chunk in group:
         alone = search._batch(kind, len(names), [chunk])
         (lane, width, _, index, first, slots), = (c for c in chunks if c[2:] == chunk)
-        alone_top = eval_sliced(*alone[:2], program, dict(zip(names, alone[2])), alone[3])
+        alone_top = eval_sliced(alone[0], program, dict(zip(names, alone[1])))
         assert [row >> lane & (1 << width) - 1 for row in top] == alone_top
         carrier = search._table(kind, n)[index]
         base = search._poset(n, carrier.pairs)
@@ -561,14 +562,15 @@ def test_cross_size_batch_rows_match_each_chunk_alone_at_its_size(phi, kind, see
     sizes = sorted(rng.sample(range(1, 5), rng.randint(2, 3)))
     program, names = walk(phi)[1], atoms(phi)
     group = _random_group(rng, kind, sizes)
-    moves, ups, rows, full, chunks = search._batch(kind, len(names), group)
-    assert all(len(up) == sizes[-1] for up in (moves, ups, *rows))
-    top = eval_sliced(moves, ups, program, dict(zip(names, rows)), full)
+    frame, rows, chunks = search._batch(kind, len(names), group)
+    assert all(len(up) == sizes[-1] for up in (frame.moves, *rows))
+    assert frame.order is None or len(frame.order) == sizes[-1]
+    top = eval_sliced(frame, program, dict(zip(names, rows)))
     point = search._poset(1, ())
     holds = "w0" in eval_formula(point, {a: () for a in names}, phi)
     for (lane, width, n, *_), chunk in zip(chunks, group):
         alone = search._batch(kind, len(names), [chunk])
-        alone_top = eval_sliced(*alone[:2], program, dict(zip(names, alone[2])), alone[3])
+        alone_top = eval_sliced(alone[0], program, dict(zip(names, alone[1])))
         lanes = [row >> lane & (1 << width) - 1 for row in top]
         assert lanes[:n] == alone_top
         assert lanes[n:] == [(1 << width) - 1 if holds else 0] * (sizes[-1] - n)
@@ -662,8 +664,8 @@ def _scan_batches(phi, semclass, chunk_bits):
 
 def _failing_chunks(batch, top):
     """The positions of the batch's chunks that have a failing lane."""
-    *_, full, chunks = batch
-    missing = full & ~reduce(and_, top)
+    frame, _, chunks = batch
+    missing = frame.full & ~reduce(and_, top)
     return [c for c, (lane, width, *_) in enumerate(chunks) if missing >> lane & (1 << width) - 1]
 
 
