@@ -28,18 +28,13 @@ from .formula import (
     StrongBox,
     WeakBox,
     atoms,
-    bi,
-    cd,
-    cd_minus,
-    cem,
     children,
-    fs_dia,
-    fs_next,
     subformulas,
     translate_weak,
-    wh,
 )
 from .parser import (
+    Derivation,
+    DerivationLine,
     EdgeSpec,
     MalformedEncoding,
     ParseError,
@@ -88,8 +83,6 @@ from .realline import (
 from .hilbert import (
     ALL_SCHEMAS,
     CheckResult,
-    Derivation,
-    DerivationLine,
     LOGICS,
     LogicSpec,
     MissingMetavariable,

@@ -132,7 +132,8 @@ def _cmd_validate(args) -> int:
               [("verdict", "falsified"), ("world", verdict.world), ("model", repr(rendered))])
         return 1
     assert isinstance(verdict, Undetermined)
-    _emit(args, f"undetermined: {verdict.reason}", [("verdict", "undetermined")])
+    _emit(args, f"undetermined: {verdict.reason}",
+          [("verdict", "undetermined"), ("reason", verdict.reason)])
     return 2
 
 
@@ -188,11 +189,11 @@ def _cmd_separate(args) -> int:
 def _cmd_sweep(args) -> int:
     logics = [(name, get_logic(name)) for name in args.logics or SWEEP_LOGICS]
     classes = {kind: SemanticClass(kind, args.bound) for kind in "ep"}
-    failures = 0
+    failures, verdicts = 0, {}  # one verdict per question, shared by this run's logics
     for name, logic in logics:
         kind = args.semclass or ("e" if "poset-e" in SOUND_STRUCTURES[logic.base_name] else "p")
         start = time.perf_counter()
-        results = soundness_sweep(logic, classes[kind])
+        results = soundness_sweep(logic, classes[kind], verdicts)
         elapsed = time.perf_counter() - start
         bad = sorted(k for k, v in results.items() if isinstance(v, Countermodel))
         failures += len(bad)

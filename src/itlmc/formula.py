@@ -309,52 +309,3 @@ def translate_weak(phi: Formula) -> Formula:
 
     return fold(phi, swap)
 
-
-# Named schema builders. These are the standard separation schemas used
-# throughout the test corpus; each takes concrete argument formulas.
-
-def wh(phi: Formula) -> Formula:
-    """Weak step invariance: []phi -> []O phi."""
-    return Implies(StrongBox(phi), StrongBox(Next(phi)))
-
-
-def fs_next(phi: Formula, psi: Formula) -> Formula:
-    """Fischer Servi next schema: (O phi -> O psi) -> O(phi -> psi)."""
-    return Implies(Implies(Next(phi), Next(psi)), Next(Implies(phi, psi)))
-
-
-def fs_dia(phi: Formula, psi: Formula) -> Formula:
-    """Fischer Servi eventually schema: (<>phi -> []psi) -> [](phi -> psi)."""
-    return Implies(
-        Implies(Eventually(phi), StrongBox(psi)),
-        StrongBox(Implies(phi, psi)),
-    )
-
-
-def cd(phi: Formula, psi: Formula) -> Formula:
-    """Constant domain schema: [](phi | psi) -> ([]phi | <>psi)."""
-    return Implies(
-        StrongBox(Or(phi, psi)),
-        Or(StrongBox(phi), Eventually(psi)),
-    )
-
-
-def cd_minus(phi: Formula) -> Formula:
-    """CD instance on a negation split: [](~phi | phi) -> ([]~phi | <>phi)."""
-    return cd(Not(phi), phi)
-
-
-def bi(phi: Formula, psi: Formula) -> Formula:
-    """Box induction: ([](phi | psi) & [](O psi -> psi)) -> ([]phi | psi)."""
-    return Implies(
-        And(StrongBox(Or(phi, psi)), StrongBox(Implies(Next(psi), psi))),
-        Or(StrongBox(phi), psi),
-    )
-
-
-def cem(phi: Formula, psi: Formula) -> Formula:
-    """Next excluded middle: (~O phi & O ~~phi) -> (O psi | ~O psi)."""
-    return Implies(
-        And(Not(Next(phi)), Next(Not(Not(phi)))),
-        Or(Next(psi), Not(Next(psi))),
-    )

@@ -7,40 +7,17 @@ lines by a rule.  Propositional reasoning is discharged by a decision
 procedure for intuitionistic propositional logic that treats maximal
 tensed subformulas as opaque atoms.
 
-Axiom schema names (metavariables ``phi``, ``psi``):
-
-    ii        ~O false
-    iii       O(phi & psi) <-> O phi & O psi
-    iv        O(phi | psi) <-> O phi | O psi
-    v         O(phi -> psi) -> (O phi -> O psi)
-    vi        [](phi -> psi) -> ([]phi -> []psi)
-    vii       [](phi -> psi) -> (<>phi -> <>psi)
-    viii      []phi -> phi
-    ix        []phi -> O[]phi
-    x         phi -> <>phi
-    xi        O<>phi -> <>phi
-    xii       [](phi -> O phi) -> (phi -> []phi)
-    xiii      [](O phi -> phi) -> (<>phi -> phi)
-    wh        []phi -> []O phi
-    fs-next   (O phi -> O psi) -> O(phi -> psi)
-    cd        [](phi | psi) -> []phi | <>psi
-    cd-minus  [](~phi | phi) -> []~phi | <>phi
-    bi        []( phi | psi) & [](O psi -> psi) -> []phi | psi
-    cem       (~O phi & O~~phi) -> (O psi | ~O psi)
-
-Plus a finite basis for fully explicit propositional steps: ipc-k, ipc-s,
-ipc-and-intro, ipc-and-left, ipc-and-right, ipc-or-left, ipc-or-right,
-ipc-or-elim, ipc-efq.
-
-Rules: mp, nec-next, nec-box, and (in the next/eventually fragment)
-dia-mono and dia-ind.
+Every schema and rule is stated once, as formula text that
+`parser.parse_formula` reads: `SCHEMA_TABLE` holds the axiom schemas and
+`RULE_TABLE` the rules. Their atoms ``phi``, ``psi`` and ``chi`` are the
+metavariables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Union
+from typing import Optional
 
 from .formula import (
     FRAGMENTS,
@@ -49,28 +26,20 @@ from .formula import (
     Bottom,
     Eventually,
     Formula,
-    Iff,
     Implies,
     InputError,
     LanguageFragment,
     Next,
-    Not,
     Or,
     StrongBox,
     WeakBox,
     atoms,
-    bi,
-    cd,
-    cd_minus,
-    cem,
     children,
     fold,
-    fs_next,
-    operators,
     translate_weak,
     walk,
-    wh,
 )
+from .parser import AxiomJust, Derivation, DerivationLine, IpcTaut, RuleJust, parse_formula
 
 
 class MissingMetavariable(InputError):
@@ -128,53 +97,6 @@ class LogicSpec:
     @property
     def base_name(self) -> str:
         return self.name.split(".", 1)[0]
-
-
-# --------------------------------------------------------------------------
-# derivations
-
-@dataclass(frozen=True)
-class AxiomJust:
-    schema: str
-    subst: Optional[dict[str, Formula]]
-
-
-@dataclass(frozen=True)
-class RuleJust:
-    rule: str
-    premises: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class IpcTaut:
-    pass
-
-
-Justification = Union[AxiomJust, RuleJust, IpcTaut]
-
-
-@dataclass(frozen=True)
-class DerivationLine:
-    number: int
-    formula: Formula
-    justification: Justification
-
-
-@dataclass(frozen=True)
-class Derivation:
-    lines: tuple[DerivationLine, ...]
-
-    @property
-    def theorem(self) -> Formula:
-        return self.lines[-1].formula
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    ok: bool
-    failed_line: Optional[int]
-    reason: Optional[str]
-    line_count: int
 
 
 # --------------------------------------------------------------------------
@@ -312,68 +234,58 @@ def is_ipc_tautology(phi: Formula) -> bool:
 # --------------------------------------------------------------------------
 # the logic registry
 
-_PHI = Atom("phi")
-_PSI = Atom("psi")
-_CHI = Atom("chi")
+# The axiom schemas, one per line as name and template, in three blocks: the
+# core of every logic, the schemas that set the logics apart, and a finite
+# basis for fully explicit propositional steps.
+SCHEMA_TABLE = """
+ii             ~O false
+iii            O(phi & psi) <-> O phi & O psi
+iv             O(phi | psi) <-> O phi | O psi
+v              O(phi -> psi) -> (O phi -> O psi)
+vi             [](phi -> psi) -> ([]phi -> []psi)
+vii            [](phi -> psi) -> (<>phi -> <>psi)
+viii           []phi -> phi
+ix             []phi -> O[]phi
+x              phi -> <>phi
+xi             O<>phi -> <>phi
+xii            [](phi -> O phi) -> (phi -> []phi)
+xiii           [](O phi -> phi) -> (<>phi -> phi)
 
-_CORE_TEMPLATES = {
-    "ii": Not(Next(Bottom())),
-    "iii": Iff(Next(And(_PHI, _PSI)), And(Next(_PHI), Next(_PSI))),
-    "iv": Iff(Next(Or(_PHI, _PSI)), Or(Next(_PHI), Next(_PSI))),
-    "v": Implies(Next(Implies(_PHI, _PSI)), Implies(Next(_PHI), Next(_PSI))),
-    "vi": Implies(
-        StrongBox(Implies(_PHI, _PSI)), Implies(StrongBox(_PHI), StrongBox(_PSI))
-    ),
-    "vii": Implies(
-        StrongBox(Implies(_PHI, _PSI)), Implies(Eventually(_PHI), Eventually(_PSI))
-    ),
-    "viii": Implies(StrongBox(_PHI), _PHI),
-    "ix": Implies(StrongBox(_PHI), Next(StrongBox(_PHI))),
-    "x": Implies(_PHI, Eventually(_PHI)),
-    "xi": Implies(Next(Eventually(_PHI)), Eventually(_PHI)),
-    "xii": Implies(
-        StrongBox(Implies(_PHI, Next(_PHI))), Implies(_PHI, StrongBox(_PHI))
-    ),
-    "xiii": Implies(
-        StrongBox(Implies(Next(_PHI), _PHI)), Implies(Eventually(_PHI), _PHI)
-    ),
-}
+wh             []phi -> []O phi
+fs-next        (O phi -> O psi) -> O(phi -> psi)
+cd             [](phi | psi) -> []phi | <>psi
+cd-minus       [](~phi | phi) -> []~phi | <>phi
+bi             [](phi | psi) & [](O psi -> psi) -> []phi | psi
+cem            ~O phi & O~~phi -> O psi | ~O psi
 
-_EXTRA_TEMPLATES = {
-    "wh": wh(_PHI),
-    "fs-next": fs_next(_PHI, _PSI),
-    "cd": cd(_PHI, _PSI),
-    "cd-minus": cd_minus(_PHI),
-    "bi": bi(_PHI, _PSI),
-    "cem": cem(_PHI, _PSI),
-}
+ipc-k          phi -> (psi -> phi)
+ipc-s          (phi -> (psi -> chi)) -> ((phi -> psi) -> (phi -> chi))
+ipc-and-intro  phi -> (psi -> phi & psi)
+ipc-and-left   phi & psi -> phi
+ipc-and-right  phi & psi -> psi
+ipc-or-left    phi -> phi | psi
+ipc-or-right   psi -> phi | psi
+ipc-or-elim    (phi -> chi) -> ((psi -> chi) -> (phi | psi -> chi))
+ipc-efq        false -> phi
+"""
 
-_IPC_BASIS_TEMPLATES = {
-    "ipc-k": Implies(_PHI, Implies(_PSI, _PHI)),
-    "ipc-s": Implies(
-        Implies(_PHI, Implies(_PSI, _CHI)),
-        Implies(Implies(_PHI, _PSI), Implies(_PHI, _CHI)),
-    ),
-    "ipc-and-intro": Implies(_PHI, Implies(_PSI, And(_PHI, _PSI))),
-    "ipc-and-left": Implies(And(_PHI, _PSI), _PHI),
-    "ipc-and-right": Implies(And(_PHI, _PSI), _PSI),
-    "ipc-or-left": Implies(_PHI, Or(_PHI, _PSI)),
-    "ipc-or-right": Implies(_PSI, Or(_PHI, _PSI)),
-    "ipc-or-elim": Implies(
-        Implies(_PHI, _CHI),
-        Implies(Implies(_PSI, _CHI), Implies(Or(_PHI, _PSI), _CHI)),
-    ),
-    "ipc-efq": Implies(Bottom(), _PHI),
-}
+# The rules, as (name, premises..., conclusion) texts over the same metavariables.
+RULE_TABLE = (
+    ("mp", "phi", "phi -> psi", "psi"),
+    ("nec-next", "phi", "O phi"),
+    ("nec-box", "phi", "[]phi"),
+    ("dia-mono", "phi -> psi", "<>phi -> <>psi"),
+    ("dia-ind", "O phi -> phi", "<>phi -> phi"),
+)
+
+_BLOCKS = [[line.split(None, 1) for line in block.splitlines()]
+           for block in SCHEMA_TABLE.strip().split("\n\n")]
 
 ALL_SCHEMAS: dict[str, Schema] = {
-    name: Schema(name, template)
-    for name, template in {**_CORE_TEMPLATES, **_EXTRA_TEMPLATES, **_IPC_BASIS_TEMPLATES}.items()
+    name: Schema(name, parse_formula(text)) for block in _BLOCKS for name, text in block
 }
 
-IPC_BASIS_NAMES = tuple(_IPC_BASIS_TEMPLATES)
-
-_CORE_NAMES = tuple(_CORE_TEMPLATES)
+_CORE_NAMES, _, IPC_BASIS_NAMES = (tuple(name for name, _ in block) for block in _BLOCKS)
 
 _BASE_AXIOMS: dict[str, tuple[str, ...]] = {
     "ITL": _CORE_NAMES,
@@ -386,65 +298,46 @@ _BASE_AXIOMS: dict[str, tuple[str, ...]] = {
     "CDTL+": _CORE_NAMES + ("fs-next", "cd"),
 }
 
-_RULE_MP = Rule("mp", (_PHI, Implies(_PHI, _PSI)), _PSI)
-_RULE_NEC_NEXT = Rule("nec-next", (_PHI,), Next(_PHI))
-_RULE_NEC_BOX = Rule("nec-box", (_PHI,), StrongBox(_PHI))
-_RULE_DIA_MONO = Rule(
-    "dia-mono", (Implies(_PHI, _PSI),), Implies(Eventually(_PHI), Eventually(_PSI))
-)
-_RULE_DIA_IND = Rule(
-    "dia-ind", (Implies(Next(_PHI), _PHI),), Implies(Eventually(_PHI), _PHI)
-)
-
-_BOX_RULES = {r.name: r for r in (_RULE_MP, _RULE_NEC_NEXT, _RULE_NEC_BOX)}
-_DIA_RULES = {
-    r.name: r for r in (_RULE_MP, _RULE_NEC_NEXT, _RULE_DIA_MONO, _RULE_DIA_IND)
-}
-
-
-def _weak_base(names: tuple[str, ...]) -> tuple[str, ...]:
-    # Henceforth in its weak reading loses the next-step axiom; the
-    # weak-henceforth axiom takes its place.  Sets already built that way
-    # (or containing the functional-step or constant-domain axioms, whose
-    # systems keep the strong reading) are unchanged.
-    if "ix" not in names or "fs-next" in names or "cd" in names:
-        return names
-    return tuple(n for n in names if n != "ix") + ("wh",)
-
-
-def _drop_eventually(names: tuple[str, ...]) -> tuple[str, ...]:
-    kept = tuple(n for n in names if Eventually not in operators(ALL_SCHEMAS[n].template))
-    if "cd" in names:
-        kept += ("bi",)
-    return kept
-
-
-def _drop_henceforth(names: tuple[str, ...]) -> tuple[str, ...]:
-    return tuple(n for n in names if StrongBox not in operators(ALL_SCHEMAS[n].template))
+_RULES = {name: Rule(name, tuple(map(parse_formula, texts[:-1])), parse_formula(texts[-1]))
+          for name, *texts in RULE_TABLE}
+_BOX_RULES = {n: _RULES[n] for n in ("mp", "nec-next", "nec-box")}
+_DIA_RULES = {n: _RULES[n] for n in ("mp", "nec-next", "dia-mono", "dia-ind")}
 
 
 _WEAK_SCHEMAS = {n: Schema(n, translate_weak(s.template)) for n, s in ALL_SCHEMAS.items()}
 
 
 def _spec(name: str, code: str, axiom_names: tuple[str, ...], rules):
-    """The logic; over a weak-box fragment its schemas and rules use the weak box."""
-    schemas = _WEAK_SCHEMAS if FRAGMENTS[code].weak_box else ALL_SCHEMAS
-    if schemas is _WEAK_SCHEMAS:
+    """The logic, with the named schemas its fragment allows; over a weak-box
+    fragment its schemas and rules use the weak box."""
+    fragment = FRAGMENTS[code]
+    schemas = _WEAK_SCHEMAS if fragment.weak_box else ALL_SCHEMAS
+    if fragment.weak_box:
         rules = {n: Rule(n, tuple(map(translate_weak, r.premises)), translate_weak(r.conclusion))
                  for n, r in rules.items()}
-    axioms = {n: schemas[n] for n in (*axiom_names, *IPC_BASIS_NAMES)}
+    axioms = {n: schemas[n] for n in (*axiom_names, *IPC_BASIS_NAMES)
+              if fragment.allows(schemas[n].template)}
     return LogicSpec(name, code, axioms, dict(rules))
 
 
 def build_logics() -> dict[str, LogicSpec]:
+    """Five logics per base; the eventually-free ones take box induction for constant domain.
+
+    Henceforth in its weak reading loses the next-step axiom to the
+    weak-henceforth axiom, unless the base has the functional-step or
+    constant-domain axiom, whose systems keep the strong reading.
+    """
     logics: dict[str, LogicSpec] = {}
     for base, names in _BASE_AXIOMS.items():
-        weak_names = _weak_base(names)
-        logics[f"{base}.db"] = _spec(f"{base}.db", "db", names, _BOX_RULES)
-        logics[f"{base}.dw"] = _spec(f"{base}.dw", "dw", weak_names, _BOX_RULES)
-        logics[f"{base}.b"] = _spec(f"{base}.b", "b", _drop_eventually(names), _BOX_RULES)
-        logics[f"{base}.w"] = _spec(f"{base}.w", "w", _drop_eventually(weak_names), _BOX_RULES)
-        logics[f"{base}.d"] = _spec(f"{base}.d", "d", _drop_henceforth(names), _DIA_RULES)
+        swap = "ix" in names and not {"fs-next", "cd"} & set(names)
+        weak = tuple(n for n in names if n != "ix") + ("wh",) if swap else names
+        induction = ("bi",) if "cd" in names else ()
+        for code, axiom_names, rules in (
+            ("db", names, _BOX_RULES), ("dw", weak, _BOX_RULES),
+            ("b", names + induction, _BOX_RULES), ("w", weak + induction, _BOX_RULES),
+            ("d", names, _DIA_RULES),
+        ):
+            logics[f"{base}.{code}"] = _spec(f"{base}.{code}", code, axiom_names, rules)
     return logics
 
 
@@ -462,6 +355,14 @@ def get_logic(name: str) -> LogicSpec:
 
 # --------------------------------------------------------------------------
 # checking
+
+@dataclass(frozen=True)
+class CheckResult:
+    ok: bool
+    failed_line: Optional[int]
+    reason: Optional[str]
+    line_count: int
+
 
 def _justify(line: DerivationLine, lines: tuple, logic: LogicSpec) -> Optional[str]:
     """Why the line's justification fails, or None when it holds."""

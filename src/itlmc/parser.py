@@ -25,6 +25,7 @@ import re
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from pathlib import Path
+from typing import Optional, Union
 
 from .formula import (
     BUILDERS,
@@ -44,7 +45,6 @@ from .formula import (
     fold,
     render,
 )
-from .hilbert import AxiomJust, Derivation, DerivationLine, IpcTaut, RuleJust
 from .poset import DynamicPoset, Valuation
 from .realline import (
     EvalCaps,
@@ -609,7 +609,43 @@ def parse_real_system(text: str) -> RealSystem:
 
 
 # --------------------------------------------------------------------------
-# derivation files
+# derivation files: the parsed form the Hilbert checker reads
+
+@dataclass(frozen=True)
+class AxiomJust:
+    schema: str
+    subst: Optional[dict[str, Formula]]
+
+
+@dataclass(frozen=True)
+class RuleJust:
+    rule: str
+    premises: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class IpcTaut:
+    pass
+
+
+Justification = Union[AxiomJust, RuleJust, IpcTaut]
+
+
+@dataclass(frozen=True)
+class DerivationLine:
+    number: int
+    formula: Formula
+    justification: Justification
+
+
+@dataclass(frozen=True)
+class Derivation:
+    lines: tuple[DerivationLine, ...]
+
+    @property
+    def theorem(self) -> Formula:
+        return self.lines[-1].formula
+
 
 _DERIV_LINE_RE = re.compile(r"\s*([0-9]+)\.\s*(.*)\Z")
 _SUBST_RE = re.compile(r"\{(.*)\}\s*\Z", re.DOTALL)

@@ -73,6 +73,9 @@ CHUNK_BITS = 1 << 16
 # Batches are kept for formulas of at most this many atoms.
 PLANNED_ATOMS = 3
 
+# Rows are at most 2^MAX_LANE_BITS lanes wide; 2^24-lane rows took about 140 MB.
+MAX_LANE_BITS = 24
+
 # The batches of a scan by (class, bound, atoms, chunk width), built so far: a prefix,
 # since scans go in order, that ends in None once the scan has passed them all.
 _PLANS: dict[tuple[str, int, int, int], list[tuple | None]] = {}
@@ -388,12 +391,15 @@ def validity(phi: Formula, semclass: SemanticClass) -> Verdict:
     The tables are scanned a batch of chunks of steps at a time under all
     valuations (see the module docstring). Only the first countermodel
     becomes a `DynamicPoset`, and `eval_formula` re-checks it on that one
-    valuation.
+    valuation. One step of the n-world antichain takes 2^(n k) lanes for k
+    atoms: the scan stops before the first size where that is over
+    2^MAX_LANE_BITS, and a formula it cannot refute is `Undetermined`.
     """
     program = walk(phi)[1]
     names = sorted(a for op, a, _ in program if op is Atom)
     k, kind = len(names), semclass.kind
-    key = (kind, semclass.bound, k, CHUNK_BITS)
+    reach = min(semclass.bound, MAX_LANE_BITS // k) if k else semclass.bound
+    key = (kind, reach, k, CHUNK_BITS)
     plan = _PLANS.setdefault(key, []) if k <= PLANNED_ATOMS else []
     groups = None
     for b in count():
@@ -401,12 +407,17 @@ def validity(phi: Formula, semclass: SemanticClass) -> Verdict:
             batch = plan[b]
         else:
             # Past the kept batches a fresh stream takes over, so no failed build is half kept.
-            groups = groups or islice(_groups(kind, semclass.bound, k, CHUNK_BITS), b, None)
+            groups = groups or islice(_groups(kind, reach, k, CHUNK_BITS), b, None)
             batch = (group := next(groups, None)) and _batch(kind, k, group)
             if k <= PLANNED_ATOMS:
                 plan.append(batch)
-        if batch is None:
-            return ValidUpTo(semclass.bound)
+        if not batch:
+            if reach == semclass.bound:
+                return ValidUpTo(reach)
+            return Undetermined(
+                f"no countermodel up to {reach} world(s); one step on {reach + 1} worlds needs"
+                f" 2^{(reach + 1) * k} lanes, over the cap of 2^{MAX_LANE_BITS}"
+            )
         frame, rows, chunks = batch
         top = eval_sliced(frame, program, dict(zip(names, rows)))
         missing = frame.full & ~reduce(and_, top)
@@ -432,15 +443,22 @@ def _fresh_instance(schema: Schema) -> Formula:
     return instantiate(schema, {mv: Atom(_FRESH[i]) for i, mv in enumerate(schema.metavars)})
 
 
-def soundness_sweep(logic: LogicSpec, semclass: SemanticClass) -> dict[str, Verdict]:
+def soundness_sweep(
+    logic: LogicSpec, semclass: SemanticClass, verdicts: dict | None = None
+) -> dict[str, Verdict]:
     """Check every axiom schema of the logic over the class.
 
     Schemas are instantiated with distinct fresh atoms as the logic states
     them; on dynamic posets the weak and the strong box denote the same sets.
+    ``verdicts``, a dict from (instance, class) to verdict that the sweep
+    reads and fills, lets sweeps that share it ask each question once.
     """
+    verdicts = {} if verdicts is None else verdicts
     results: dict[str, Verdict] = {}
     for name in sorted(logic.axioms):
-        results[name] = validity(_fresh_instance(logic.axioms[name]), semclass)
+        phi = _fresh_instance(logic.axioms[name])
+        key = phi, semclass
+        results[name] = verdicts.get(key) or verdicts.setdefault(key, validity(phi, semclass))
     return results
 
 

@@ -76,6 +76,32 @@ MUTANTS = (
         ("tests/test_formula.py::test_repr_matches_the_recursive_reference",
          "tests/test_parser.py::test_printing_holds_memory_in_proportion_to_the_text"),
     ),
+    Mutant(
+        "a schema line of the table changed", "src/itlmc/hilbert.py",
+        "cd             [](phi | psi) -> []phi | <>psi",
+        "cd             [](phi | psi) -> []phi | <>phi",
+        ("tests/test_soundness.py::test_derived_theorems_hold_where_the_logic_is_sound[CDTL.db]",
+         "tests/test_hilbert.py::test_registry_is_the_one_recorded"),
+    ),
+    Mutant(
+        "chain limits kept without their caps", "src/itlmc/realline.py",
+        "return pwmap._limits.get(key) or pwmap._limits.setdefault(key,",
+        "return pwmap._limits.get(target) or pwmap._limits.setdefault(target,",
+        ("tests/test_realline.py::test_subformula_memo_is_kept_per_system",
+         "tests/test_realline.py::test_zero_window_gives_undetermined"),
+    ),
+    Mutant(
+        # Only the test that runs the command under a memory limit is named:
+        # without the cap, a scan in this process would build 2^30-lane rows.
+        "the lane cap off", "src/itlmc/search.py",
+        "MAX_LANE_BITS = 24", "MAX_LANE_BITS = 99",
+        ("tests/test_cli.py::test_validate_past_the_lane_cap_exits_2_with_the_reason",),
+    ),
+    Mutant(
+        "sweep verdicts keyed without the class", "src/itlmc/search.py",
+        "key = phi, semclass", "key = phi",
+        ("tests/test_search.py::test_a_shared_verdict_dict_keeps_each_class_apart",),
+    ),
 )
 
 

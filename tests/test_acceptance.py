@@ -25,14 +25,9 @@ from itlmc import (
     StrongBox,
     ValidUpTo,
     WeakBox,
-    bi,
-    cd,
-    cem,
     check,
     eval_formula,
     eval_real,
-    fs_dia,
-    fs_next,
     get_logic,
     interval,
     parse_derivation,
@@ -47,6 +42,8 @@ from conftest import (
 )
 
 P, Q = Atom("p"), Atom("q")
+FS_DIA = parse_formula("(<>p -> []q) -> [](p -> q)")
+CEM = parse_formula("~O p & O~~p -> O q | ~O q")
 CORPUS = Corpus()
 
 
@@ -67,7 +64,7 @@ def criterion(num: int, title: str, budget: float | None = None):
 def test_criterion_01_shift_schemas_falsified_at_the_root():
     with criterion(1, "bundled shift-schema model falsifies both schemas at w", 1.0):
         model, valuation = CORPUS.load("fig4-fs")
-        for phi in (fs_dia(P, Q), fs_next(P, Q)):
+        for phi in (FS_DIA, parse_formula("(O p -> O q) -> O(p -> q)")):
             ext = eval_formula(model, valuation, phi)
             assert ext == frozenset({"v", "u"})
             assert [w for w in model.worlds if w not in ext] == ["w"]
@@ -77,7 +74,7 @@ def test_criterion_01_shift_schemas_falsified_at_the_root():
 def test_criterion_02_next_excluded_middle_falsified_at_w0():
     with criterion(2, "next-excluded-middle fails exactly at w0 on the bundled model", 1.0):
         model, valuation = CORPUS.load("fig5-cem")
-        ext = eval_formula(model, valuation, cem(P, Q))
+        ext = eval_formula(model, valuation, CEM)
         assert ext == frozenset({"w1", "v0", "v1", "v2"})
         assert [w for w in model.worlds if w not in ext] == ["w0"]
 
@@ -103,8 +100,8 @@ def test_criterion_04_distribution_gap_on_the_doubling_system():
     with criterion(4, "doubling system: distribution and induction fail at 0", 1.0):
         system = CORPUS.load("r-double")
         zero = Fraction(0)
-        for phi in (cd(P, Q), bi(P, Q)):
-            out = eval_real(system, phi)
+        for text in ("[](p | q) -> []p | <>q", "[](p | q) & [](O q -> q) -> []p | q"):
+            out = eval_real(system, parse_formula(text))
             assert out.status is not Status.UNDETERMINED
             assert not out.value.contains(zero)
         box_p = eval_real(system, StrongBox(P))
@@ -118,10 +115,10 @@ def test_criterion_05_shift_schema_fails_on_the_constant_system():
     with criterion(5, "constant system: -1 falsifies the eventually-shift schema", 1.0):
         system = CORPUS.load("r-const")
         minus_one = Fraction(-1)
-        strong = eval_real(system, fs_dia(P, Q))
+        strong = eval_real(system, FS_DIA)
         assert strong.status is not Status.UNDETERMINED
         assert not strong.value.contains(minus_one)
-        weak = eval_real(system, translate_weak(fs_dia(P, Q)))
+        weak = eval_real(system, translate_weak(FS_DIA))
         assert weak.status is not Status.UNDETERMINED
         assert not weak.value.contains(minus_one)
 
@@ -281,7 +278,7 @@ def test_criterion_12_next_excluded_middle_valid_on_the_line():
         rng = random.Random(6157)
         for entry_id in ("r-double", "r-kinked"):
             system = CORPUS.load(entry_id)
-            out = eval_real(system, cem(P, Q))
+            out = eval_real(system, CEM)
             assert out.value == REALS and out.status is Status.EXACT
             for _ in range(20):
                 valuation = {
@@ -289,7 +286,7 @@ def test_criterion_12_next_excluded_middle_valid_on_the_line():
                     "q": random_interval_set(rng).interior(),
                 }
                 randomized = RealSystem(system.map, valuation, system.caps)
-                out = eval_real(randomized, cem(P, Q))
+                out = eval_real(randomized, CEM)
                 assert out.value == REALS and out.status is Status.EXACT
 
 

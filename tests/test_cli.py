@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import resource
 import shlex
 import shutil
 import subprocess
@@ -10,7 +12,8 @@ from pathlib import Path
 import pytest
 
 from itlmc import SemanticClass, parse_formula, print_poset_model, validity
-from itlmc.cli import main
+from itlmc import search
+from itlmc.cli import SWEEP_LOGICS, main
 
 ROOT = Path(__file__).resolve().parents[1]
 CORPUS = ROOT / "src" / "itlmc" / "corpus"
@@ -278,6 +281,24 @@ def test_deep_formulas_get_a_verdict(capsys, tmp_path):
         path.write_text(f"1. {theorem} ; ipc-taut\n")
         code, out, _ = run(capsys, "prove", "--logic", "ITL.db", str(path))
         assert code == 0 and out.startswith("accepted (1 lines)\n")
+
+
+def test_validate_past_the_lane_cap_exits_2_with_the_reason(capsys):
+    # Under a 1 GB address space: rows of 2^30 lanes, three worlds of them
+    # for each of ten atoms, would not fit, and the command would exit 4.
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    ten = " & ".join(f"p{i}" for i in range(10))
+    argv = ["validate", "--class", "e", "--bound", "3", f"{ten} -> p0"]
+    done = subprocess.run([sys.executable, "-m", "itlmc.cli", *argv], env=_env("0"),
+                          capture_output=True, text=True, timeout=120, preexec_fn=limit)
+    reason = ("no countermodel up to 2 world(s); one step on 3 worlds needs 2^30 lanes,"
+              " over the cap of 2^24")
+    assert (done.returncode, done.stdout, done.stderr) == (2, f"undetermined: {reason}\n", "")
+    assert run(capsys, "--format", "records", *argv) == (
+        2, f"verdict=undetermined\nreason={reason}\n", ""
+    )
 
 
 def test_validate_bound_too_large_exits_3(capsys):
@@ -714,6 +735,25 @@ def test_sweep_prints_each_countermodel_and_exits_1(capsys):
     assert lines[0].startswith("logic=CDTL+.db; class=e; bound=2; schemas=23; falsified=1; ")
     assert lines[1] == f"schema=fs-next; world={cm.world}; model={rendered!r}"
     assert lines[2].startswith("logic=ITL.db; class=e; bound=2; schemas=21; falsified=0; ")
+
+
+def test_sweep_asks_each_distinct_question_once(capsys, monkeypatch):
+    asked = []
+
+    def ask(phi, semclass):
+        asked.append((phi, semclass))
+        return validity(phi, semclass)
+
+    monkeypatch.setattr(search, "validity", ask)
+    code, together, _ = run(capsys, "sweep", "--bound", "3")
+    assert code == 0 and len(asked) == len(set(asked)) == 52
+    apart = "".join(run(capsys, "sweep", "--bound", "3", name)[1] for name in SWEEP_LOGICS)
+    assert len(asked) == 52 + 105  # apart, each run asks every schema of its logic
+
+    def untimed(out):
+        return re.sub(r"\(\d+\.\ds\)$", "", out, flags=re.M)
+
+    assert untimed(together) == untimed(apart)
 
 
 @pytest.mark.parametrize("argv, message", [

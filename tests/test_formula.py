@@ -27,7 +27,6 @@ from itlmc import (
     StrongBox,
     WeakBox,
     atoms,
-    cd,
     children,
     parse_formula,
     subformulas,
@@ -155,7 +154,7 @@ def test_pickle_and_copy_return_the_interned_node():
 
 def test_subformula_count_of_distribution_schema():
     # box(p or q) -> box p or dia q has exactly 8 distinct subformulas
-    assert len(subformulas(cd(P, Q))) == 8
+    assert len(subformulas(parse_formula("[](p | q) -> []p | <>q"))) == 8
 
 
 def test_subformulas_is_postorder_and_deduplicated():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import re
 from dataclasses import replace
@@ -32,13 +33,13 @@ from itlmc import (
     is_ipc_tautology,
     parse_derivation,
     parse_formula,
+    print_formula,
     translate_weak,
     validity,
 )
 from itlmc.formula import FRAGMENTS, atoms, children, fold, walk
-from itlmc.hilbert import (
-    IPC_BASIS_NAMES, AxiomJust, CheckResult, IpcTaut, Rule, RuleJust, Schema,
-)
+from itlmc.hilbert import IPC_BASIS_NAMES, RULE_TABLE, SCHEMA_TABLE, CheckResult, Rule, Schema
+from itlmc.parser import AxiomJust, IpcTaut, RuleJust
 from conftest import formulas
 
 P, Q = Atom("p"), Atom("q")
@@ -243,6 +244,39 @@ def test_registry_shape():
         assert {"ipc-k", "ipc-s", "ipc-efq"} <= set(logic.axioms)
         assert "mp" in logic.rules
         assert logic.weak_rendered == name.endswith((".dw", ".w"))
+
+
+def _registry_text() -> str:
+    """Each logic's fragment and axiom and rule names, then each template and rule, as repr."""
+    lines = []
+    for name, logic in LOGICS.items():
+        names = f"{' '.join(logic.axioms)} | {' '.join(logic.rules)}"
+        lines.append(f"{name} {logic.fragment_code} {names}")
+        lines += [f"  {s.name}: {s.template!r}" for s in logic.axioms.values()]
+        lines += [f"  {r.name}: {r.premises!r} => {r.conclusion!r}" for r in logic.rules.values()]
+    return "\n".join(lines)
+
+
+def test_registry_is_the_one_recorded():
+    # Recorded when each schema was still built node by node: all 40
+    # logics, as 930 lines of text, must stay as they were.
+    digest = hashlib.sha256(_registry_text().encode()).hexdigest()
+    assert digest == "c804e5d6a00f9e63abe463e33dff5982b60e83caf1ac9722750e87907cff1615"
+
+
+def test_each_table_line_is_the_node_that_prints_and_parses_back():
+    lines = [line.split(None, 1) for line in SCHEMA_TABLE.splitlines() if line]
+    assert [name for name, _ in lines] == list(ALL_SCHEMAS)
+    for name, text in lines:
+        template = ALL_SCHEMAS[name].template
+        assert parse_formula(text) is template, name
+        assert parse_formula(print_formula(template)) is template, name
+    rules = LOGICS["ITL.db"].rules | LOGICS["ITL.d"].rules
+    assert [name for name, *_ in RULE_TABLE] == list(rules)
+    for name, *texts in RULE_TABLE:
+        rule = rules[name]
+        for text, node in zip(texts, (*rule.premises, rule.conclusion), strict=True):
+            assert parse_formula(text) is node and parse_formula(print_formula(node)) is node, name
 
 
 @pytest.mark.parametrize("name", sorted(LOGICS))

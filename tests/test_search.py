@@ -1,4 +1,6 @@
 import random
+import time
+import tracemalloc
 from functools import reduce
 from itertools import permutations, product
 from operator import and_
@@ -22,9 +24,9 @@ from itlmc import (
     SemanticClass,
     SOUND_STRUCTURES,
     StrongBox,
+    Undetermined,
     ValidUpTo,
     WeakBox,
-    cem,
     eval_formula,
     parse_formula,
     print_poset_model,
@@ -42,6 +44,8 @@ from itlmc.search import _atom_rows
 from conftest import (
     count_posets, enumerate_models, formulas, kripke_extension, oracle_table, orders, random_model,
 )
+
+CEM = parse_formula("~O p & O~~p -> O q | ~O q")
 
 
 def test_semantic_class_validation():
@@ -145,9 +149,9 @@ def test_next_excluded_middle_countermodel_in_class_e():
     )
     assert model.is_continuous and not model.is_open
     valuation = {"p": frozenset({"w1"}), "q": frozenset({"w", "w1"})}
-    ext = eval_formula(model, valuation, cem(Atom("p"), Atom("q")))
+    ext = eval_formula(model, valuation, CEM)
     assert ext == frozenset({"w1"})
-    verdict = validity(cem(Atom("p"), Atom("q")), SemanticClass("e", 5))
+    verdict = validity(CEM, SemanticClass("e", 5))
     assert isinstance(verdict, Countermodel)
     assert verdict.model.n <= 3
 
@@ -183,6 +187,42 @@ def test_soundness_sweep_flags_unsound_schema():
     assert all(
         isinstance(v, ValidUpTo) for k, v in results.items() if k != "cem"
     )
+
+
+def test_a_shared_verdict_dict_keeps_each_class_apart():
+    # RTL is sound for class p only: cem's class-e countermodel must not
+    # answer the same instance in class p.
+    verdicts = {}
+    e = soundness_sweep(LOGICS["RTL.db"], SemanticClass("e", 3), verdicts)
+    assert isinstance(e["cem"], Countermodel)
+    p = soundness_sweep(LOGICS["RTL.db"], SemanticClass("p", 3), verdicts)
+    assert all(isinstance(v, ValidUpTo) for v in p.values())
+    assert len(verdicts) == 2 * len(e)
+
+
+_TEN = " & ".join(f"p{i}" for i in range(10))
+
+
+def test_a_scan_past_the_lane_cap_is_undetermined():
+    # One step of the three-world antichain takes 2^30 lanes at ten atoms.
+    tracemalloc.start()
+    start = time.perf_counter()
+    verdict = validity(parse_formula(f"{_TEN} -> p0"), SemanticClass("e", 3))
+    elapsed, peak = time.perf_counter() - start, tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert verdict == Undetermined(
+        "no countermodel up to 2 world(s); one step on 3 worlds needs 2^30 lanes,"
+        " over the cap of 2^24"
+    )
+    assert elapsed < 5 and peak < 64 << 20, (elapsed, peak)
+    assert validity(parse_formula("p0 -> p0"), SemanticClass("e", 5)) == ValidUpTo(5)
+
+
+def test_sizes_below_the_lane_cap_keep_their_countermodel():
+    phi = parse_formula(_TEN.replace("p0 & ", "") + " -> p0")
+    verdict, one_world = (validity(phi, SemanticClass("e", b)) for b in (3, 1))
+    assert isinstance(verdict, Countermodel) and verdict.model.n == 1
+    assert verdict.world == one_world.world and verdict.valuation == one_world.valuation
 
 
 def test_sound_structures_table_shape():
@@ -310,7 +350,7 @@ def test_table_is_invisible_and_built_only_as_far_as_the_scan_goes():
     assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
     # The batch that refutes on three worlds has room left, and fills it from
     # the four- and five-world tables.
-    verdict, built = _tables_built(cem(Atom("p"), Atom("q")), SemanticClass("e", 5))
+    verdict, built = _tables_built(CEM, SemanticClass("e", 5))
     assert isinstance(verdict, Countermodel) and verdict.model.n == 3
     assert built == [1, 2, 3, 4, 5]
     verdict, built = _tables_built(parse_formula("[](p | q) -> []p | <>q"), SemanticClass("e", 4))
